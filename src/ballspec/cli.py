@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import bounds as bounds_mod
@@ -100,10 +99,11 @@ def cmd_incidence(args) -> int:
 
 
 def _verify_cases(max_n: int) -> list[tuple[int, int, int]]:
+    """Every band with 1 <= n <= max_n, in (n, r1, r2) order."""
     cases = []
     for n in range(1, max_n + 1):
-        for r2 in range(n // 2 + 1):
-            for r1 in range(r2 + 1):
+        for r1 in range(n // 2 + 1):
+            for r2 in range(r1, n // 2 + 1):
                 cases.append((n, r1, r2))
     return cases
 
@@ -112,23 +112,15 @@ def cmd_verify(args, config: RunConfig) -> int:
     if args.all:
         if args.max_n is None:
             raise InvalidParameterError("--all requires --max-n")
-        cases = _verify_cases(args.max_n)
-        workers = config.workers
-
-        def run(case):
-            n, r1, r2 = case
-            return spectrum.verify_against_oracle(
+        reports = [
+            spectrum.verify_against_oracle(
                 n, r1, r2, tol=args.tol, dense_limit=config.dense_limit
             )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(run, cases))
-        else:
-            reports = [run(c) for c in cases]
+            for n, r1, r2 in _verify_cases(args.max_n)
+        ]
         print("n,r1,r2,vertices,max_deviation,passed")
         ok = True
-        for rep in sorted(reports, key=lambda r: (r.n, r.r1, r.r2)):
+        for rep in reports:
             ok = ok and rep.passed
             print(
                 f"{rep.n},{rep.r1},{rep.r2},{rep.vertex_count},"
@@ -233,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT)
     p.add_argument("--workers", type=int, default=None,
-                   help="worker pool size (default: BALLSPEC_THREADS or 1)")
+                   help="accepted for compatibility, no effect: cases run in order "
+                        "on one thread (default: BALLSPEC_THREADS or 1)")
 
     p = sub.add_parser("krawtchouk", help="exact polynomial operations")
     p.add_argument("--n", type=int, required=True)

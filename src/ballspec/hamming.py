@@ -4,6 +4,12 @@ Vertices of the band graph are the bitmasks of weight r1..r2 in a fixed
 order: ascending weight, then ascending numeric mask value.  That makes
 each sphere a contiguous index range and gives the two-sphere case the
 bipartite block layout [[0, C], [C^T, 0]] for the incidence matrix C.
+
+Every edge joins weights of opposite parity, so every band graph is
+bipartite.  The dense oracle uses that: it takes the SVD of the dense 0/1
+even x odd biadjacency B (|even|*|odd| doubles, never the V x V adjacency),
+and the adjacency eigenvalues are +-sigma for each singular value of B plus
+abs(|even| - |odd|) structural zeros (Jordan-Wielandt).
 """
 
 from __future__ import annotations
@@ -179,23 +185,53 @@ def oracle_spectrum(
 ) -> OracleSpectrum:
     """All eigenvalues (ascending) of the adjacency matrix, with residuals.
 
-    The documented tolerance is 1e-10 * vertex_count; a residual above it is
-    an internal error, not a report.
+    Brute force on the bipartite split: with B = U diag(s) V^T the SVD of the
+    even x odd biadjacency, the eigenpairs are (+-s_i, [u_i; +-v_i]/sqrt(2))
+    and (0, [u; 0] or [0; v]) for each extra column of the full U or V.
+    Eigenvectors come back in the graph's vertex order, one column per
+    eigenvalue.  The residual bound is the largest of |B v_i - s_i u_i| and
+    |B^T u_i - s_i v_i| over the singular triplets (and |B^T u| or |B v| over
+    the null columns when vectors are returned); it bounds every eigenpair
+    residual.  The documented tolerance is 1e-10 * vertex_count; a residual
+    above it is an internal error, not a report.
     """
     if g.vertex_count > dense_limit:
         raise BudgetExceededError(
             f"{g.vertex_count} vertices exceed the dense oracle limit {dense_limit}",
             vertex_count=g.vertex_count,
         )
-    a = g.dense_adjacency()
-    w, v = np.linalg.eigh(a)
-    residual = float(np.linalg.norm(a @ v - v * w, axis=0).max()) if len(w) else 0.0
+    odd_weight = np.array([m.bit_count() % 2 for m in g.masks], dtype=bool)
+    even, odd = np.flatnonzero(~odd_weight), np.flatnonzero(odd_weight)
+    position = np.empty(g.vertex_count, dtype=int)
+    position[even] = np.arange(len(even))
+    position[odd] = np.arange(len(odd))
+    b = np.zeros((len(even), len(odd)))
+    for row, v in enumerate(even):
+        b[row, position[list(g.adjacency[v])]] = 1.0
+
+    u, s, vt = np.linalg.svd(b, full_matrices=want_vectors)
+    k = len(s)
+    uk, vk = u[:, :k], vt[:k].T
+    parts = [b @ vk - uk * s, b.T @ uk - vk * s]
+    if want_vectors:
+        parts += [b.T @ u[:, k:], b @ vt[k:].T]
+    residual = max(
+        (float(np.linalg.norm(part, axis=0).max()) for part in parts if part.size), default=0.0
+    )
     tolerance = 1e-10 * max(1, g.vertex_count)
     if residual > tolerance:
         raise ArithmeticError(
             f"internal-error: oracle residual {residual:.3e} above tolerance {tolerance:.3e}"
         )
-    return OracleSpectrum(w, v if want_vectors else None, residual, tolerance)
+    # s is descending, so this is ascending
+    w = np.concatenate([-s, np.zeros(g.vertex_count - 2 * k), s[::-1]])
+    if not want_vectors:
+        return OracleSpectrum(w, None, residual, tolerance)
+    h = math.sqrt(0.5)
+    x = np.empty((g.vertex_count, g.vertex_count))
+    x[even] = np.hstack([uk * h, u[:, k:], np.zeros((len(even), len(odd) - k)), uk[:, ::-1] * h])
+    x[odd] = np.hstack([vk * -h, np.zeros((len(odd), len(even) - k)), vt[k:].T, vk[:, ::-1] * h])
+    return OracleSpectrum(w, x, residual, tolerance)
 
 
 def rayleigh_fractional_boundary(g: InducedGraph, f: Iterable[float]) -> float:

@@ -259,6 +259,8 @@ class VerifyReport:
     max_deviation: float
     multiplicities_ok: bool
     passed: bool
+    oracle_residual: float
+    oracle_tolerance: float
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -288,7 +290,8 @@ def verify_against_oracle(
     predicted = table.expanded()
     if len(predicted) != graph.vertex_count:
         return VerifyReport(
-            n, r1, r2, tol, graph.vertex_count, math.inf, False, False
+            n, r1, r2, tol, graph.vertex_count, math.inf, False, False,
+            oracle.residual_bound, oracle.tolerance,
         )
     max_dev = float(np.abs(predicted - oracle.eigenvalues).max()) if len(predicted) else 0.0
 
@@ -300,4 +303,7 @@ def verify_against_oracle(
         if np.abs(chunk - line.value).max() > tol:
             mult_ok = False
     passed = max_dev <= tol and mult_ok
-    return VerifyReport(n, r1, r2, tol, graph.vertex_count, max_dev, mult_ok, passed)
+    return VerifyReport(
+        n, r1, r2, tol, graph.vertex_count, max_dev, mult_ok, passed,
+        oracle.residual_bound, oracle.tolerance,
+    )

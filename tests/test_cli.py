@@ -81,6 +81,22 @@ def test_verify_all_workers_env(capsys, monkeypatch):
     assert out1 == out2  # ordering independent of worker count
 
 
+def test_verify_all_workers_flag_has_no_effect(capsys):
+    code1, out1, _ = run(capsys, "verify", "--all", "--max-n", "6", "--workers", "1")
+    code2, out2, _ = run(capsys, "verify", "--all", "--max-n", "6", "--workers", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+@pytest.mark.parametrize("workers,env", [("0", None), ("-1", None), (None, "many")])
+def test_verify_bad_workers_is_usage_error(capsys, monkeypatch, workers, env):
+    if env is not None:
+        monkeypatch.setenv("BALLSPEC_THREADS", env)
+    argv = ["verify", "--n", "4", "--r", "1"] + (["--workers", workers] if workers else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "error" in err
+
+
 def test_krawtchouk_roots(capsys):
     code, out, _ = run(capsys, "krawtchouk", "--n", "4", "--k", "2", "--roots")
     assert code == 0 and out.strip() == "1 3"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -129,6 +130,73 @@ def test_oracle_trace_and_edge_sum():
         assert abs(orc.eigenvalues.sum()) <= orc.tolerance * g.vertex_count
         assert (orc.eigenvalues**2).sum() == pytest.approx(2 * g.edge_count, abs=1e-7)
         assert orc.residual_bound <= orc.tolerance
+
+
+def _parity_sizes(g):
+    odd = sum(m.bit_count() % 2 for m in g.masks)
+    return g.vertex_count - odd, odd
+
+
+def _check_oracle_against_eigh(g):
+    a = g.dense_adjacency()
+    v = g.vertex_count
+    orc = hm.oracle_spectrum(g)
+    assert np.abs(orc.eigenvalues - np.linalg.eigvalsh(a)).max() <= 1e-12 * v
+    full = hm.oracle_spectrum(g, want_vectors=True)
+    x, w = full.eigenvectors, full.eigenvalues
+    assert np.abs(w - orc.eigenvalues).max() <= 1e-12 * v
+    assert x.shape == (v, v)
+    assert np.linalg.norm(a @ x - x * w, axis=0).max() <= full.tolerance
+    assert np.abs(x.T @ x - np.eye(v)).max() <= 1e-12
+    assert 0.0 <= full.residual_bound <= full.tolerance
+    return w
+
+
+@pytest.mark.parametrize("n,r1,r2", list(band_cases(9)))
+def test_oracle_matches_eigh_on_every_small_band(n, r1, r2):
+    _check_oracle_against_eigh(cached_graph(n, r1, r2))
+
+
+@pytest.mark.parametrize("n,r1,r2,even,odd", [
+    (6, 2, 2, 15, 0),  # r1 == r2: no edges, B has no columns
+    (5, 1, 1, 0, 5),  # r1 == r2 on an odd sphere: B has no rows
+    (6, 1, 2, 15, 6),  # |even| > |odd|
+    (7, 2, 3, 21, 35),  # |odd| > |even|
+])
+def test_oracle_parity_split_shapes(n, r1, r2, even, odd):
+    g = cached_graph(n, r1, r2)
+    assert _parity_sizes(g) == (even, odd)
+    w = _check_oracle_against_eigh(g)
+    # at least the parity surplus is exactly zero, structurally
+    assert (w == 0.0).sum() >= abs(even - odd)
+
+
+def test_oracle_rank_deficient_biadjacency():
+    # No band with n <= 12 inside the dense limit has a rank-deficient B, so
+    # drop every edge that misses vertex 0 from the (4,0,2) ball: B (7 x 4)
+    # keeps one nonzero row, rank 1, and the 9 zeros come from both
+    # sigma = 0 and the parity surplus 7 - 4.
+    g = cached_graph(4, 0, 2)
+    adjacency = tuple(
+        nbrs if u == 0 else tuple(v for v in nbrs if v == 0)
+        for u, nbrs in enumerate(g.adjacency)
+    )
+    star = dataclasses.replace(g, adjacency=adjacency, edge_count=4)
+    assert _parity_sizes(star) == (7, 4)
+    w = _check_oracle_against_eigh(star)
+    assert np.allclose(w, [-2] + [0] * 9 + [2], atol=1e-12)
+
+
+def test_oracle_residual_above_tolerance_raises(monkeypatch):
+    svd = np.linalg.svd
+
+    def perturbed(b, **kwargs):
+        u, s, vt = svd(b, **kwargs)
+        return u, s + 1e-6, vt
+
+    monkeypatch.setattr(np.linalg, "svd", perturbed)
+    with pytest.raises(ArithmeticError):
+        hm.oracle_spectrum(cached_graph(6, 0, 3))
 
 
 def test_adjacent_spheres_spectrum_symmetric():

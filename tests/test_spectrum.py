@@ -119,6 +119,15 @@ def test_verify_band_6_1_3():
     assert rep.passed
 
 
+@pytest.mark.parametrize("n,r1,r2", [(8, 0, 3), (9, 2, 4)])
+def test_verify_reports_oracle_residual(n, r1, r2):
+    rep = sp.verify_against_oracle(n, r1, r2)
+    assert rep.passed
+    assert 0.0 <= rep.oracle_residual <= rep.oracle_tolerance
+    assert rep.oracle_tolerance == 1e-10 * rep.vertex_count
+    assert "residual" not in rep.summary()
+
+
 def test_index_bookkeeping_band_6_2_3():
     """Pins the row/index mapping of the truncated blocks against the oracle."""
     expected = {
