@@ -11,9 +11,9 @@ Krawtchouk polynomial, lower-bounds the extremal maximal eigenvalue and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_tol
 from .krawtchouk import DEFAULT_TOL, first_root
 
 LN2 = math.log(2.0)
@@ -32,6 +32,7 @@ def entropy_inv(h: float, tol: float = 1e-14) -> float:
     """Inverse of the entropy on [0, 1/2], by bisection (H is increasing there)."""
     if not 0.0 <= h <= 1.0:
         raise InvalidParameterError(f"entropy value must be in [0, 1], got {h}")
+    check_tol(tol)
     if h == 0.0:
         return 0.0
     if h == 1.0:
@@ -95,17 +96,7 @@ class BoundsReport:
     CSV_HEADER = "n,log2_s,r,t,lambda_lower,delta_upper,modls_lower,subcube_delta,log_lower"
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "log2_s": self.log2_s,
-            "r": self.r,
-            "t": self.t,
-            "lambda_lower": self.lambda_lower,
-            "delta_upper": self.delta_upper,
-            "modls_lower": self.modls_lower,
-            "subcube_delta": self.subcube_delta,
-            "log_lower": self.log_lower,
-        }
+        return asdict(self)
 
     def csv_row(self) -> str:
         d = self.to_dict()

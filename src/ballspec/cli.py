@@ -12,34 +12,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import eigenfunctions, krawtchouk, spectrum
-from .errors import (
-    BudgetExceededError,
-    InvalidDegreeError,
-    InvalidParameterError,
-    ZeroFunctionError,
-)
+from .errors import BudgetExceededError, InvalidParameterError
 from .hamming import DEFAULT_DENSE_LIMIT, build_graph, incidence_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-@dataclass
-class RunConfig:
-    dense_limit: int = DEFAULT_DENSE_LIMIT
-    workers: int = 1
-    merge_eps_scale: float = spectrum.MERGE_EPS_SCALE
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.dense_limit <= 0 or self.workers < 1:
-            raise InvalidParameterError("budgets and worker counts must be positive")
 
 
 def _fmt(x: float) -> str:
@@ -108,13 +90,16 @@ def _verify_cases(max_n: int) -> list[tuple[int, int, int]]:
     return cases
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
+    workers = _workers_from_env(args.workers)
+    if args.dense_limit <= 0 or workers < 1:
+        raise InvalidParameterError("budgets and worker counts must be positive")
     if args.all:
         if args.max_n is None:
             raise InvalidParameterError("--all requires --max-n")
         reports = [
             spectrum.verify_against_oracle(
-                n, r1, r2, tol=args.tol, dense_limit=config.dense_limit
+                n, r1, r2, tol=args.tol, dense_limit=args.dense_limit
             )
             for n, r1, r2 in _verify_cases(args.max_n)
         ]
@@ -128,9 +113,11 @@ def cmd_verify(args, config: RunConfig) -> int:
             )
         return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
+    if args.n is None:
+        raise InvalidParameterError("need --n or --all")
     r1, r2 = _radii(args)
     rep = spectrum.verify_against_oracle(
-        args.n, r1, r2, tol=args.tol, dense_limit=config.dense_limit
+        args.n, r1, r2, tol=args.tol, dense_limit=args.dense_limit
     )
     print(rep.summary())
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
@@ -203,23 +190,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_band(p):
-        p.add_argument("--n", type=int, required=True)
+    def add_band(p, n_required=True):
+        p.add_argument("--n", type=int, required=n_required)
         p.add_argument("--r", type=int, default=None, help="ball radius (r1=0)")
         p.add_argument("--r1", type=int, default=None)
         p.add_argument("--r2", type=int, default=None)
 
     p = sub.add_parser("spectrum", help="closed-form spectrum table")
+    p.set_defaults(func=cmd_spectrum)
     add_band(p)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--merge-eps-scale", type=float, default=spectrum.MERGE_EPS_SCALE,
                    help="coincidence threshold is this times (n+1)")
 
     p = sub.add_parser("verify", help="cross-check the table against the dense oracle")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--r1", type=int, default=None)
-    p.add_argument("--r2", type=int, default=None)
+    p.set_defaults(func=cmd_verify)
+    add_band(p, n_required=False)
     p.add_argument("--all", action="store_true", help="sweep all bands up to --max-n")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -229,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "on one thread (default: BALLSPEC_THREADS or 1)")
 
     p = sub.add_parser("krawtchouk", help="exact polynomial operations")
+    p.set_defaults(func=cmd_krawtchouk)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--roots", action="store_true", help="certified roots (default)")
@@ -238,12 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=krawtchouk.DEFAULT_TOL)
 
     p = sub.add_parser("bounds", help="entropy/eigenvalue bounds report")
+    p.set_defaults(func=cmd_bounds)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--log2s", type=float, default=None)
     p.add_argument("--s", type=str, default=None, help="cardinality (integer, any size)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("eigenfunction", help="synthesize an explicit eigenfunction")
+    p.set_defaults(func=cmd_eigenfunction)
     add_band(p)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--y", type=str, default=None, help="origin mask as a bitstring")
@@ -251,12 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("incidence", help="spectrum of two adjacent spheres")
+    p.set_defaults(func=cmd_incidence)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--show-matrix", action="store_true")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("export", help="edge list of a band graph, one 'u v' per line")
+    p.set_defaults(func=cmd_export)
     add_band(p)
     return parser
 
@@ -265,26 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
-        if args.command == "verify":
-            config = RunConfig(
-                dense_limit=args.dense_limit,
-                workers=_workers_from_env(args.workers),
-            )
-            return cmd_verify(args, config)
-        if args.command == "krawtchouk":
-            return cmd_krawtchouk(args)
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        if args.command == "eigenfunction":
-            return cmd_eigenfunction(args)
-        if args.command == "incidence":
-            return cmd_incidence(args)
-        if args.command == "export":
-            return cmd_export(args)
-        raise InvalidParameterError(f"unknown command {args.command}")
-    except (InvalidParameterError, InvalidDegreeError, ZeroFunctionError, ValueError) as exc:
+        return args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

@@ -21,8 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import tridiagonal
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import BudgetExceededError, InvalidParameterError, check_band
 from .hamming import InducedGraph, build_graph, weight_masks
+from .krawtchouk import binom_int
 from .spectrum import DEFAULT_TOL, coupling_matrix, lambda_set
 
 MEMBERSHIP_ORTH_RTOL = 1e-10
@@ -30,24 +31,16 @@ MEMBERSHIP_SPAN_RTOL = 1e-8
 UNIQUENESS_SPHERE_LIMIT = 5000
 
 
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0
+def _check_origin_mask(n: int, t: int, y: int) -> None:
+    if y < 0 or y >> n:
+        raise InvalidParameterError(f"origin mask {y:#x} does not fit in {n} bits")
+    if y.bit_count() != t:
+        raise InvalidParameterError(f"origin mask has weight {y.bit_count()}, expected {t}")
 
 
-def _validate_origin(n: int, r1: int, r2: int, t: int, y: int | None = None) -> None:
-    if n < 0 or not 0 <= r1 <= r2 <= n // 2:
-        raise InvalidParameterError(
-            f"radii must satisfy 0 <= r1 <= r2 <= n//2, got r1={r1}, r2={r2}, n={n}"
-        )
-    if not 0 <= t <= r2:
-        raise InvalidParameterError(f"need 0 <= t <= r2, got t={t}, r2={r2}")
-    if y is not None:
-        if y < 0 or y >> n:
-            raise InvalidParameterError(f"origin mask {y:#x} does not fit in {n} bits")
-        if y.bit_count() != t:
-            raise InvalidParameterError(
-                f"origin mask has weight {y.bit_count()}, expected {t}"
-            )
+def _check_sphere(n: int, i: int, t: int) -> None:
+    if not 0 <= t <= i <= n // 2:
+        raise InvalidParameterError(f"need 0 <= t <= i <= n//2, got t={t}, i={i}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,7 @@ class SemiSymBasis:
 
 def class_size(n: int, t: int, i: int, c: int) -> int:
     """|{x in S(n,i) : |x & y| = c}| for any fixed y of weight t."""
-    return _binom(t, c) * _binom(n - t, i - c)
+    return binom_int(t, c) * binom_int(n - t, i - c)
 
 
 def build_basis(n: int, r1: int, r2: int, t: int, y: int) -> SemiSymBasis:
@@ -86,7 +79,8 @@ def build_basis(n: int, r1: int, r2: int, t: int, y: int) -> SemiSymBasis:
     by C(c, k) under the counting measure.  (The k = t-1 row reproduces the
     closed form -(i-t+1)/(n-i).)
     """
-    _validate_origin(n, r1, r2, t, y)
+    check_band(n, r1, r2, t)
+    _check_origin_mask(n, t, y)
     tstar = max(t, r1)
     values: dict[tuple[int, int], Fraction] = {}
     for i in range(tstar, r2 + 1):
@@ -96,7 +90,9 @@ def build_basis(n: int, r1: int, r2: int, t: int, y: int) -> SemiSymBasis:
         f = [Fraction(0)] * (t + 1)
         f[t] = Fraction(1)
         for k in range(t - 1, -1, -1):
-            acc = sum((f[c] * (_binom(c, k) * sizes[c]) for c in range(k + 1, t + 1)), Fraction(0))
+            acc = sum(
+                (f[c] * (binom_int(c, k) * sizes[c]) for c in range(k + 1, t + 1)), Fraction(0)
+            )
             f[k] = -acc / sizes[k]
         for c in range(t + 1):
             values[(i, c)] = f[c]
@@ -151,7 +147,7 @@ class RestrictedAdjacency:
 
 
 def restricted_adjacency(n: int, r1: int, r2: int, t: int) -> RestrictedAdjacency:
-    _validate_origin(n, r1, r2, t)
+    check_band(n, r1, r2, t)
     tstar = max(t, r1)
     beta = tuple(n - i + 1 for i in range(tstar + 1, r2 + 1))
     gamma = tuple(
@@ -226,7 +222,7 @@ def synthesize(
     if block.dim == 1:
         v = np.ones(1)
     else:
-        w = tridiagonal.eigenvector([0.0] * block.dim, block.offdiag(), lam)
+        w = tridiagonal.eigenvector([0.0] * block.dim, block.offdiag_sq, lam)
         v = restricted_adjacency(n, r1, r2, t).scaling() * w
         if v[0] == 0.0:
             raise ArithmeticError("internal-error: vanishing first coefficient")
@@ -284,8 +280,7 @@ def check_eigenspace_membership(
     indicator of weight < t, and (b) inside the span of superset indicators
     of weight <= t, by least-squares residual.
     """
-    if not 0 <= t <= i <= n // 2:
-        raise InvalidParameterError(f"need 0 <= t <= i <= n//2, got t={t}, i={i}, n={n}")
+    _check_sphere(n, i, t)
     sphere = list(weight_masks(n, i))
     f = np.asarray(values, dtype=float)
     if f.shape != (len(sphere),):
@@ -322,8 +317,7 @@ def check_zonal_uniqueness(n: int, i: int, t: int) -> ZonalUniquenessReport:
     indicators span the semi-symmetric functions; membership constraints cut
     them down.  The result must be 1.
     """
-    if not 0 <= t <= i <= n // 2:
-        raise InvalidParameterError(f"need 0 <= t <= i <= n//2, got t={t}, i={i}, n={n}")
+    _check_sphere(n, i, t)
     if math.comb(n, i) > UNIQUENESS_SPHERE_LIMIT:
         raise BudgetExceededError(
             f"sphere has {math.comb(n, i)} points, budget {UNIQUENESS_SPHERE_LIMIT}",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidParameterError, ZeroFunctionError
+from .errors import BudgetExceededError, InvalidParameterError, ZeroFunctionError, check_band
 
 DEFAULT_GRAPH_LIMIT = 2_000_000
 DEFAULT_DENSE_LIMIT = 5000
@@ -41,15 +41,6 @@ def weight_masks(n: int, w: int) -> Iterator[int]:
         v = (((r ^ v) >> 2) // c) | r
 
 
-def _validate_band(n: int, r1: int, r2: int) -> None:
-    if n < 0 or n > MAX_DIMENSION:
-        raise InvalidParameterError(f"dimension must be in [0, {MAX_DIMENSION}], got {n}")
-    if not 0 <= r1 <= r2 <= n // 2:
-        raise InvalidParameterError(
-            f"radii must satisfy 0 <= r1 <= r2 <= n//2, got r1={r1}, r2={r2}, n={n}"
-        )
-
-
 @dataclass(frozen=True)
 class InducedGraph:
     """Immutable vertex indexing + adjacency for the weight band [r1, r2]."""
@@ -58,7 +49,6 @@ class InducedGraph:
     r1: int
     r2: int
     masks: tuple[int, ...]
-    index: dict[int, int]
     adjacency: tuple[tuple[int, ...], ...]
     sphere_start: dict[int, int]
     edge_count: int
@@ -106,7 +96,9 @@ def build_graph(
     n: int, r1: int, r2: int, max_vertices: int = DEFAULT_GRAPH_LIMIT
 ) -> InducedGraph:
     """Build the induced subgraph on the weight band [r1, r2]."""
-    _validate_band(n, r1, r2)
+    if n < 0 or n > MAX_DIMENSION:
+        raise InvalidParameterError(f"dimension must be in [0, {MAX_DIMENSION}], got {n}")
+    check_band(n, r1, r2)
     vertex_count = sum(math.comb(n, i) for i in range(r1, r2 + 1))
     if vertex_count > max_vertices:
         raise BudgetExceededError(
@@ -137,7 +129,6 @@ def build_graph(
         r1=r1,
         r2=r2,
         masks=tuple(masks),
-        index=index,
         adjacency=tuple(tuple(sorted(a)) for a in adjacency),
         sphere_start=sphere_start,
         edge_count=edges,

@@ -14,11 +14,12 @@ certified by dyadic bisection with exact integer sign tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tridiagonal
-from .errors import InvalidDegreeError
+from .errors import InvalidDegreeError, check_tol
 
 POLYNOMIAL_BISECTION = "polynomial-bisection"
 TRIDIAGONAL_EIGENSOLVE = "tridiagonal-eigensolve"
@@ -66,10 +67,7 @@ class KrawtchoukPoly:
 
     def eval_scaled(self, x: int) -> int:
         """Exact value of k! * K_k at an integer point."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def leading_coefficient(self) -> Fraction:
         return Fraction(self.coeffs[-1], self.scale)
@@ -132,7 +130,8 @@ def eval_exact(p: KrawtchoukPoly, x: int) -> Fraction:
     return Fraction(p.eval_scaled(x), p.scale)
 
 
-def _horner_int(coeffs: list[int], x: int) -> int:
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    """Exact value at an integer point of the polynomial with these coefficients, lowest first."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -208,8 +207,8 @@ def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
     """
     if p.degree < 1:
         raise InvalidDegreeError("roots requires degree >= 1")
-    if not 0.0 < tol <= 0.25:
-        tol = min(max(tol, 1e-15), 0.25)
+    check_tol(tol)
+    tol = min(tol, 0.25)
     full = list(p.coeffs)
     grid = [p.eval_scaled(x) for x in range(p.ambient_dim + 1)]
     int_roots = [x for x, v in enumerate(grid) if v == 0]
@@ -222,7 +221,7 @@ def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
         (float(r), math.ulp(max(1.0, float(r)))) for r in int_roots
     ]
     if len(work) > 1:
-        dgrid = [_horner_int(work, x) for x in range(p.ambient_dim + 1)]
+        dgrid = [_horner(work, x) for x in range(p.ambient_dim + 1)]
         if any(v == 0 for v in dgrid):
             raise ArithmeticError("internal-error: repeated integer root")
         for x in range(p.ambient_dim):
@@ -242,6 +241,14 @@ def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
     )
 
 
+def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], list[float]]:
+    """Diagonal and squared off-diagonals of the k x k Jacobi matrix of K_k over {0..N}."""
+    n, k = ambient_dim, degree
+    if k < 1 or k > n:
+        raise InvalidDegreeError(f"need 1 <= k <= N, got k={k}, N={n}")
+    return [n / 2.0] * k, [(j - 1) * (n - j + 2) / 4.0 for j in range(2, k + 1)]
+
+
 def jacobi_eigenvalues(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> RootList:
     """Roots of K_k over {0..N} as eigenvalues of the k x k Jacobi matrix.
 
@@ -250,12 +257,7 @@ def jacobi_eigenvalues(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) 
     has constant diagonal N/2 and squared off-diagonals (j-1)(N-j+2)/4;
     its eigenvalues are exactly the roots of K_k.
     """
-    n, k = ambient_dim, degree
-    if k < 1 or k > n:
-        raise InvalidDegreeError(f"need 1 <= k <= N, got k={k}, N={n}")
-    diag = [n / 2.0] * k
-    off_sq = [(j - 1) * (n - j + 2) / 4.0 for j in range(2, k + 1)]
-    values, radii = tridiagonal.eigenvalues_all(diag, off_sq, tol)
+    values, radii = tridiagonal.eigenvalues_all(*_jacobi_matrix(ambient_dim, degree), tol)
     return RootList(tuple(values), tuple(radii), TRIDIAGONAL_EIGENSOLVE)
 
 
@@ -269,12 +271,9 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
     n, k = ambient_dim, degree
     if n == 0:
         return 0.0
-    if k < 1 or k > n:
-        raise InvalidDegreeError(f"need 1 <= k <= N, got k={k}, N={n}")
+    diag, off_sq = _jacobi_matrix(n, k)  # checks 1 <= k <= N for both paths
     if n <= EXACT_COEFF_LIMIT:
         return roots(build(n, k), tol).values[0]
-    diag = [n / 2.0] * k
-    off_sq = [(j - 1) * (n - j + 2) / 4.0 for j in range(2, k + 1)]
     value, _ = tridiagonal.eigenvalue_k(diag, off_sq, 0, tol)
     return value
 

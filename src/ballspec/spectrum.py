@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import krawtchouk, tridiagonal
-from .errors import InvalidParameterError
+from .errors import check_band, check_tol
 from .hamming import DEFAULT_DENSE_LIMIT, build_graph, oracle_spectrum
-from .krawtchouk import RootList, TRIDIAGONAL_EIGENSOLVE, first_root
+from .krawtchouk import RootList, TRIDIAGONAL_EIGENSOLVE, binom_int, first_root
 
 DEFAULT_TOL = 1e-12
 MERGE_EPS_SCALE = 1e-9
@@ -30,20 +30,9 @@ class AmbiguousMergeWarning(UserWarning):
     """A cross-origin eigenvalue gap fell just above the merge threshold."""
 
 
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0
-
-
-def _validate_band(n: int, r1: int, r2: int) -> None:
-    if n < 0 or not 0 <= r1 <= r2 <= n // 2:
-        raise InvalidParameterError(
-            f"radii must satisfy 0 <= r1 <= r2 <= n//2, got r1={r1}, r2={r2}, n={n}"
-        )
-
-
 def origin_multiplicity(n: int, t: int) -> int:
     """Eigenspace dimension contributed by origin weight t: C(n,t) - C(n,t-1)."""
-    return _binom(n, t) - _binom(n, t - 1)
+    return binom_int(n, t) - binom_int(n, t - 1)
 
 
 @dataclass(frozen=True)
@@ -62,9 +51,6 @@ class TridiagonalSym:
     tstar: int
     dim: int
     offdiag_sq: tuple[int, ...]
-
-    def offdiag(self) -> list[float]:
-        return [math.sqrt(v) for v in self.offdiag_sq]
 
     def eigenvalues(self, tol: float = DEFAULT_TOL) -> RootList:
         """Certified eigenvalues, symmetrized about 0.
@@ -87,9 +73,7 @@ class TridiagonalSym:
 
 
 def coupling_matrix(n: int, r1: int, r2: int, t: int) -> TridiagonalSym:
-    _validate_band(n, r1, r2)
-    if not 0 <= t <= r2:
-        raise InvalidParameterError(f"need 0 <= t <= r2, got t={t}, r2={r2}")
+    check_band(n, r1, r2, t)
     tstar = max(t, r1)
     dim = r2 - tstar + 1
     off_sq = tuple(
@@ -182,7 +166,7 @@ def full_spectrum(
     than merge_eps, with a warning for gaps in the ambiguous zone just
     above the threshold.
     """
-    _validate_band(n, r1, r2)
+    check_band(n, r1, r2)
     if merge_eps is None:
         merge_eps = MERGE_EPS_SCALE * (n + 1)
 
@@ -233,7 +217,7 @@ def full_spectrum(
 
     if any(a.value >= b.value for a, b in zip(lines, lines[1:])):
         raise ArithmeticError("internal-error: merged lines are not strictly increasing")
-    total_dim = sum(_binom(n, i) for i in range(r1, r2 + 1))
+    total_dim = sum(binom_int(n, i) for i in range(r1, r2 + 1))
     if sum(line.multiplicity for line in lines) != total_dim:
         raise ArithmeticError(
             f"internal-error: multiplicities sum to "
@@ -244,8 +228,7 @@ def full_spectrum(
 
 def max_eigenvalue(n: int, r: int, tol: float = DEFAULT_TOL) -> float:
     """Largest adjacency eigenvalue of the radius-r ball: n - 2 * first root."""
-    if n < 0 or not 0 <= r <= n // 2:
-        raise InvalidParameterError(f"need 0 <= r <= n//2, got r={r}, n={n}")
+    check_band(n, 0, r)
     return n - 2.0 * first_root(n, r + 1, tol)
 
 
@@ -283,6 +266,7 @@ def verify_against_oracle(
     Predicted and oracle eigenvalues are paired greedily in ascending order;
     multiplicities are checked per clustered line.
     """
+    check_tol(tol)
     table = full_spectrum(n, r1, r2)
     graph = build_graph(n, r1, r2, max_vertices=dense_limit)
     oracle = oracle_spectrum(graph, dense_limit=dense_limit)

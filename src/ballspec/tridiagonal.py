@@ -2,7 +2,8 @@
 
 All routines take the *squared* off-diagonal entries.  Callers in this
 package have those squares exactly (small integers, or integers over 4),
-so the Sturm recurrence never touches an inexact square root.
+so the Sturm recurrence never touches an inexact square root; only the
+Gershgorin bracket and the dense inverse-iteration matrix take roots.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
+
+from .errors import check_tol
 
 _SAFMIN = 2.2250738585072014e-308
 
@@ -60,6 +63,7 @@ def eigenvalue_k(
     half-width is the final bracket radius plus a few ulps of slop for the
     floating-point Sturm recurrence itself.
     """
+    check_tol(tol)
     m = len(diag)
     if not 0 <= k < m:
         raise ValueError(f"eigenvalue index {k} out of range for dimension {m}")
@@ -94,7 +98,7 @@ def eigenvalues_all(
     return values, radii
 
 
-def eigenvector(diag: Sequence[float], off: Sequence[float], lam: float) -> np.ndarray:
+def eigenvector(diag: Sequence[float], off_sq: Sequence[float], lam: float) -> np.ndarray:
     """Unit eigenvector for a precomputed eigenvalue, by inverse iteration.
 
     Two iterations from e_1 with a slightly perturbed shift; e_1 is never
@@ -106,7 +110,7 @@ def eigenvector(diag: Sequence[float], off: Sequence[float], lam: float) -> np.n
     if m == 1:
         return np.ones(1)
     a = np.diag(np.asarray(diag, dtype=float))
-    offa = np.asarray(off, dtype=float)
+    offa = np.sqrt(np.asarray(off_sq, dtype=float))
     a += np.diag(offa, 1) + np.diag(offa, -1)
     scale = max(1.0, float(np.abs(a).max()))
     shift = lam + 1e-13 * scale

@@ -97,6 +97,32 @@ def test_verify_bad_workers_is_usage_error(capsys, monkeypatch, workers, env):
     assert code == 2 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--r", "2"],
+    ["verify", "--n", "4", "--r", "2", "--tol", "nan"],
+    ["verify", "--n", "4", "--r", "2", "--tol", "0"],
+    ["krawtchouk", "--n", "100", "--k", "5", "--first-root", "--tol", "nan"],
+    ["krawtchouk", "--n", "100", "--k", "5", "--first-root", "--tol", "inf"],
+    ["krawtchouk", "--n", "5", "--k", "2", "--tol", "-1"],
+])
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["krawtchouk", "--n", "5", "--k", "2", "--tol", "nan"],
+    ["krawtchouk", "--n", "40", "--k", "3", "--first-root", "--tol", "nan"],
+])
+def test_nan_tolerance_on_exact_roots_exits_2(argv):
+    # a NaN tolerance never ends the exact-root bisection, so run it with a timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "ballspec.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error: ")
+
+
 def test_krawtchouk_roots(capsys):
     code, out, _ = run(capsys, "krawtchouk", "--n", "4", "--k", "2", "--roots")
     assert code == 0 and out.strip() == "1 3"

@@ -83,6 +83,14 @@ def test_incidence_4_2_row_column_sums():
     assert (mat.sum(axis=1) == 3).all()
 
 
+def test_incidence_above_the_graph_dimension_cap():
+    # n = 100 is past the 64-bit cap of build_graph; incidence_matrix must not need it
+    mat = hm.incidence_matrix(100, 2)
+    assert mat.shape == (100, 4950)
+    assert (mat.sum(axis=0) == 2).all()
+    assert (mat.sum(axis=1) == 99).all()
+
+
 def test_incidence_is_the_bipartite_block():
     for n, r in [(4, 2), (5, 2), (6, 3), (7, 2)]:
         mat = hm.incidence_matrix(n, r)

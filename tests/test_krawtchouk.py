@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ballspec import krawtchouk as kw
-from ballspec.errors import InvalidDegreeError
+from ballspec.errors import InvalidDegreeError, InvalidParameterError
 
 
 def test_build_4_2_matches_defining_sum():
@@ -121,6 +121,20 @@ def test_first_root_large_dimension_uses_jacobi_path():
     assert at_limit < beyond < 65  # roots shift up with the ambient dimension
     # the linear case has a closed form at any size
     assert kw.first_root(10**5, 1) == pytest.approx(5e4, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+def test_bad_tolerance_is_rejected(tol):
+    # the Jacobi path; the exact-root path, which a NaN would hang, is run
+    # under a timeout in test_cli
+    with pytest.raises(InvalidParameterError):
+        kw.first_root(100, 5, tol)
+    with pytest.raises(InvalidParameterError):
+        kw.jacobi_eigenvalues(10, 3, tol)
+
+
+def test_roots_tolerance_above_quarter_is_clamped():
+    assert kw.roots(kw.build(30, 7), 1.0) == kw.roots(kw.build(30, 7), 0.25)
 
 
 def test_check_reciprocity_examples():

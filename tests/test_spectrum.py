@@ -182,6 +182,12 @@ def test_invalid_parameters(n, r1, r2):
         sp.full_spectrum(n, r1, r2)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_verify_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidParameterError):
+        sp.verify_against_oracle(4, 0, 2, tol=tol)
+
+
 def test_spectrum_table_serialization():
     tab = sp.full_spectrum(5, 1, 2)
     d = tab.to_dict()
