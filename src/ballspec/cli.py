@@ -44,7 +44,7 @@ def _workers_from_env(explicit: int | None) -> int:
     env = os.environ.get("BALLSPEC_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError as exc:
             raise InvalidParameterError(f"bad BALLSPEC_THREADS value {env!r}") from exc
     return 1

@@ -266,7 +266,8 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
 
     N = 0 returns 0.0 by convention (the degenerate reduced dimension, where
     the corresponding 1x1 coupling block is the zero matrix).  Large N skips
-    exact coefficients and solves only the Jacobi matrix.
+    exact coefficients and bisects the Jacobi matrix, seeded from a window of
+    it: the same bits, in 5-6 full sweeps instead of ~55 for 1024 <= k <= N/2.
     """
     n, k = ambient_dim, degree
     if n == 0:
@@ -274,8 +275,28 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
     diag, off_sq = _jacobi_matrix(n, k)  # checks 1 <= k <= N for both paths
     if n <= EXACT_COEFF_LIMIT:
         return roots(build(n, k), tol).values[0]
-    value, _ = tridiagonal.eigenvalue_k(diag, off_sq, 0, tol)
-    return value
+    guess = _window_guess(n, k, diag, off_sq, tol)
+    return tridiagonal.eigenvalue_k(diag, off_sq, 0, tol, guess)[0]
+
+
+def _window_guess(n: int, k: int, diag: list[float], off_sq: list[float], tol: float):
+    """Smallest eigenvalue of the window of rows ending at row min(k, N//2 + 1), or None.
+
+    The off-diagonals peak there, so the extreme eigenvector decays fast away
+    from that end; by Cauchy interlacing a window gives an upper bound.
+    Windows of w = 64, 128, ... rows are solved coarsely until two agree, then
+    one of 4w rows to ``tol``.  None if 4w would pass k/2.
+    """
+    end = min(k, n // 2 + 1)
+    coarse = max(tol, 1e-6 * n)
+    w, prev = 64, math.inf
+    while 8 * w <= k:
+        cur, _ = tridiagonal.eigenvalue_k(diag[end - w:end], off_sq[end - w:end - 1], 0, coarse)
+        if abs(prev - cur) <= 2.0 * coarse:
+            start = end - 4 * w
+            return tridiagonal.eigenvalue_k(diag[start:end], off_sq[start:end - 1], 0, tol)[0]
+        prev, w = cur, 2 * w
+    return None
 
 
 def check_reciprocity(n: int, i: int, j: int) -> bool:

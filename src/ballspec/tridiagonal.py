@@ -51,17 +51,44 @@ def _gershgorin(diag: Sequence[float], off_sq: Sequence[float]) -> tuple[float, 
     return lo - pad, hi + pad
 
 
+def _seeded_count(diag, off_sq, k: int, lo: float, hi: float, guess: float, tol: float):
+    """``count_below``, skipping the sweep where two counts near ``guess`` decide ``> k``.
+
+    Sound because the floating-point Sturm count is monotone in x (Demmel,
+    Dhillon & Ren, ETNA 1995).  A point outside (lo, hi), or NaN, is not counted.
+    """
+    below, above = -math.inf, math.inf
+    delta = 4.0 * tol + 4.0 * math.ulp(guess)
+    for x in (guess - delta, guess + delta):
+        if lo < x < hi:
+            if count_below(diag, off_sq, x) > k:
+                above = min(above, x)
+            else:
+                below = x
+
+    def count(diag, off_sq, x):
+        return k + 1 if x >= above else k if x <= below else count_below(diag, off_sq, x)
+
+    return count
+
+
 def eigenvalue_k(
     diag: Sequence[float],
     off_sq: Sequence[float],
     k: int,
     tol: float = 1e-12,
+    guess: float | None = None,
 ) -> tuple[float, float]:
     """k-th smallest eigenvalue (0-based) with a certified half-width.
 
     Bisection keeps the invariant count(lo) <= k < count(hi); the returned
     half-width is the final bracket radius plus a few ulps of slop for the
     floating-point Sturm recurrence itself.
+
+    A ``guess`` costs two Sturm counts a few ``tol`` either side of it; the
+    bisection keeps its midpoints and decisions, so the result is the same
+    bits, but needs no sweep for a midpoint beyond either of those points.
+    A good guess leaves a handful of sweeps; a bad one wastes two.
     """
     check_tol(tol)
     m = len(diag)
@@ -70,11 +97,12 @@ def eigenvalue_k(
     if m == 1:
         return float(diag[0]), 0.0
     lo, hi = _gershgorin(diag, off_sq)
+    count = count_below if guess is None else _seeded_count(diag, off_sq, k, lo, hi, guess, tol)
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # hit floating-point resolution
-        if count_below(diag, off_sq, mid) >= k + 1:
+        if count(diag, off_sq, mid) >= k + 1:
             hi = mid
         else:
             lo = mid

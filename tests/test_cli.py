@@ -88,7 +88,9 @@ def test_verify_all_workers_flag_has_no_effect(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("workers,env", [("0", None), ("-1", None), (None, "many")])
+@pytest.mark.parametrize("workers,env", [
+    ("0", None), ("-1", None), (None, "many"), (None, "0"), (None, "-1"),
+])
 def test_verify_bad_workers_is_usage_error(capsys, monkeypatch, workers, env):
     if env is not None:
         monkeypatch.setenv("BALLSPEC_THREADS", env)

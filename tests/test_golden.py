@@ -45,8 +45,11 @@ COMMANDS = {
     "krawtchouk_eval": "krawtchouk --n 9 --k 4 --eval 3",
     "krawtchouk_first_root_small": "krawtchouk --n 40 --k 6 --first-root",
     "krawtchouk_first_root_large": "krawtchouk --n 1000 --k 120 --first-root",
+    "krawtchouk_first_root_huge": "krawtchouk --n 100000 --k 44120 --first-root",
+    "krawtchouk_first_root_past_half": "krawtchouk --n 1000 --k 781 --first-root",
     "bounds_json": "bounds --n 100 --log2s 50",
     "bounds_csv": "bounds --n 300 --log2s 100.5 --format csv",
+    "bounds_csv_large": "bounds --n 100000 --log2s 99000.0 --format csv",
     "bounds_text": "bounds --n 1000 --s 1000000000000000000000000000000 --format text",
     "eigenfunction_json": "eigenfunction --n 8 --r 3 --t 1 --which 1",
     "eigenfunction_text":

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ballspec import krawtchouk as kw
+from ballspec import tridiagonal
 from ballspec.errors import InvalidDegreeError, InvalidParameterError
 
 
@@ -121,6 +122,30 @@ def test_first_root_large_dimension_uses_jacobi_path():
     assert at_limit < beyond < 65  # roots shift up with the ambient dimension
     # the linear case has a closed form at any size
     assert kw.first_root(10**5, 1) == pytest.approx(5e4, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [65, 300, 1000, 10**4, 10**5])
+def test_first_root_is_the_unseeded_bisection_bit_for_bit(n):
+    # k = 1, small, ~N/3, the off-diagonal peak N//2 + 1, just past it, N
+    for k in sorted({1, 7, n // 3, n // 2 + 1, n // 2 + 2, n}):
+        plain, _ = tridiagonal.eigenvalue_k(*kw._jacobi_matrix(n, k), 0, kw.DEFAULT_TOL)
+        assert kw.first_root(n, k) == plain, (n, k)
+
+
+def test_first_root_sweeps_the_full_matrix_only_a_few_times(monkeypatch):
+    n, k = 10**5, 44120
+    sweeps = []
+    count_below = tridiagonal.count_below
+
+    def counting(diag, off_sq, x):
+        sweeps.append(len(diag))
+        return count_below(diag, off_sq, x)
+
+    monkeypatch.setattr(tridiagonal, "count_below", counting)
+    kw.first_root(n, k)
+    full = sweeps.count(k)
+    assert 2 <= full <= 10  # plain bisection from Gershgorin takes 56
+    assert sum(sweeps) < 12 * k
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from ballspec import tridiagonal as td
+from ballspec.krawtchouk import _jacobi_matrix
 
 
 def dense(diag, off):
@@ -59,3 +62,43 @@ def test_eigenvector_inverse_iteration():
 def test_eigenvalue_index_range():
     with pytest.raises(ValueError):
         td.eigenvalue_k([0.0, 0.0], [1.0], 2)
+
+
+def random_block(seed, m):
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=m - 1) * 2
+    return list(rng.normal(size=m) * 3), list(e * e)
+
+
+@pytest.mark.parametrize("diag,off_sq,k", [
+    (*_jacobi_matrix(1000, 300), 0),
+    (*_jacobi_matrix(300, 200), 0),
+    (*random_block(11, 40), 17),
+    (*random_block(12, 9), 8),
+])
+def test_guess_never_changes_the_result(diag, off_sq, k):
+    plain = td.eigenvalue_k(diag, off_sq, k)
+    root = plain[0]
+    for guess in (root, root - 1e-13, root + 3e-12, root - 3e-12, root - 1e-9, root + 0.5,
+                  root - 1e6, root + 1e6, 1e308, -1e308, 0.0,
+                  math.nan, math.inf, -math.inf):
+        assert td.eigenvalue_k(diag, off_sq, k, guess=guess) == plain, guess
+
+
+@pytest.mark.parametrize("diag,off_sq", [
+    _jacobi_matrix(1000, 300),
+    _jacobi_matrix(200, 150),
+    _jacobi_matrix(65, 40),
+    random_block(21, 50),
+    ([0.0] * 31, [float(i * (32 - i)) for i in range(1, 31)]),
+])
+def test_count_below_is_monotone_next_to_roots(diag, off_sq):
+    # the seeded bisection in eigenvalue_k is exact only if this holds
+    rng = np.random.default_rng(3)
+    for k in range(0, len(diag), max(1, len(diag) // 12)):
+        root, _ = td.eigenvalue_k(diag, off_sq, k)
+        near = root + rng.uniform(-1e-9, 1e-9, size=200)
+        ulps = root + np.arange(-60, 61) * math.ulp(root)
+        shifts = np.sort(np.concatenate([near, ulps, [root]]))
+        counts = [td.count_below(diag, off_sq, float(x)) for x in shifts]
+        assert all(a <= b for a, b in zip(counts, counts[1:])), root
