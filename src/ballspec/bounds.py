@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import InvalidParameterError, check_tol
-from .krawtchouk import DEFAULT_TOL, first_root
+from .errors import InvalidParameterError
+from .krawtchouk import first_root
 
 LN2 = math.log(2.0)
+ENTROPY_INV_TOL = 1e-14
 
 
 def entropy(x: float) -> float:
@@ -28,17 +29,16 @@ def entropy(x: float) -> float:
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
-def entropy_inv(h: float, tol: float = 1e-14) -> float:
+def entropy_inv(h: float) -> float:
     """Inverse of the entropy on [0, 1/2], by bisection (H is increasing there)."""
     if not 0.0 <= h <= 1.0:
         raise InvalidParameterError(f"entropy value must be in [0, 1], got {h}")
-    check_tol(tol)
     if h == 0.0:
         return 0.0
     if h == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > ENTROPY_INV_TOL:
         mid = 0.5 * (lo + hi)
         if entropy(mid) < h:
             lo = mid
@@ -104,7 +104,7 @@ class BoundsReport:
                         for key in self.CSV_HEADER.split(","))
 
 
-def ball_bound(n: int, log2_s: float, tol: float = DEFAULT_TOL) -> BoundsReport:
+def ball_bound(n: int, log2_s: float) -> BoundsReport:
     """Full bounds report for cardinality 2**log2_s inside the n-cube."""
     if n < 2:
         raise InvalidParameterError(f"dimension must be at least 2, got {n}")
@@ -113,7 +113,7 @@ def ball_bound(n: int, log2_s: float, tol: float = DEFAULT_TOL) -> BoundsReport:
     u = entropy_inv(log2_s / n)
     r = n * u
     t = math.floor(r)
-    x = first_root(n, t + 1, tol)
+    x = first_root(n, t + 1)
     delta_upper = 2.0 * x
     lambda_lower = n - delta_upper
     return BoundsReport(
@@ -129,7 +129,7 @@ def ball_bound(n: int, log2_s: float, tol: float = DEFAULT_TOL) -> BoundsReport:
     )
 
 
-def reciprocity_delta_bound(n: int, t: int, tol: float = DEFAULT_TOL) -> int:
+def reciprocity_delta_bound(n: int, t: int) -> int:
     """Smallest degree i whose first root is <= t+1; then 2i bounds the boundary.
 
     Uses strict monotone decrease of the first root in the degree for a
@@ -141,16 +141,16 @@ def reciprocity_delta_bound(n: int, t: int, tol: float = DEFAULT_TOL) -> int:
     target = t + 1.0
     slack = 1e-9 * max(1.0, n)
     lo, hi = 1, n  # first_root(n, n) < 1 <= target, so hi always qualifies
-    if first_root(n, 1, tol) <= target + slack:
+    if first_root(n, 1) <= target + slack:
         hi = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if first_root(n, mid, tol) <= target + slack:
+        if first_root(n, mid) <= target + slack:
             hi = mid
         else:
             lo = mid + 1
     i = hi
-    if first_root(n, t + 1, tol) > i + slack:
+    if first_root(n, t + 1) > i + slack:
         raise ArithmeticError(
             f"internal-error: reciprocity consequence failed for n={n}, t={t}, i={i}"
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -36,18 +35,6 @@ def _radii(args) -> tuple[int, int]:
     if args.r1 is None or args.r2 is None:
         raise InvalidParameterError("need --r or both --r1 and --r2")
     return args.r1, args.r2
-
-
-def _workers_from_env(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("BALLSPEC_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidParameterError(f"bad BALLSPEC_THREADS value {env!r}") from exc
-    return 1
 
 
 def _emit_table(table: spectrum.SpectrumTable, fmt: str) -> None:
@@ -91,9 +78,8 @@ def _verify_cases(max_n: int) -> list[tuple[int, int, int]]:
 
 
 def cmd_verify(args) -> int:
-    workers = _workers_from_env(args.workers)
-    if args.dense_limit <= 0 or workers < 1:
-        raise InvalidParameterError("budgets and worker counts must be positive")
+    if args.dense_limit <= 0:
+        raise InvalidParameterError("the dense limit must be positive")
     if args.all:
         if args.max_n is None:
             raise InvalidParameterError("--all requires --max-n")
@@ -201,18 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_band(p)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--merge-eps-scale", type=float, default=spectrum.MERGE_EPS_SCALE,
-                   help="coincidence threshold is this times (n+1)")
+                   help="coincidence threshold is this times (n+1); finite and positive")
 
     p = sub.add_parser("verify", help="cross-check the table against the dense oracle")
     p.set_defaults(func=cmd_verify)
     add_band(p, n_required=False)
     p.add_argument("--all", action="store_true", help="sweep all bands up to --max-n")
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=spectrum.VERIFY_TOL)
     p.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT)
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility, no effect: cases run in order "
-                        "on one thread (default: BALLSPEC_THREADS or 1)")
 
     p = sub.add_parser("krawtchouk", help="exact polynomial operations")
     p.set_defaults(func=cmd_krawtchouk)

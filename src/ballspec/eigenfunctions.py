@@ -24,7 +24,7 @@ from . import tridiagonal
 from .errors import BudgetExceededError, InvalidParameterError, check_band
 from .hamming import InducedGraph, build_graph, weight_masks
 from .krawtchouk import binom_int
-from .spectrum import DEFAULT_TOL, coupling_matrix, lambda_set
+from .spectrum import coupling_matrix, lambda_set
 
 MEMBERSHIP_ORTH_RTOL = 1e-10
 MEMBERSHIP_SPAN_RTOL = 1e-8
@@ -203,7 +203,6 @@ def synthesize(
     y: int,
     which: int,
     graph: InducedGraph | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> EigenFunction:
     """Materialize the eigenfunction for the which-th eigenvalue of origin (t, y).
 
@@ -218,7 +217,7 @@ def synthesize(
         raise InvalidParameterError(
             f"eigenvalue index {which} out of range [0, {block.dim})"
         )
-    lam = lambda_set(n, r1, r2, t, tol).values[which]
+    lam = lambda_set(n, r1, r2, t).values[which]
     if block.dim == 1:
         v = np.ones(1)
     else:
@@ -266,14 +265,7 @@ def _superset_columns(n: int, sphere_masks: list[int], max_weight: int) -> np.nd
     return np.array(cols).T if cols else np.zeros((len(sphere_masks), 0))
 
 
-def check_eigenspace_membership(
-    n: int,
-    i: int,
-    t: int,
-    values,
-    orth_rtol: float = MEMBERSHIP_ORTH_RTOL,
-    span_rtol: float = MEMBERSHIP_SPAN_RTOL,
-) -> bool:
+def check_eigenspace_membership(n: int, i: int, t: int, values) -> bool:
     """Does a function on the weight-i sphere lie in eigenspace index t?
 
     Operationalized as: (a) orthogonal (counting measure) to every superset
@@ -292,12 +284,12 @@ def check_eigenspace_membership(
         return True
     if t > 0:
         low = _superset_columns(n, sphere, t - 1)
-        if float(np.abs(low.T @ f).max()) > orth_rtol * norm:
+        if float(np.abs(low.T @ f).max()) > MEMBERSHIP_ORTH_RTOL * norm:
             return False
     span = _superset_columns(n, sphere, t)
     coef, *_ = np.linalg.lstsq(span, f, rcond=None)
     residual = float(np.linalg.norm(span @ coef - f))
-    return residual <= span_rtol * norm
+    return residual <= MEMBERSHIP_SPAN_RTOL * norm
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def build_graph(
     )
 
 
-def incidence_matrix(n: int, r: int, max_vertices: int = DEFAULT_GRAPH_LIMIT) -> np.ndarray:
+def incidence_matrix(n: int, r: int) -> np.ndarray:
     """The C(n,r-1) x C(n,r) containment matrix between weights r-1 and r.
 
     Rows and columns follow the same ascending-mask order as build_graph, so
@@ -145,9 +145,9 @@ def incidence_matrix(n: int, r: int, max_vertices: int = DEFAULT_GRAPH_LIMIT) ->
         raise InvalidParameterError(f"need 1 <= r <= n//2, got r={r}, n={n}")
     rows = math.comb(n, r - 1)
     cols = math.comb(n, r)
-    if rows + cols > max_vertices:
+    if rows + cols > DEFAULT_GRAPH_LIMIT:
         raise BudgetExceededError(
-            f"incidence ({n},{r}) needs {rows + cols} vertices, budget {max_vertices}",
+            f"incidence ({n},{r}) needs {rows + cols} vertices, budget {DEFAULT_GRAPH_LIMIT}",
             vertex_count=rows + cols,
         )
     row_index = {m: i for i, m in enumerate(weight_masks(n, r - 1))}

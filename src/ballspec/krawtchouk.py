@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import tridiagonal
 from .errors import InvalidDegreeError, check_tol
+from .tridiagonal import DEFAULT_TOL
 
 POLYNOMIAL_BISECTION = "polynomial-bisection"
 TRIDIAGONAL_EIGENSOLVE = "tridiagonal-eigensolve"
@@ -27,7 +28,6 @@ TRIDIAGONAL_EIGENSOLVE = "tridiagonal-eigensolve"
 # Above this ambient dimension first_root skips exact coefficients and goes
 # straight to the Jacobi-matrix eigensolve.
 EXACT_COEFF_LIMIT = 64
-DEFAULT_TOL = 1e-12
 
 
 def binom_int(n: int, k: int) -> int:
@@ -249,7 +249,7 @@ def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], list[flo
     return [n / 2.0] * k, [(j - 1) * (n - j + 2) / 4.0 for j in range(2, k + 1)]
 
 
-def jacobi_eigenvalues(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> RootList:
+def jacobi_eigenvalues(ambient_dim: int, degree: int) -> RootList:
     """Roots of K_k over {0..N} as eigenvalues of the k x k Jacobi matrix.
 
     The monic transform P_k = k!/(-2)^k K_k satisfies
@@ -257,20 +257,22 @@ def jacobi_eigenvalues(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) 
     has constant diagonal N/2 and squared off-diagonals (j-1)(N-j+2)/4;
     its eigenvalues are exactly the roots of K_k.
     """
-    values, radii = tridiagonal.eigenvalues_all(*_jacobi_matrix(ambient_dim, degree), tol)
+    values, radii = tridiagonal.eigenvalues_all(*_jacobi_matrix(ambient_dim, degree))
     return RootList(tuple(values), tuple(radii), TRIDIAGONAL_EIGENSOLVE)
 
 
 def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float:
     """Minimal root of K_k over {0..N}.
 
-    N = 0 returns 0.0 by convention (the degenerate reduced dimension, where
-    the corresponding 1x1 coupling block is the zero matrix).  Large N skips
+    N = 0 with k = 1 returns 0.0 by convention (the degenerate reduced
+    dimension, where the corresponding 1x1 coupling block is the zero
+    matrix); any other k needs 1 <= k <= N.  Large N skips
     exact coefficients and bisects the Jacobi matrix, seeded from a window of
     it: the same bits, in 5-6 full sweeps instead of ~55 for 1024 <= k <= N/2.
     """
     n, k = ambient_dim, degree
-    if n == 0:
+    if n == 0 and k == 1:
+        check_tol(tol)
         return 0.0
     diag, off_sq = _jacobi_matrix(n, k)  # checks 1 <= k <= N for both paths
     if n <= EXACT_COEFF_LIMIT:

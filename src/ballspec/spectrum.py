@@ -21,8 +21,8 @@ from .errors import check_band, check_tol
 from .hamming import DEFAULT_DENSE_LIMIT, build_graph, oracle_spectrum
 from .krawtchouk import RootList, TRIDIAGONAL_EIGENSOLVE, binom_int, first_root
 
-DEFAULT_TOL = 1e-12
 MERGE_EPS_SCALE = 1e-9
+VERIFY_TOL = 1e-8
 AMBIGUOUS_ZONE_FACTOR = 1000.0
 
 
@@ -52,7 +52,7 @@ class TridiagonalSym:
     dim: int
     offdiag_sq: tuple[int, ...]
 
-    def eigenvalues(self, tol: float = DEFAULT_TOL) -> RootList:
+    def eigenvalues(self) -> RootList:
         """Certified eigenvalues, symmetrized about 0.
 
         A zero-diagonal tridiagonal spectrum is exactly symmetric under
@@ -63,7 +63,7 @@ class TridiagonalSym:
             return RootList((0.0,), (0.0,), TRIDIAGONAL_EIGENSOLVE)
         diag = [0.0] * self.dim
         off_sq = [float(v) for v in self.offdiag_sq]
-        values, radii = tridiagonal.eigenvalues_all(diag, off_sq, tol)
+        values, radii = tridiagonal.eigenvalues_all(diag, off_sq)
         m = self.dim
         sym_vals = [0.5 * (values[i] - values[m - 1 - i]) for i in range(m)]
         sym_radii = [max(radii[i], radii[m - 1 - i]) for i in range(m)]
@@ -84,7 +84,7 @@ def coupling_matrix(n: int, r1: int, r2: int, t: int) -> TridiagonalSym:
     return TridiagonalSym(n, r1, r2, t, tstar, dim, off_sq)
 
 
-def lambda_set(n: int, r1: int, r2: int, t: int, tol: float = DEFAULT_TOL) -> RootList:
+def lambda_set(n: int, r1: int, r2: int, t: int) -> RootList:
     """Eigenvalues contributed by origin weight t, ascending and certified.
 
     For r1 = 0 the same set must equal 2*R - (n-2t) where R are the roots of
@@ -92,10 +92,10 @@ def lambda_set(n: int, r1: int, r2: int, t: int, tol: float = DEFAULT_TOL) -> Ro
     coefficient path is available the two routes are cross-checked here.
     """
     block = coupling_matrix(n, r1, r2, t)
-    out = block.eigenvalues(tol)
+    out = block.eigenvalues()
     reduced = n - 2 * t
     if r1 == 0 and 1 <= reduced <= krawtchouk.EXACT_COEFF_LIMIT:
-        kr = krawtchouk.roots(krawtchouk.build(reduced, r2 - t + 1), tol)
+        kr = krawtchouk.roots(krawtchouk.build(reduced, r2 - t + 1))
         for v, rad, x, xrad in zip(out.values, out.radius, kr.values, kr.radius):
             affine = 2.0 * x - reduced
             if abs(v - affine) > rad + 2.0 * xrad + 1e-10:
@@ -156,26 +156,28 @@ def full_spectrum(
     n: int,
     r1: int,
     r2: int,
-    tol: float = DEFAULT_TOL,
     merge_eps: float | None = None,
 ) -> SpectrumTable:
     """Assemble the complete spectrum with multiplicities and contributors.
 
     Eigenvalue 0 is recognized exactly (odd block dimension) and merged
     symbolically; other coincidences across origins are merged when closer
-    than merge_eps, with a warning for gaps in the ambiguous zone just
+    than merge_eps (default ``MERGE_EPS_SCALE * (n + 1)``; a given one must be
+    finite and positive), with a warning for gaps in the ambiguous zone just
     above the threshold.
     """
     check_band(n, r1, r2)
     if merge_eps is None:
         merge_eps = MERGE_EPS_SCALE * (n + 1)
+    else:
+        check_tol(merge_eps)
 
     zero_contributors: list[int] = []
     zero_mult = 0
     nonzero: list[tuple[float, int]] = []  # (value, t)
     for t in range(r2 + 1):
         weight = origin_multiplicity(n, t)
-        vals = lambda_set(n, r1, r2, t, tol)
+        vals = lambda_set(n, r1, r2, t)
         for v in vals.values:
             if v == 0.0:
                 zero_contributors.append(t)
@@ -226,10 +228,10 @@ def full_spectrum(
     return SpectrumTable(n, r1, r2, total_dim, tuple(lines))
 
 
-def max_eigenvalue(n: int, r: int, tol: float = DEFAULT_TOL) -> float:
+def max_eigenvalue(n: int, r: int) -> float:
     """Largest adjacency eigenvalue of the radius-r ball: n - 2 * first root."""
     check_band(n, 0, r)
-    return n - 2.0 * first_root(n, r + 1, tol)
+    return n - 2.0 * first_root(n, r + 1)
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ def verify_against_oracle(
     n: int,
     r1: int,
     r2: int,
-    tol: float = 1e-8,
+    tol: float = VERIFY_TOL,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> VerifyReport:
     """Compare the closed-form table with the brute-force eigendecomposition.

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import check_tol
 
 _SAFMIN = 2.2250738585072014e-308
+# The package's one default bisection tolerance (absolute, on eigenvalues and roots).
+DEFAULT_TOL = 1e-12
 
 
 def count_below(diag: Sequence[float], off_sq: Sequence[float], x: float) -> int:
@@ -39,14 +41,12 @@ def count_below(diag: Sequence[float], off_sq: Sequence[float], x: float) -> int
 
 
 def _gershgorin(diag: Sequence[float], off_sq: Sequence[float]) -> tuple[float, float]:
-    m = len(diag)
-    off = [math.sqrt(v) for v in off_sq]
-    lo = math.inf
-    hi = -math.inf
-    for i in range(m):
-        spread = (off[i - 1] if i > 0 else 0.0) + (off[i] if i < m - 1 else 0.0)
-        lo = min(lo, diag[i] - spread)
-        hi = max(hi, diag[i] + spread)
+    off = np.sqrt(np.asarray(off_sq, dtype=float))
+    spread = np.append(off, 0.0)  # row i: off[i] + off[i - 1], one term at either end
+    spread[1:] += off
+    d = np.asarray(diag, dtype=float)
+    lo = float((d - spread).min())
+    hi = float((d + spread).max())
     pad = 1e-10 * max(1.0, abs(lo), abs(hi))
     return lo - pad, hi + pad
 
@@ -76,7 +76,7 @@ def eigenvalue_k(
     diag: Sequence[float],
     off_sq: Sequence[float],
     k: int,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     guess: float | None = None,
 ) -> tuple[float, float]:
     """k-th smallest eigenvalue (0-based) with a certified half-width.
@@ -114,7 +114,7 @@ def eigenvalue_k(
 def eigenvalues_all(
     diag: Sequence[float],
     off_sq: Sequence[float],
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[list[float], list[float]]:
     """All eigenvalues ascending, each with its certified half-width."""
     values = []

@@ -197,7 +197,7 @@ def test_criterion_7_root_properties():
                 hi = rl.values[i + 1] + rl.radius[i + 1]
                 assert math.ceil(lo) <= math.floor(hi), (n, k, i)
 
-            jac = jacobi_eigenvalues(n, k, tol)
+            jac = jacobi_eigenvalues(n, k)
             for va, ra, vb, rb in zip(rl.values, rl.radius, jac.values, jac.radius):
                 assert abs(va - vb) <= ra + rb + 1e-13, (n, k)
 

@@ -32,12 +32,6 @@ def test_entropy_domain():
         bd.entropy_inv(-0.1)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
-def test_entropy_inv_rejects_bad_tolerance(tol):
-    with pytest.raises(InvalidParameterError):
-        bd.entropy_inv(0.5, tol)
-
-
 def test_modls_bound():
     assert bd.modls_bound(10, 10.0) == pytest.approx(0.0, abs=1e-9)
     # recomputed before pinning: H^-1(0.5) ~ 0.110028 gives ~37.415

@@ -72,33 +72,6 @@ def test_verify_all_csv(capsys):
     assert keys == sorted(keys)
 
 
-def test_verify_all_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv("BALLSPEC_THREADS", "2")
-    code, out2, _ = run(capsys, "verify", "--all", "--max-n", "5")
-    monkeypatch.delenv("BALLSPEC_THREADS")
-    code1, out1, _ = run(capsys, "verify", "--all", "--max-n", "5")
-    assert code == code1 == 0
-    assert out1 == out2  # ordering independent of worker count
-
-
-def test_verify_all_workers_flag_has_no_effect(capsys):
-    code1, out1, _ = run(capsys, "verify", "--all", "--max-n", "6", "--workers", "1")
-    code2, out2, _ = run(capsys, "verify", "--all", "--max-n", "6", "--workers", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
-@pytest.mark.parametrize("workers,env", [
-    ("0", None), ("-1", None), (None, "many"), (None, "0"), (None, "-1"),
-])
-def test_verify_bad_workers_is_usage_error(capsys, monkeypatch, workers, env):
-    if env is not None:
-        monkeypatch.setenv("BALLSPEC_THREADS", env)
-    argv = ["verify", "--n", "4", "--r", "1"] + (["--workers", workers] if workers else [])
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and "error" in err
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "--r", "2"],
     ["verify", "--n", "4", "--r", "2", "--tol", "nan"],
@@ -106,10 +79,25 @@ def test_verify_bad_workers_is_usage_error(capsys, monkeypatch, workers, env):
     ["krawtchouk", "--n", "100", "--k", "5", "--first-root", "--tol", "nan"],
     ["krawtchouk", "--n", "100", "--k", "5", "--first-root", "--tol", "inf"],
     ["krawtchouk", "--n", "5", "--k", "2", "--tol", "-1"],
+    ["spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", "0"],
+    ["spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", "-1"],
+    ["spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", "nan"],
+    ["spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", "inf"],
+    ["krawtchouk", "--n", "0", "--k", "5", "--first-root"],
+    ["krawtchouk", "--n", "0", "--k", "0", "--first-root"],
+    ["krawtchouk", "--n", "0", "--k", "-3", "--first-root"],
+    ["krawtchouk", "--n", "0", "--k", "1", "--first-root", "--tol", "nan"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_verify_workers_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "4", "--r", "1", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,6 +30,7 @@ COMMANDS = {
     "spectrum_band_csv": "spectrum --n 30 --r1 5 --r2 15 --format csv",
     "spectrum_band_text": "spectrum --n 21 --r1 3 --r2 10 --format text",
     "spectrum_merge_eps_scale": "spectrum --n 12 --r 6 --merge-eps-scale 1e-6",
+    "spectrum_merge_eps_scale_zero": "spectrum --n 8 --r 3 --merge-eps-scale 0",
     "spectrum_bad_radius": "spectrum --n 4 --r 3",
     "incidence_text": "incidence --n 30 --r 15",
     "incidence_json": "incidence --n 9 --r 4 --format json",
@@ -47,6 +48,7 @@ COMMANDS = {
     "krawtchouk_first_root_large": "krawtchouk --n 1000 --k 120 --first-root",
     "krawtchouk_first_root_huge": "krawtchouk --n 100000 --k 44120 --first-root",
     "krawtchouk_first_root_past_half": "krawtchouk --n 1000 --k 781 --first-root",
+    "krawtchouk_first_root_zero_dimension": "krawtchouk --n 0 --k 5 --first-root",
     "bounds_json": "bounds --n 100 --log2s 50",
     "bounds_csv": "bounds --n 300 --log2s 100.5 --format csv",
     "bounds_csv_large": "bounds --n 100000 --log2s 99000.0 --format csv",

@@ -114,6 +114,18 @@ def test_first_root_degenerate_dimension_convention():
     assert kw.first_root(0, 1) == 0.0
 
 
+@pytest.mark.parametrize("k", [5, 0, -3])
+def test_first_root_at_zero_dimension_needs_degree_one(k):
+    with pytest.raises(InvalidDegreeError):
+        kw.first_root(0, k)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0])
+def test_first_root_at_zero_dimension_checks_tolerance(tol):
+    with pytest.raises(InvalidParameterError):
+        kw.first_root(0, 1, tol)
+
+
 def test_first_root_large_dimension_uses_jacobi_path():
     # straddle the exact-coefficient threshold; the two paths must line up
     at_limit = kw.first_root(64, 5)
@@ -154,8 +166,6 @@ def test_bad_tolerance_is_rejected(tol):
     # under a timeout in test_cli
     with pytest.raises(InvalidParameterError):
         kw.first_root(100, 5, tol)
-    with pytest.raises(InvalidParameterError):
-        kw.jacobi_eigenvalues(10, 3, tol)
 
 
 def test_roots_tolerance_above_quarter_is_clamped():

@@ -176,6 +176,13 @@ def test_oversized_merge_threshold_is_rejected():
         sp.full_spectrum(4, 0, 2, merge_eps=10.0)
 
 
+@pytest.mark.parametrize("merge_eps", [0.0, -1.0, math.nan, math.inf])
+def test_invalid_merge_threshold_is_rejected(merge_eps):
+    # a threshold of 0 split eigenvalue -2 of (8, 0, 3) into two lines
+    with pytest.raises(InvalidParameterError):
+        sp.full_spectrum(8, 0, 3, merge_eps=merge_eps)
+
+
 @pytest.mark.parametrize("n,r1,r2", [(4, 1, 0), (4, 0, 3), (-1, 0, 0)])
 def test_invalid_parameters(n, r1, r2):
     with pytest.raises(InvalidParameterError):

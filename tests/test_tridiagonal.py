@@ -5,6 +5,7 @@ import pytest
 
 from ballspec import tridiagonal as td
 from ballspec.krawtchouk import _jacobi_matrix
+from ballspec.spectrum import coupling_matrix
 
 
 def dense(diag, off):
@@ -102,3 +103,39 @@ def test_count_below_is_monotone_next_to_roots(diag, off_sq):
         shifts = np.sort(np.concatenate([near, ulps, [root]]))
         counts = [td.count_below(diag, off_sq, float(x)) for x in shifts]
         assert all(a <= b for a, b in zip(counts, counts[1:])), root
+
+
+def gershgorin_loop(diag, off_sq):
+    # the bracket as a per-row loop: the reference the vectorized one must match bit for bit
+    m = len(diag)
+    off = [math.sqrt(v) for v in off_sq]
+    lo, hi = math.inf, -math.inf
+    for i in range(m):
+        spread = (off[i - 1] if i > 0 else 0.0) + (off[i] if i < m - 1 else 0.0)
+        lo = min(lo, diag[i] - spread)
+        hi = max(hi, diag[i] + spread)
+    pad = 1e-10 * max(1.0, abs(lo), abs(hi))
+    return lo - pad, hi + pad
+
+
+def coupling_block(n, r1, r2, t):
+    block = coupling_matrix(n, r1, r2, t)
+    return [0.0] * block.dim, [float(v) for v in block.offdiag_sq]
+
+
+@pytest.mark.parametrize("diag,off_sq", [
+    _jacobi_matrix(10**5, 44120),
+    _jacobi_matrix(1000, 300),
+    coupling_block(200, 50, 100, 10),
+    coupling_block(160, 79, 80, 3),
+    coupling_block(60, 0, 30, 0),
+    random_block(31, 50),
+    random_block(32, 7),
+    random_block(33, 2),
+    ([0.0, 0.0], [2.0]),
+    ([1.5, -2.0], [0.0]),
+])
+def test_gershgorin_bracket_matches_the_row_loop(diag, off_sq):
+    got = td._gershgorin(diag, off_sq)
+    assert got == gershgorin_loop(diag, off_sq)
+    assert all(type(x) is float for x in got)
