@@ -14,7 +14,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import eigenfunctions, krawtchouk, spectrum
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import BudgetExceededError, InvalidParameterError, check_tol
 from .hamming import DEFAULT_DENSE_LIMIT, build_graph, incidence_matrix
 
 EXIT_OK = 0
@@ -50,6 +50,7 @@ def _emit_table(table: spectrum.SpectrumTable, fmt: str) -> None:
 
 def cmd_spectrum(args) -> int:
     r1, r2 = _radii(args)
+    check_tol(args.merge_eps_scale, "--merge-eps-scale")
     merge_eps = args.merge_eps_scale * (args.n + 1)
     _emit_table(spectrum.full_spectrum(args.n, r1, r2, merge_eps=merge_eps), args.format)
     return EXIT_OK

@@ -18,6 +18,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import tridiagonal
 from .errors import InvalidDegreeError, check_tol
 from .tridiagonal import DEFAULT_TOL
@@ -246,7 +248,10 @@ def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], list[flo
     n, k = ambient_dim, degree
     if k < 1 or k > n:
         raise InvalidDegreeError(f"need 1 <= k <= N, got k={k}, N={n}")
-    return [n / 2.0] * k, [(j - 1) * (n - j + 2) / 4.0 for j in range(2, k + 1)]
+    # (j-1)(N-j+2) < 2^62 fits int64 for N < 2^32; past that, exact Python ints.
+    # Either way one correctly rounded int-to-float conversion, then an exact / 4.
+    j = np.arange(2, k + 1, dtype=np.int64 if n < 2**32 else object)
+    return [n / 2.0] * k, ((j - 1) * (n - j + 2) / 4.0).tolist()
 
 
 def jacobi_eigenvalues(ambient_dim: int, degree: int) -> RootList:
@@ -287,16 +292,19 @@ def _window_guess(n: int, k: int, diag: list[float], off_sq: list[float], tol: f
     The off-diagonals peak there, so the extreme eigenvector decays fast away
     from that end; by Cauchy interlacing a window gives an upper bound.
     Windows of w = 64, 128, ... rows are solved coarsely until two agree, then
-    one of 4w rows to ``tol``.  None if 4w would pass k/2.
+    one of 4w rows to ``tol``.  None if 4w would pass k/2.  Each solve is
+    seeded with the last coarse value (the first with inf, which costs no
+    count); ``eigenvalue_k`` returns the same bits for any guess, so the
+    seeds only save sweeps.
     """
     end = min(k, n // 2 + 1)
     coarse = max(tol, 1e-6 * n)
     w, prev = 64, math.inf
     while 8 * w <= k:
-        cur, _ = tridiagonal.eigenvalue_k(diag[end - w:end], off_sq[end - w:end - 1], 0, coarse)
+        cur, _ = tridiagonal.eigenvalue_k(diag[end - w:end], off_sq[end - w:end - 1], 0, coarse, prev)
         if abs(prev - cur) <= 2.0 * coarse:
             start = end - 4 * w
-            return tridiagonal.eigenvalue_k(diag[start:end], off_sq[start:end - 1], 0, tol)[0]
+            return tridiagonal.eigenvalue_k(diag[start:end], off_sq[start:end - 1], 0, tol, cur)[0]
         prev, w = cur, 2 * w
     return None
 

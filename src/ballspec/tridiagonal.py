@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -20,24 +21,56 @@ _SAFMIN = 2.2250738585072014e-308
 DEFAULT_TOL = 1e-12
 
 
-def count_below(diag: Sequence[float], off_sq: Sequence[float], x: float) -> int:
+def count_below(
+    diag: Sequence[float], off_sq: Sequence[float], x: float, *, pivmin: float | None = None
+) -> int:
     """Number of eigenvalues strictly below ``x``.
 
     Standard Sturm sign count on the sequence of leading-principal-minor
-    ratios, with the LAPACK-style pivot floor to survive exact zeros.
+    ratios q_i = d_i - x - e2_i / q_{i-1}, with the LAPACK-style pivot floor
+    (a q with |q| <= pivmin becomes -pivmin) to survive exact zeros.
+    ``pivmin`` depends only on ``off_sq``; ``eigenvalue_k`` computes it once
+    per matrix and passes it in.
+
+    The floor is one branch on the sign of q, which for every float,
+    including +-0.0 and NaN, counts and floors as the test |q| <= pivmin
+    followed by q < 0 does.  A constant diagonal takes ``a = d - x`` once:
+    Python evaluates ``d - x - e2 / q`` as ``(d - x) - e2 / q``, so every q
+    has the same bits (a diagonal that mixes 0.0 and -0.0 can flip only the
+    sign of a zero q, which the floor treats alike).  A leading zero coupling
+    over q = inf makes row 0 the plain ``d - x``.
     """
-    pivmin = _SAFMIN * max(1.0, max(off_sq, default=1.0))
-    q = diag[0] - x
-    if abs(q) <= pivmin:
-        q = -pivmin
-    count = 1 if q < 0.0 else 0
-    for d, e2 in zip(diag[1:], off_sq):
-        q = d - x - e2 / q
-        if abs(q) <= pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
+    if pivmin is None:
+        pivmin = _pivot_floor(off_sq)
+    floor = -pivmin
+    q, count = math.inf, 0
+    couplings = chain((0.0,), off_sq)
+    if diag.count(diag[0]) == len(diag):
+        a = diag[0] - x
+        for e2 in couplings:
+            q = a - e2 / q
+            if q < 0.0:
+                count += 1
+                if q >= floor:
+                    q = floor
+            elif q <= pivmin:
+                q = floor
+                count += 1
+    else:
+        for d, e2 in zip(diag, couplings):
+            q = d - x - e2 / q
+            if q < 0.0:
+                count += 1
+                if q >= floor:
+                    q = floor
+            elif q <= pivmin:
+                q = floor
+                count += 1
     return count
+
+
+def _pivot_floor(off_sq: Sequence[float]) -> float:
+    return _SAFMIN * max(1.0, max(off_sq, default=1.0))
 
 
 def _gershgorin(diag: Sequence[float], off_sq: Sequence[float]) -> tuple[float, float]:
@@ -51,7 +84,8 @@ def _gershgorin(diag: Sequence[float], off_sq: Sequence[float]) -> tuple[float, 
     return lo - pad, hi + pad
 
 
-def _seeded_count(diag, off_sq, k: int, lo: float, hi: float, guess: float, tol: float):
+def _seeded_count(diag, off_sq, k: int, lo: float, hi: float, guess: float, tol: float,
+                  pivmin: float):
     """``count_below``, skipping the sweep where two counts near ``guess`` decide ``> k``.
 
     Sound because the floating-point Sturm count is monotone in x (Demmel,
@@ -61,13 +95,15 @@ def _seeded_count(diag, off_sq, k: int, lo: float, hi: float, guess: float, tol:
     delta = 4.0 * tol + 4.0 * math.ulp(guess)
     for x in (guess - delta, guess + delta):
         if lo < x < hi:
-            if count_below(diag, off_sq, x) > k:
+            if count_below(diag, off_sq, x, pivmin=pivmin) > k:
                 above = min(above, x)
             else:
                 below = x
 
-    def count(diag, off_sq, x):
-        return k + 1 if x >= above else k if x <= below else count_below(diag, off_sq, x)
+    def count(diag, off_sq, x, *, pivmin):
+        if x >= above:
+            return k + 1
+        return k if x <= below else count_below(diag, off_sq, x, pivmin=pivmin)
 
     return count
 
@@ -97,12 +133,16 @@ def eigenvalue_k(
     if m == 1:
         return float(diag[0]), 0.0
     lo, hi = _gershgorin(diag, off_sq)
-    count = count_below if guess is None else _seeded_count(diag, off_sq, k, lo, hi, guess, tol)
+    pivmin = _pivot_floor(off_sq)
+    if guess is None:
+        count = count_below
+    else:
+        count = _seeded_count(diag, off_sq, k, lo, hi, guess, tol, pivmin)
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # hit floating-point resolution
-        if count(diag, off_sq, mid) >= k + 1:
+        if count(diag, off_sq, mid, pivmin=pivmin) >= k + 1:
             hi = mid
         else:
             lo = mid

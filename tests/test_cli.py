@@ -93,6 +93,13 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("scale,typed", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
+def test_bad_merge_eps_scale_names_the_option_and_the_typed_value(capsys, scale, typed):
+    code, out, err = run(capsys, "spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", scale)
+    assert code == 2 and out == ""
+    assert err == f"error: --merge-eps-scale must be finite and positive, got {typed}\n"
+
+
 def test_verify_workers_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "4", "--r", "1", "--workers", "2"])

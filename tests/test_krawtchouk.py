@@ -145,19 +145,66 @@ def test_first_root_is_the_unseeded_bisection_bit_for_bit(n):
 
 
 def test_first_root_sweeps_the_full_matrix_only_a_few_times(monkeypatch):
-    n, k = 10**5, 44120
     sweeps = []
     count_below = tridiagonal.count_below
 
-    def counting(diag, off_sq, x):
+    def counting(diag, off_sq, x, **kwargs):
         sweeps.append(len(diag))
-        return count_below(diag, off_sq, x)
+        return count_below(diag, off_sq, x, **kwargs)
 
     monkeypatch.setattr(tridiagonal, "count_below", counting)
-    kw.first_root(n, k)
-    full = sweeps.count(k)
-    assert 2 <= full <= 10  # plain bisection from Gershgorin takes 56
-    assert sum(sweeps) < 12 * k
+    for n, k, budget in ((10**5, 44120, 8), (10**4, 1100, 28)):
+        sweeps.clear()
+        kw.first_root(n, k)
+        full = sweeps.count(k)
+        assert 2 <= full <= 10, (n, k)  # plain bisection from Gershgorin takes 56
+        assert sum(sweeps) < budget * k, (n, k)
+
+
+def jacobi_matrix_loop(n, k):
+    # the Jacobi matrix as a list comprehension: the reference the numpy one must match bit for bit
+    return [n / 2.0] * k, [(j - 1) * (n - j + 2) / 4.0 for j in range(2, k + 1)]
+
+
+@pytest.mark.parametrize("n,k", [
+    (65, 1), (65, 65), (1000, 781), (10**4, 5002), (10**5, 44120), (10**5, 10**5),
+    (2**33, 5), (10**19, 3),  # past int64: exact Python ints
+])
+def test_jacobi_matrix_matches_the_list_comprehension(n, k):
+    diag, off_sq = kw._jacobi_matrix(n, k)
+    ref_diag, ref_off_sq = jacobi_matrix_loop(n, k)
+    assert len(diag) == k and len(off_sq) == k - 1
+    assert diag == ref_diag and off_sq == ref_off_sq
+    assert all(type(v) is float for v in diag + off_sq)
+
+
+def window_guess_unseeded(n, k, diag, off_sq, tol):
+    # the window solves without seeds: the reference the seeded ones must match bit for bit
+    end = min(k, n // 2 + 1)
+    coarse = max(tol, 1e-6 * n)
+    w, prev = 64, math.inf
+    while 8 * w <= k:
+        cur, _ = tridiagonal.eigenvalue_k(diag[end - w:end], off_sq[end - w:end - 1], 0, coarse)
+        if abs(prev - cur) <= 2.0 * coarse:
+            start = end - 4 * w
+            return tridiagonal.eigenvalue_k(diag[start:end], off_sq[start:end - 1], 0, tol)[0]
+        prev, w = cur, 2 * w
+    return None
+
+
+@pytest.mark.parametrize("n,k,tol", [
+    (10**5, 44120, kw.DEFAULT_TOL),
+    (10**5, 50002, kw.DEFAULT_TOL),
+    (10**5, 44120, 1e-6),
+    (10**4, 1100, kw.DEFAULT_TOL),
+    (10**4, 5002, kw.DEFAULT_TOL),
+    (4096, 2049, kw.DEFAULT_TOL),  # the windows never agree: no guess
+    (1000, 600, kw.DEFAULT_TOL),  # one coarse window, then no guess
+])
+def test_window_guess_matches_the_unseeded_windows(n, k, tol):
+    diag, off_sq = kw._jacobi_matrix(n, k)
+    got = kw._window_guess(n, k, diag, off_sq, tol)
+    assert got == window_guess_unseeded(n, k, diag, off_sq, tol)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])

@@ -139,3 +139,86 @@ def test_gershgorin_bracket_matches_the_row_loop(diag, off_sq):
     got = td._gershgorin(diag, off_sq)
     assert got == gershgorin_loop(diag, off_sq)
     assert all(type(x) is float for x in got)
+
+
+def count_below_loop(diag, off_sq, x):
+    # the Sturm count as a plain row loop: the reference the fast one must match exactly
+    pivmin = td._SAFMIN * max(1.0, max(off_sq, default=1.0))
+    q = diag[0] - x
+    if abs(q) <= pivmin:
+        q = -pivmin
+    count = 1 if q < 0.0 else 0
+    for d, e2 in zip(diag[1:], off_sq):
+        q = d - x - e2 / q
+        if abs(q) <= pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def assert_counts_match(diag, off_sq, shifts):
+    pivmin = td._SAFMIN * max(1.0, max(off_sq, default=1.0))
+    for x in shifts:
+        ref = count_below_loop(diag, off_sq, x)
+        assert td.count_below(diag, off_sq, x) == ref, x
+        assert td.count_below(diag, off_sq, x, pivmin=pivmin) == ref, x
+
+
+def shifts_around(values, rng):
+    out = []
+    for v in values:
+        out += [v, v - 1e-9, v + 1e-9, *(v + i * math.ulp(v) for i in (-3, -1, 1, 3))]
+        out += list(v + rng.uniform(-1e-6, 1e-6, size=3))
+    return [float(x) for x in out]
+
+
+def test_count_below_matches_the_row_loop_on_the_large_jacobi_block():
+    diag, off_sq = _jacobi_matrix(10**5, 44120)
+    root = 362.99608045511195  # first_root(10**5, 44120), pinned by a golden
+    assert_counts_match(diag, off_sq, shifts_around([root], np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize("block", [
+    coupling_block(200, 50, 100, 10),
+    coupling_block(160, 79, 80, 3),
+    coupling_block(60, 0, 30, 0),
+    coupling_block(12, 0, 6, 6),
+    _jacobi_matrix(1000, 300),
+    random_block(41, 1),
+    random_block(42, 2),
+    random_block(43, 7),
+    random_block(44, 50),
+])
+def test_count_below_matches_the_row_loop(block):
+    diag, off_sq = block
+    values = np.linalg.eigvalsh(dense(diag, np.sqrt(off_sq))) if off_sq else diag
+    rng = np.random.default_rng(len(diag))
+    assert_counts_match(diag, off_sq, shifts_around(values, rng) + [0.0, -0.0, *diag])
+
+
+@pytest.mark.parametrize("diag,off_sq,x", [
+    ([1.0, 2.0, 3.0], [1.0, 1.0], 1.0),  # q = +0.0 in row 0
+    ([-0.0, 1.0], [1.0], 0.0),  # q = -0.0 in row 0
+    ([0.0, 0.0], [2.0], -0.0),
+    ([1.0, 1.0], [1.0], 0.0),  # q = +0.0 in row 1, constant diagonal
+    ([2.0, 1.0, 5.0], [2.0, 3.0], 0.0),  # q = +0.0 in row 1, general diagonal
+    ([1.0, 3.0], [2.0], 1.0),  # a floored row 0 sends row 1 to about 1 / _SAFMIN
+    ([0.0, -0.0, 0.0, -0.0], [1.0, 1.0, 1.0], 0.0),  # signed zeros on a "constant" diagonal
+    ([0.5, -1.0, 2.0], [0.0, 0.0], 0.5),  # zero off-diagonals
+    ([0.0, 0.0, 0.0], [0.0, 0.0], 0.0),
+    ([3.0, 3.0, 3.0], [1e300, 4.0], 3.0),  # pivmin > _SAFMIN
+    ([1.0, 1e-10, 1e-10], [1e300, 4.0], 0.0),  # ... and a floor at _SAFMIN would count 1, not 2
+    ([3.0, -1.0, 3.0], [1e300, 1e-300], -1.0),
+    ([3.0, -1.0, 3.0], [1e300, 1e-300], 1e300),
+    ([0.0, 5.0, 1.0], [1.0, 1e300], 1e-310),  # a tiny negative q is floored too
+    ([0.0, 0.0, 0.0, 0.0], [1.0, 1e300, 1.0], 1e-310),  # ... on a constant diagonal
+    ([0.0, 0.0, 0.0], [1.0, 1.0], math.nan),
+    ([1.0, 2.0, 3.0], [1.0, 1.0], math.nan),
+    ([1.0, 2.0, 3.0], [1.0, 1.0], math.inf),
+    ([1.0, 1.0, 1.0], [1.0, 1.0], -math.inf),
+    ([7.0], [], 7.0),
+    ([7.0], [], math.nan),
+])
+def test_count_below_matches_the_row_loop_at_the_pivot_floor(diag, off_sq, x):
+    assert_counts_match(diag, off_sq, [x])
