@@ -84,6 +84,10 @@ def cmd_verify(args) -> int:
     if args.all:
         if args.max_n is None:
             raise InvalidParameterError("--all requires --max-n")
+        if args.max_n < 1:
+            raise InvalidParameterError(f"--max-n must be at least 1, got {args.max_n}")
+        if any(value is not None for value in (args.n, args.r, args.r1, args.r2)):
+            raise InvalidParameterError("--all sweeps every band; give no --n, --r, --r1 or --r2")
         reports = [
             spectrum.verify_against_oracle(
                 n, r1, r2, tol=args.tol, dense_limit=args.dense_limit

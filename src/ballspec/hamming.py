@@ -6,10 +6,15 @@ each sphere a contiguous index range and gives the two-sphere case the
 bipartite block layout [[0, C], [C^T, 0]] for the incidence matrix C.
 
 Every edge joins weights of opposite parity, so every band graph is
-bipartite.  The dense oracle uses that: it takes the SVD of the dense 0/1
-even x odd biadjacency B (|even|*|odd| doubles, never the V x V adjacency),
-and the adjacency eigenvalues are +-sigma for each singular value of B plus
-abs(|even| - |odd|) structural zeros (Jordan-Wielandt).
+bipartite, and every permutation of the coordinates maps it onto itself.
+The dense oracle uses both.  The swaps of coordinates (0 1), (2 3), ...
+commute with the adjacency, so in their symmetry-adapted basis it falls
+apart into one small block per character of the group they generate; each
+block is bipartite again, [[0, B_S], [B_S^T, 0]].  The oracle takes one SVD
+per block shape (stacked), and the adjacency eigenvalues are +-sigma for
+each singular value of B_S plus abs(rows - columns) structural zeros per
+block (Jordan-Wielandt).  It never holds the V x V adjacency or the whole
+even x odd biadjacency: without eigenvectors it holds only the blocks.
 """
 
 from __future__ import annotations
@@ -171,58 +176,217 @@ class OracleSpectrum:
     tolerance: float
 
 
+_ONE = np.uint64(1)
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def _popcount(a: np.ndarray) -> np.ndarray:
+    """Bit counts of a 1-D uint64 array (np.bitwise_count needs numpy 2)."""
+    return _BYTE_BITS[np.ascontiguousarray(a).view(np.uint8)].reshape(-1, 8).sum(axis=1)
+
+
+def _submasks(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every submask of every entry of the uint64 array ``sets``.
+
+    Returns (owner, submask): owner[i] indexes ``sets`` and submask[i] runs
+    over the 2^|set| submasks of sets[owner[i]], the k-th one taking the
+    bits of k, low to high, as its choice of set bits.
+    """
+    sizes = _popcount(sets)
+    counts = np.left_shift(1, sizes)
+    owner = np.repeat(np.arange(len(sets)), counts)
+    rank = (np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)).astype(np.uint64)
+    rest = sets[owner]
+    sub = np.zeros(len(owner), dtype=np.uint64)
+    for _ in range(int(sizes.max(initial=0))):
+        low = rest & (~rest + _ONE)
+        sub |= low * (rank & _ONE)
+        rest ^= low
+        rank >>= _ONE
+    return owner, sub
+
+
+def _check_swap_invariance(
+    masks: np.ndarray, mixed: np.ndarray, src: np.ndarray, dst: np.ndarray, pairs: int
+) -> None:
+    """Raise unless every swap of coordinates (2j, 2j+1) maps the edges onto themselves."""
+    v_count = len(masks)
+    order = np.argsort(masks)
+    ordered = masks[order]
+    codes = np.sort(src * v_count + dst)
+    for j in range(pairs):
+        bit = np.uint64(1 << 2 * j)
+        image = np.where(mixed & bit, masks ^ (bit | bit << _ONE), masks)
+        at = np.minimum(np.searchsorted(ordered, image), v_count - 1)
+        moved = order[at]
+        if not (
+            np.array_equal(ordered[at], image)
+            and np.array_equal(np.sort(moved[src] * v_count + moved[dst]), codes)
+        ):
+            raise InvalidParameterError(
+                f"the graph is not invariant under the swap of coordinates {2 * j} and {2 * j + 1}"
+            )
+
+
 def oracle_spectrum(
     g: InducedGraph, want_vectors: bool = False, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> OracleSpectrum:
     """All eigenvalues (ascending) of the adjacency matrix, with residuals.
 
-    Brute force on the bipartite split: with B = U diag(s) V^T the SVD of the
-    even x odd biadjacency, the eigenpairs are (+-s_i, [u_i; +-v_i]/sqrt(2))
-    and (0, [u; 0] or [0; v]) for each extra column of the full U or V.
-    Eigenvectors come back in the graph's vertex order, one column per
-    eigenvalue.  The residual bound is the largest of |B v_i - s_i u_i| and
-    |B^T u_i - s_i v_i| over the singular triplets (and |B^T u| or |B v| over
-    the null columns when vectors are returned); it bounds every eigenpair
-    residual.  The documented tolerance is 1e-10 * vertex_count; a residual
-    above it is an internal error, not a report.
-    """
-    if g.vertex_count > dense_limit:
-        raise BudgetExceededError(
-            f"{g.vertex_count} vertices exceed the dense oracle limit {dense_limit}",
-            vertex_count=g.vertex_count,
-        )
-    odd_weight = np.array([m.bit_count() % 2 for m in g.masks], dtype=bool)
-    even, odd = np.flatnonzero(~odd_weight), np.flatnonzero(odd_weight)
-    position = np.empty(g.vertex_count, dtype=int)
-    position[even] = np.arange(len(even))
-    position[odd] = np.arange(len(odd))
-    b = np.zeros((len(even), len(odd)))
-    for row, v in enumerate(even):
-        b[row, position[list(g.adjacency[v])]] = 1.0
+    Brute force on the symmetry-adapted blocks of the adjacency A.  The
+    coordinate swaps tau_j = (2j, 2j+1), j < n//2, permute the band and
+    commute with A.  Under the group they generate, the orbit O of a mask
+    x is fixed by its mixed pairs M(x) (pair j reads 01 or 10) and its
+    representative, which reads 01 on every mixed pair; |O| = 2^|M(x)|.
+    For a character S (a set of pairs) the vectors
+    b_O = sum_{x in O} (-1)^{|S & F(x)|} e_x / sqrt|O|, with F(x) the pairs
+    reading 10, over the orbits with S inside M(O), are orthonormal, span
+    an A-invariant subspace, and all of them together span R^V.  A is
+    bipartite by weight parity, so its block for S is [[0, B_S], [B_S^T, 0]]
+    with B_S[O, O'] = b_O^T A b_O' over even-weight rows and odd-weight
+    columns; on a swap-invariant graph that is
+    sqrt(|O|/|O'|) * sum over edges from the representative of O into O'
+    of the sign of the far end.  Only the characters inside some M(O) are
+    visited.
 
-    u, s, vt = np.linalg.svd(b, full_matrices=want_vectors)
-    k = len(s)
-    uk, vk = u[:, :k], vt[:k].T
-    parts = [b @ vk - uk * s, b.T @ uk - vk * s]
-    if want_vectors:
-        parts += [b.T @ u[:, k:], b @ vt[k:].T]
-    residual = max(
-        (float(np.linalg.norm(part, axis=0).max()) for part in parts if part.size), default=0.0
+    Each B_S = U diag(s) V^T gives the eigenpairs (+-s_i, [u_i; +-v_i]/sqrt(2))
+    and (0, [u; 0] or [0; v]) for each extra column of the full U or V;
+    blocks of one shape share one stacked SVD.  Eigenvectors are lifted
+    through the basis and come back in the graph's vertex order, one column
+    per eigenvalue.  The residual bound is the largest of |B v_i - s_i u_i|
+    and |B^T u_i - s_i v_i| over every block's singular triplets (and |B^T u|
+    or |B v| over the null columns when vectors are returned); the basis
+    is orthonormal, so it bounds every eigenpair residual of A.  The
+    documented tolerance is 1e-10 * vertex_count; a residual above it is an
+    internal error, not a report.
+
+    Two self-checks keep this a check of the graph itself: every tau_j must
+    map the edge set onto itself (else InvalidParameterError), and the
+    squared Frobenius norms of the B_S must add up to edge_count, which is
+    half of tr A^2, to within 1e-12 * edge_count (else ArithmeticError).
+    """
+    v_count = g.vertex_count
+    if v_count > dense_limit:
+        raise BudgetExceededError(
+            f"{v_count} vertices exceed the dense oracle limit {dense_limit}",
+            vertex_count=v_count,
+        )
+    pairs = g.n // 2
+    masks = np.array(g.masks, dtype=np.uint64)
+    low_bits = np.uint64(sum(1 << 2 * j for j in range(pairs)))
+    low, high = masks & low_bits, (masks >> _ONE) & low_bits
+    mixed, flipped = low ^ high, high & ~low  # both on the low bit of each pair
+    odd = (_popcount(masks) & 1).astype(bool)
+
+    # directed edges out of the even-weight vertices
+    degree = np.array([len(nbrs) for nbrs in g.adjacency], dtype=np.int64)
+    src = np.repeat(np.arange(v_count), degree)
+    dst = np.array([v for nbrs in g.adjacency for v in nbrs], dtype=np.int64)
+    even_src = ~odd[src]
+    src, dst = src[even_src], dst[even_src]
+
+    _check_swap_invariance(masks, mixed, src, dst, pairs)
+    reps, orbit = np.unique(masks ^ flipped ^ (flipped << _ONE), return_inverse=True)
+    orbit_count = len(reps)
+    orbit_mixed = np.empty(orbit_count, dtype=np.uint64)
+    orbit_mixed[orbit] = mixed
+    orbit_odd = np.empty(orbit_count, dtype=bool)
+    orbit_odd[orbit] = odd
+
+    # (orbit, character) pairs: their count is V; place each in its block
+    pair_orbit, pair_char = _submasks(orbit_mixed)
+    chars, pair_cid = np.unique(pair_char, return_inverse=True)
+    pair_odd = orbit_odd[pair_orbit]
+    rows = np.bincount(pair_cid[~pair_odd], minlength=len(chars))
+    cols = np.bincount(pair_cid[pair_odd], minlength=len(chars))
+    by_shape = np.lexsort((cols, rows))  # blocks of one shape are adjacent
+    slot = np.empty(len(chars), dtype=np.int64)
+    slot[by_shape] = np.arange(len(chars))
+    rows, cols = rows[by_shape], cols[by_shape]
+    pair_keys = np.sort((slot[pair_cid] * 2 + pair_odd) * orbit_count + pair_orbit)
+
+    def local(slots: np.ndarray, orbits: np.ndarray) -> np.ndarray:
+        """Row (even orbit) or column (odd orbit) of each orbit in its block."""
+        side = (slots * 2 + orbit_odd[orbits]) * orbit_count
+        return np.searchsorted(pair_keys, side + orbits) - np.searchsorted(pair_keys, side)
+
+    # (edge, character) pairs from the representatives of the even orbits
+    from_rep = flipped[src] == 0
+    x, y = src[from_rep], dst[from_rep]
+    edge, char = _submasks(mixed[x] & mixed[y])
+    x, y = x[edge], y[edge]
+    edge_slot = slot[np.searchsorted(chars, char)]
+    sign = 1.0 - 2.0 * (_popcount(char & flipped[y]) & 1)
+    scale = np.exp2((_popcount(mixed[x]) - _popcount(mixed[y])) / 2.0)
+    offset = np.cumsum(rows * cols) - rows * cols
+    flat = np.bincount(
+        offset[edge_slot] + local(edge_slot, orbit[x]) * cols[edge_slot]
+        + local(edge_slot, orbit[y]),
+        weights=sign * scale,
+        minlength=int((rows * cols).sum()),
     )
-    tolerance = 1e-10 * max(1, g.vertex_count)
+    frobenius = float(flat @ flat)
+    if abs(frobenius - g.edge_count) > 1e-12 * g.edge_count:
+        raise ArithmeticError(
+            f"internal-error: block norms add up to {frobenius!r}, not {g.edge_count} edges"
+        )
+
+    shape_change = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(chars)]
+    h = math.sqrt(0.5)
+    values, lifts, residual = [], [], 0.0
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        count, r, c = stop - start, int(rows[start]), int(cols[start])
+        d, k = r + c, min(r, c)
+        if k == 0:
+            values.append(np.zeros(count * d))
+            lifts.append(np.broadcast_to(np.eye(d), (count, d, d)))
+            continue
+        b = flat[offset[start] : offset[start] + count * r * c].reshape(count, r, c)
+        u, s, vt = np.linalg.svd(b, full_matrices=want_vectors)
+        uk, vk = u[:, :, :k], vt[:, :k].transpose(0, 2, 1)
+        sk = s[:, None, :]
+        parts = [b @ vk - uk * sk, b.transpose(0, 2, 1) @ uk - vk * sk]
+        if want_vectors:
+            parts += [b.transpose(0, 2, 1) @ u[:, :, k:], b @ vt[:, k:].transpose(0, 2, 1)]
+        residual = max([residual] + [
+            float(np.linalg.norm(part, axis=1).max()) for part in parts if part.size
+        ])
+        values.append(np.concatenate([-s, np.zeros((count, d - 2 * k)), s], axis=1).ravel())
+        if want_vectors:
+            y_blk = np.zeros((count, d, d))
+            y_blk[:, :r, :k] = y_blk[:, :r, d - k :] = uk * h
+            y_blk[:, r:, :k] = vk * -h
+            y_blk[:, r:, d - k :] = vk * h
+            y_blk[:, :r, k:r] = u[:, :, k:]
+            y_blk[:, r:, r : d - k] = vt[:, k:].transpose(0, 2, 1)
+            lifts.append(y_blk)
+    tolerance = 1e-10 * max(1, v_count)
     if residual > tolerance:
         raise ArithmeticError(
             f"internal-error: oracle residual {residual:.3e} above tolerance {tolerance:.3e}"
         )
-    # s is descending, so this is ascending
-    w = np.concatenate([-s, np.zeros(g.vertex_count - 2 * k), s[::-1]])
+    w = np.concatenate(values)
     if not want_vectors:
-        return OracleSpectrum(w, None, residual, tolerance)
-    h = math.sqrt(0.5)
-    x = np.empty((g.vertex_count, g.vertex_count))
-    x[even] = np.hstack([uk * h, u[:, k:], np.zeros((len(even), len(odd) - k)), uk[:, ::-1] * h])
-    x[odd] = np.hstack([vk * -h, np.zeros((len(odd), len(even) - k)), vt[k:].T, vk[:, ::-1] * h])
-    return OracleSpectrum(w, x, residual, tolerance)
+        return OracleSpectrum(np.sort(w), None, residual, tolerance)
+
+    # X[x, column] = (-1)^{|S & F(x)|} / sqrt|O(x)| * (block vector)[O(x)]
+    vertex, char = _submasks(mixed)
+    vertex_slot = slot[np.searchsorted(chars, char)]
+    row = local(vertex_slot, orbit[vertex]) + np.where(odd[vertex], rows[vertex_slot], 0)
+    weight = (1.0 - 2.0 * (_popcount(char & flipped[vertex]) & 1)) * np.exp2(
+        -_popcount(mixed[vertex]) / 2.0
+    )
+    column = np.cumsum(rows + cols) - rows - cols
+    x_mat = np.zeros((v_count, v_count))
+    for start, stop, y_blk in zip(bounds[:-1], bounds[1:], lifts):
+        hit = (vertex_slot >= start) & (vertex_slot < stop)
+        at, span = vertex_slot[hit], np.arange(y_blk.shape[2])
+        x_mat[vertex[hit, None], column[at, None] + span] = (
+            weight[hit, None] * y_blk[at - start, row[hit]]
+        )
+    ascending = np.argsort(w, kind="stable")
+    return OracleSpectrum(w[ascending], x_mat[:, ascending], residual, tolerance)
 
 
 def rayleigh_fractional_boundary(g: InducedGraph, f: Iterable[float]) -> float:

@@ -76,6 +76,12 @@ def test_verify_all_csv(capsys):
     ["verify", "--r", "2"],
     ["verify", "--n", "4", "--r", "2", "--tol", "nan"],
     ["verify", "--n", "4", "--r", "2", "--tol", "0"],
+    ["verify", "--all", "--max-n", "0"],
+    ["verify", "--all", "--max-n", "-3"],
+    ["verify", "--all", "--max-n", "3", "--n", "5"],
+    ["verify", "--all", "--max-n", "3", "--r", "1"],
+    ["verify", "--all", "--max-n", "3", "--r1", "0"],
+    ["verify", "--all", "--max-n", "3", "--r2", "1"],
     ["krawtchouk", "--n", "100", "--k", "5", "--first-root", "--tol", "nan"],
     ["krawtchouk", "--n", "100", "--k", "5", "--first-root", "--tol", "inf"],
     ["krawtchouk", "--n", "5", "--k", "2", "--tol", "-1"],

@@ -165,6 +165,68 @@ def test_oracle_matches_eigh_on_every_small_band(n, r1, r2):
     _check_oracle_against_eigh(cached_graph(n, r1, r2))
 
 
+@pytest.mark.parametrize("n,r1,r2", [
+    (64, 0, 1),  # the mask-width cap: 32 coordinate pairs
+    (63, 0, 2),  # 31 pairs and an unpaired top coordinate
+    (20, 0, 2),
+    (11, 0, 5),  # many characters, with blocks of many shapes
+])
+def test_oracle_matches_eigh_with_many_pairs(n, r1, r2):
+    _check_oracle_against_eigh(cached_graph(n, r1, r2))
+
+
+def test_oracle_signs_on_edges_that_flip_three_bits():
+    # On cube edges every block entry has sign +1; a swap-invariant graph
+    # whose extra edges join disjoint masks of weights 1 and 2 (0b0010 to
+    # 0b0101, say) needs the character signs (-1)^{|S & F(y)|}.
+    g = cached_graph(4, 0, 2)
+    far = {
+        (u, v) for u, x in enumerate(g.masks) for v, y in enumerate(g.masks)
+        if {x.bit_count(), y.bit_count()} == {1, 2} and not x & y
+    }
+    adjacency = tuple(
+        tuple(sorted(set(nbrs) | {v for w, v in far if w == u}))
+        for u, nbrs in enumerate(g.adjacency)
+    )
+    wider = dataclasses.replace(g, adjacency=adjacency, edge_count=g.edge_count + len(far) // 2)
+    _check_oracle_against_eigh(wider)
+
+
+def test_oracle_rejects_a_graph_the_pair_swaps_do_not_preserve():
+    # keep only the edges at mask 0b0001: swapping coordinates 0 and 1 maps
+    # the edge {0b0000, 0b0001} onto {0b0000, 0b0010}, which is gone
+    g = cached_graph(4, 0, 2)
+    hub = g.masks.index(0b0001)
+    adjacency = tuple(
+        nbrs if u == hub else tuple(v for v in nbrs if v == hub)
+        for u, nbrs in enumerate(g.adjacency)
+    )
+    lopsided = dataclasses.replace(g, adjacency=adjacency, edge_count=len(adjacency[hub]))
+    with pytest.raises(InvalidParameterError, match="coordinates 0 and 1"):
+        hm.oracle_spectrum(lopsided)
+
+
+def test_oracle_block_norms_must_add_up_to_the_edge_count():
+    g = cached_graph(6, 0, 3)
+    with pytest.raises(ArithmeticError, match="block norms"):
+        hm.oracle_spectrum(dataclasses.replace(g, edge_count=g.edge_count + 1))
+
+
+def test_oracle_runs_at_most_one_svd_per_vertex(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(b, **kwargs):
+        calls.append(b.shape)
+        return svd(b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    g = cached_graph(64, 0, 2)
+    orc = hm.oracle_spectrum(g)
+    assert 0 < len(calls) <= g.vertex_count
+    assert orc.residual_bound <= orc.tolerance
+
+
 @pytest.mark.parametrize("n,r1,r2,even,odd", [
     (6, 2, 2, 15, 0),  # r1 == r2: no edges, B has no columns
     (5, 1, 1, 0, 5),  # r1 == r2 on an odd sphere: B has no rows
