@@ -15,7 +15,7 @@ import sys
 from . import bounds as bounds_mod
 from . import eigenfunctions, krawtchouk, spectrum
 from .errors import BudgetExceededError, InvalidParameterError, check_tol
-from .hamming import DEFAULT_DENSE_LIMIT, build_graph, incidence_matrix
+from .hamming import DEFAULT_DENSE_LIMIT, build_graph, check_vertex_budget, incidence_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -88,11 +88,14 @@ def cmd_verify(args) -> int:
             raise InvalidParameterError(f"--max-n must be at least 1, got {args.max_n}")
         if any(value is not None for value in (args.n, args.r, args.r1, args.r2)):
             raise InvalidParameterError("--all sweeps every band; give no --n, --r, --r1 or --r2")
+        cases = _verify_cases(args.max_n)
+        for n, r1, r2 in cases:  # a band over the limit stops the sweep before any solve
+            check_vertex_budget(n, r1, r2, args.dense_limit)
         reports = [
             spectrum.verify_against_oracle(
                 n, r1, r2, tol=args.tol, dense_limit=args.dense_limit
             )
-            for n, r1, r2 in _verify_cases(args.max_n)
+            for n, r1, r2 in cases
         ]
         print("n,r1,r2,vertices,max_deviation,passed")
         ok = True

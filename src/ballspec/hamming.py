@@ -97,10 +97,8 @@ class InducedGraph:
                     yield f"{u} {v}"
 
 
-def build_graph(
-    n: int, r1: int, r2: int, max_vertices: int = DEFAULT_GRAPH_LIMIT
-) -> InducedGraph:
-    """Build the induced subgraph on the weight band [r1, r2]."""
+def check_vertex_budget(n: int, r1: int, r2: int, max_vertices: int) -> None:
+    """Raise unless the weight band [r1, r2] is valid and has at most ``max_vertices`` vertices."""
     if n < 0 or n > MAX_DIMENSION:
         raise InvalidParameterError(f"dimension must be in [0, {MAX_DIMENSION}], got {n}")
     check_band(n, r1, r2)
@@ -110,6 +108,13 @@ def build_graph(
             f"band ({n},{r1},{r2}) has {vertex_count} vertices, budget {max_vertices}",
             vertex_count=vertex_count,
         )
+
+
+def build_graph(
+    n: int, r1: int, r2: int, max_vertices: int = DEFAULT_GRAPH_LIMIT
+) -> InducedGraph:
+    """Build the induced subgraph on the weight band [r1, r2]."""
+    check_vertex_budget(n, r1, r2, max_vertices)
     masks: list[int] = []
     sphere_start: dict[int, int] = {}
     for i in range(r1, r2 + 1):

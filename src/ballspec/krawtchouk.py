@@ -273,7 +273,8 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
     dimension, where the corresponding 1x1 coupling block is the zero
     matrix); any other k needs 1 <= k <= N.  Large N skips
     exact coefficients and bisects the Jacobi matrix, seeded from a window of
-    it: the same bits, in 5-6 full sweeps instead of ~55 for 1024 <= k <= N/2.
+    it: the same bits, in 2 full sweeps instead of ~55 when the windows
+    settle on a guess.
     """
     n, k = ambient_dim, degree
     if n == 0 and k == 1:

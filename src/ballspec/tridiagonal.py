@@ -77,28 +77,60 @@ def _gershgorin(diag: Sequence[float], off_sq: Sequence[float]) -> tuple[float, 
     off = np.sqrt(np.asarray(off_sq, dtype=float))
     spread = np.append(off, 0.0)  # row i: off[i] + off[i - 1], one term at either end
     spread[1:] += off
-    d = np.asarray(diag, dtype=float)
-    lo = float((d - spread).min())
-    hi = float((d + spread).max())
+    if diag.count(diag[0]) == len(diag):
+        # rounding is monotone, so d -+ the largest spread gives the extreme rows' bits
+        widest = float(spread.max())
+        lo, hi = diag[0] - widest, diag[0] + widest
+    else:
+        d = np.asarray(diag, dtype=float)
+        lo = float((d - spread).min())
+        hi = float((d + spread).max())
     pad = 1e-10 * max(1.0, abs(lo), abs(hi))
     return lo - pad, hi + pad
 
 
-def _seeded_count(diag, off_sq, k: int, lo: float, hi: float, guess: float, tol: float,
-                  pivmin: float):
-    """``count_below``, skipping the sweep where two counts near ``guess`` decide ``> k``.
+# A guess that fails its check moves just inside the proven bound at most this often.
+_RETRIES = 1
 
-    Sound because the floating-point Sturm count is monotone in x (Demmel,
-    Dhillon & Ren, ETNA 1995).  A point outside (lo, hi), or NaN, is not counted.
+
+def _certified_count(diag, off_sq, k: int, lo: float, hi: float, guess: float, tol: float,
+                     pivmin: float):
+    """``count_below``, sweeping only where the checks of ``guess`` leave ``> k`` undecided.
+
+    Runs the bisection of ``eigenvalue_k`` from (lo, hi), taking every
+    decision from the guess (``mid > guess`` sets hi) with no sweep, then
+    counts once at its final lo and once at its final hi, skipping an end
+    that is already proven.  If count(lo) <= k < count(hi), each midpoint it
+    set as lo is <= that lo and each one it set as hi is >= that hi; the
+    floating-point Sturm count is monotone in x (Demmel, Dhillon & Ren,
+    ETNA 1995), so the counted bisection decides each one the same way, and
+    these two counts decide its whole run.  A failed check is a proven
+    bound: the guess moves just inside it and the run is repeated, at most
+    ``_RETRIES`` times.  The returned count sweeps only strictly between
+    the proven bounds.
     """
-    below, above = -math.inf, math.inf
-    delta = 4.0 * tol + 4.0 * math.ulp(guess)
-    for x in (guess - delta, guess + delta):
-        if lo < x < hi:
-            if count_below(diag, off_sq, x, pivmin=pivmin) > k:
-                above = min(above, x)
+    below, above = lo, hi  # the Gershgorin ends: count(lo) = 0 <= k < m = count(hi)
+    for _ in range(1 + _RETRIES):
+        a, b = lo, hi
+        while b - a > 2.0 * tol:
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:
+                break
+            if mid > guess:
+                b = mid
             else:
-                below = x
+                a = mid
+        if a > below:
+            if count_below(diag, off_sq, a, pivmin=pivmin) > k:
+                above, guess = a, math.nextafter(a, -math.inf)
+                continue
+            below = a
+        if b < above:
+            if count_below(diag, off_sq, b, pivmin=pivmin) <= k:
+                below = guess = b
+                continue
+            above = b
+        break
 
     def count(diag, off_sq, x, *, pivmin):
         if x >= above:
@@ -121,10 +153,12 @@ def eigenvalue_k(
     half-width is the final bracket radius plus a few ulps of slop for the
     floating-point Sturm recurrence itself.
 
-    A ``guess`` costs two Sturm counts a few ``tol`` either side of it; the
-    bisection keeps its midpoints and decisions, so the result is the same
-    bits, but needs no sweep for a midpoint beyond either of those points.
-    A good guess leaves a handful of sweeps; a bad one wastes two.
+    A ``guess`` strictly inside the Gershgorin bracket is checked with two
+    Sturm counts (``_certified_count``); the bisection then sweeps only at a
+    midpoint those counts leave undecided, so the result is the same bits
+    for any guess.  A guess within about ``tol`` of the eigenvalue costs two
+    sweeps in all, a worse one at most ``2 * (1 + _RETRIES)`` more than none.
+    Any other guess, NaN included, is ignored.
     """
     check_tol(tol)
     m = len(diag)
@@ -134,10 +168,10 @@ def eigenvalue_k(
         return float(diag[0]), 0.0
     lo, hi = _gershgorin(diag, off_sq)
     pivmin = _pivot_floor(off_sq)
-    if guess is None:
-        count = count_below
+    if guess is not None and lo < guess < hi:
+        count = _certified_count(diag, off_sq, k, lo, hi, guess, tol, pivmin)
     else:
-        count = _seeded_count(diag, off_sq, k, lo, hi, guess, tol, pivmin)
+        count = count_below
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

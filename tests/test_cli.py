@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ballspec import spectrum
 from ballspec.cli import main
 
 
@@ -59,6 +60,18 @@ def test_verify_pass(capsys):
 def test_verify_budget_exit(capsys):
     code, _, err = run(capsys, "verify", "--n", "20", "--r", "10")
     assert code == 3 and "budget" in err
+
+
+def test_verify_all_checks_every_budget_before_solving(capsys, monkeypatch):
+    solved = []
+    verify = spectrum.verify_against_oracle
+    monkeypatch.setattr(spectrum, "verify_against_oracle",
+                        lambda *args, **kwargs: solved.append(args) or verify(*args, **kwargs))
+    # (6,0,2) is the first band over 20 vertices; the 20 bands with n <= 5 fit
+    code, out, err = run(capsys, "verify", "--all", "--max-n", "6", "--dense-limit", "20")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: band (6,0,2) has 22 vertices, budget 20\n"
+    assert solved == []
 
 
 def test_verify_all_csv(capsys):

@@ -136,10 +136,17 @@ def test_first_root_large_dimension_uses_jacobi_path():
     assert kw.first_root(10**5, 1) == pytest.approx(5e4, rel=1e-12)
 
 
+# the degrees bounds_large_n solves on the Jacobi path, by ambient dimension
+BOUNDS_DEGREES = {
+    10**4: (1101, 1893, 3161, 4412),
+    10**5: (1299, 5324, 11003, 18930, 31602, 44120),
+}
+
+
 @pytest.mark.parametrize("n", [65, 300, 1000, 10**4, 10**5])
 def test_first_root_is_the_unseeded_bisection_bit_for_bit(n):
     # k = 1, small, ~N/3, the off-diagonal peak N//2 + 1, just past it, N
-    for k in sorted({1, 7, n // 3, n // 2 + 1, n // 2 + 2, n}):
+    for k in sorted({1, 7, n // 3, n // 2 + 1, n // 2 + 2, n, *BOUNDS_DEGREES.get(n, ())}):
         plain, _ = tridiagonal.eigenvalue_k(*kw._jacobi_matrix(n, k), 0, kw.DEFAULT_TOL)
         assert kw.first_root(n, k) == plain, (n, k)
 
@@ -153,12 +160,18 @@ def test_first_root_sweeps_the_full_matrix_only_a_few_times(monkeypatch):
         return count_below(diag, off_sq, x, **kwargs)
 
     monkeypatch.setattr(tridiagonal, "count_below", counting)
-    for n, k, budget in ((10**5, 44120, 8), (10**4, 1100, 28)):
+    # rows swept, measured: 4.08 k and 21.0 k
+    for n, k, budget in ((10**5, 44120, 4.2), (10**4, 1100, 22)):
         sweeps.clear()
         kw.first_root(n, k)
         full = sweeps.count(k)
-        assert 2 <= full <= 10, (n, k)  # plain bisection from Gershgorin takes 56
+        assert 2 <= full <= 3, (n, k)  # plain bisection from Gershgorin takes 56
         assert sum(sweeps) < budget * k, (n, k)
+    for n, degrees in BOUNDS_DEGREES.items():
+        for k in degrees:
+            sweeps.clear()
+            kw.first_root(n, k)
+            assert 2 <= sweeps.count(k) <= 3, (n, k)
 
 
 def jacobi_matrix_loop(n, k):

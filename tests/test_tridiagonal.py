@@ -71,19 +71,79 @@ def random_block(seed, m):
     return list(rng.normal(size=m) * 3), list(e * e)
 
 
-@pytest.mark.parametrize("diag,off_sq,k", [
+def bisection_run(diag, off_sq, k, tol=td.DEFAULT_TOL):
+    # the unseeded bisection step by step: its midpoints and its final bracket
+    lo, hi = td._gershgorin(diag, off_sq)
+    mids = []
+    while hi - lo > 2.0 * tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        mids.append(mid)
+        if td.count_below(diag, off_sq, mid) > k:
+            hi = mid
+        else:
+            lo = mid
+    return mids, lo, hi
+
+
+def counted(monkeypatch):
+    # patch count_below to record every shift it sweeps at
+    shifts = []
+    count_below = td.count_below
+
+    def counting(diag, off_sq, x, **kwargs):
+        shifts.append(x)
+        return count_below(diag, off_sq, x, **kwargs)
+
+    monkeypatch.setattr(td, "count_below", counting)
+    return shifts
+
+
+GUESS_CASES = [
     (*_jacobi_matrix(1000, 300), 0),
     (*_jacobi_matrix(300, 200), 0),
     (*random_block(11, 40), 17),
     (*random_block(12, 9), 8),
-])
-def test_guess_never_changes_the_result(diag, off_sq, k):
+]
+
+
+@pytest.mark.parametrize("diag,off_sq,k", GUESS_CASES)
+def test_guess_never_changes_the_result(diag, off_sq, k, monkeypatch):
     plain = td.eigenvalue_k(diag, off_sq, k)
     root = plain[0]
-    for guess in (root, root - 1e-13, root + 3e-12, root - 3e-12, root - 1e-9, root + 0.5,
-                  root - 1e6, root + 1e6, 1e308, -1e308, 0.0,
-                  math.nan, math.inf, -math.inf):
+    mids, lo, hi = bisection_run(diag, off_sq, k)
+    assert 0.5 * (lo + hi) == root
+    glo, ghi = td._gershgorin(diag, off_sq)
+    up, down = math.inf, -math.inf
+    guesses = [root, root - 1e-13, root + 3e-12, root - 3e-12, root - 1e-9, root + 0.5,
+               root - 1e6, root + 1e6, 1e308, -1e308, 0.0, -0.0,
+               math.nan, math.inf, -math.inf,
+               *mids,  # exactly on every midpoint of the unseeded run
+               math.nextafter(lo, down), lo, math.nextafter(lo, up),
+               math.nextafter(hi, down), hi, math.nextafter(hi, up),
+               glo, math.nextafter(glo, up), math.nextafter(ghi, down), ghi,
+               5e-324, -5e-324, 1e-310, -1e-310]
+    shifts = counted(monkeypatch)
+    for guess in guesses:
+        shifts.clear()
         assert td.eigenvalue_k(diag, off_sq, k, guess=guess) == plain, guess
+        # a bad guess wastes at most its checks: two per try
+        assert len(shifts) <= len(mids) + 2 * (1 + td._RETRIES), guess
+
+
+@pytest.mark.parametrize("diag,off_sq,k", GUESS_CASES)
+def test_a_guess_costs_two_counts_when_it_is_right(diag, off_sq, k, monkeypatch):
+    plain = td.eigenvalue_k(diag, off_sq, k)
+    mids, _, _ = bisection_run(diag, off_sq, k)
+    shifts = counted(monkeypatch)
+    assert td.eigenvalue_k(diag, off_sq, k, guess=plain[0]) == plain
+    assert len(shifts) == 2
+    for guess in (plain[0] - 1e-9, plain[0] + 1e-9):
+        shifts.clear()
+        assert td.eigenvalue_k(diag, off_sq, k, guess=guess) == plain, guess
+        # the proven bound spares every midpoint past it: 27-38 counts here, against 43-49
+        assert len(shifts) < len(mids), guess
 
 
 @pytest.mark.parametrize("diag,off_sq", [
@@ -134,6 +194,9 @@ def coupling_block(n, r1, r2, t):
     random_block(33, 2),
     ([0.0, 0.0], [2.0]),
     ([1.5, -2.0], [0.0]),
+    ([0.0, -0.0, 0.0, -0.0], [1.0, 4.0, 2.25]),  # signed zeros on a "constant" diagonal
+    ([-0.0, 0.0], [0.0]),
+    ([0.0, -0.0], [0.0]),
 ])
 def test_gershgorin_bracket_matches_the_row_loop(diag, off_sq):
     got = td._gershgorin(diag, off_sq)
