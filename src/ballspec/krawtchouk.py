@@ -17,6 +17,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -271,10 +272,11 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
 
     N = 0 with k = 1 returns 0.0 by convention (the degenerate reduced
     dimension, where the corresponding 1x1 coupling block is the zero
-    matrix); any other k needs 1 <= k <= N.  Large N skips
-    exact coefficients and bisects the Jacobi matrix, seeded from a window of
-    it: the same bits, in 2 full sweeps instead of ~55 when the windows
-    settle on a guess.
+    matrix); any other k needs 1 <= k <= N.  Large N skips exact
+    coefficients and bisects the Jacobi matrix, seeded for k >= 512 from
+    the smallest eigenvalue of a window of it (``_window_guess``, or when
+    its coarse windows never agree ``_widest_window_guess``): the same bits,
+    in 2 full sweeps instead of ~55 when the guess is right.
     """
     n, k = ambient_dim, degree
     if n == 0 and k == 1:
@@ -284,6 +286,8 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
     if n <= EXACT_COEFF_LIMIT:
         return roots(build(n, k), tol).values[0]
     guess = _window_guess(n, k, diag, off_sq, tol)
+    if guess is None:
+        guess = _widest_window_guess(n, k, diag, off_sq, tol)
     return tridiagonal.eigenvalue_k(diag, off_sq, 0, tol, guess)[0]
 
 
@@ -293,10 +297,11 @@ def _window_guess(n: int, k: int, diag: list[float], off_sq: list[float], tol: f
     The off-diagonals peak there, so the extreme eigenvector decays fast away
     from that end; by Cauchy interlacing a window gives an upper bound.
     Windows of w = 64, 128, ... rows are solved coarsely until two agree, then
-    one of 4w rows to ``tol``.  None if 4w would pass k/2.  Each solve is
-    seeded with the last coarse value (the first with inf, which costs no
-    count); ``eigenvalue_k`` returns the same bits for any guess, so the
-    seeds only save sweeps.
+    one of 4w rows to ``tol`` by ``_window_root``, starting 4 coarse
+    tolerances below the w-row value.  None if 4w would pass k/2.  Each
+    coarse solve is seeded with the last coarse value (the first with inf,
+    which costs no count); ``eigenvalue_k`` returns the same bits for any
+    guess, so the seeds only save sweeps.
     """
     end = min(k, n // 2 + 1)
     coarse = max(tol, 1e-6 * n)
@@ -305,9 +310,123 @@ def _window_guess(n: int, k: int, diag: list[float], off_sq: list[float], tol: f
         cur, _ = tridiagonal.eigenvalue_k(diag[end - w:end], off_sq[end - w:end - 1], 0, coarse, prev)
         if abs(prev - cur) <= 2.0 * coarse:
             start = end - 4 * w
-            return tridiagonal.eigenvalue_k(diag[start:end], off_sq[start:end - 1], 0, tol, cur)[0]
+            return _window_root(diag[start:end], off_sq[start:end - 1], cur - 4.0 * coarse, tol)
         prev, w = cur, 2 * w
     return None
+
+
+def _widest_window_guess(n: int, k: int, diag: list[float], off_sq: list[float], tol: float):
+    """Smallest eigenvalue of the widest window ``_window_guess`` may refine, or None for k < 512.
+
+    For when its coarse windows never agree: the 4w rows ending at row
+    min(k, N//2 + 1) for the largest w = 64 * 2^j with 8w <= k, solved by
+    ``_window_root`` from the window's Gershgorin bottom.
+    """
+    if k < 512:
+        return None
+    end = min(k, n // 2 + 1)
+    start = end - (256 << ((k // 512).bit_length() - 1))
+    window = off_sq[start:end - 1]
+    return _window_root(diag[start:end], window, diag[0] - 2.0 * math.sqrt(max(window)), tol)
+
+
+def _window_root(diag: list[float], off_sq: list[float], below: float, tol: float) -> float:
+    """Smallest eigenvalue of a Jacobi window, with the bits of its bisection, in a few sweeps.
+
+    Newton's method from ``below`` that eigenvalue lands within about one
+    rounding unit of the pivots (``_unit``) of it, a gallop finds the last
+    float where the floating-point Sturm count is still 0, and
+    ``eigenvalue_k`` certifies that float as its guess with two counts.
+    Whatever Newton or the gallop return, the certificate keeps the bits.
+    """
+    x = _newton_from_below(diag, off_sq, below)
+    return tridiagonal.eigenvalue_k(diag, off_sq, 0, tol, _last_float_below(diag, off_sq, x))[0]
+
+
+# Caps on the sweeps of _newton_from_below and on the step doublings of _last_float_below.
+_NEWTON_STEPS = 64
+_GALLOP = 16
+
+
+def _unit(d: float, x: float) -> float:
+    """Rounding unit of the pivots d - x - e2 / q near x: how closely a sweep places a root."""
+    return math.ulp(abs(d) + abs(x))
+
+
+def _newton_from_below(diag: list[float], off_sq: list[float], x: float) -> float:
+    """Newton's method on det(T - x) for a constant diagonal, from x below the smallest eigenvalue.
+
+    The polynomial has only real roots, so from below the smallest one each
+    step climbs towards it without passing it (Li & Zeng, SIAM J. Sci.
+    Comput. 1994).  Stops at a pivot <= 0, where x is at or past the root;
+    or after a step no larger than ``_unit``, or one after which quadratic
+    convergence puts the next step, step**3 / previous**2, below it.
+    """
+    prev = 0.0
+    for _ in range(_NEWTON_STEPS):
+        s = _log_det_slope(diag, off_sq, x)
+        if s is None:
+            return x
+        step = -1.0 / s
+        x += step
+        unit = _unit(diag[0], x)
+        if step <= unit or step * step * step <= unit * prev * prev:
+            return x
+        prev = step
+    return x
+
+
+def _log_det_slope(diag: list[float], off_sq: list[float], x: float) -> float | None:
+    """d/dx log det(T - x) for a constant diagonal, or None at a pivot <= 0.
+
+    det(T - x) is the product of the LDL^T pivots q_i = d - x - e2_i / q_{i-1}
+    of ``tridiagonal.count_below``, and the same loop sums
+    q_i' / q_i = (e2_i / q_{i-1} * q_{i-1}' / q_{i-1} - 1) / q_i.
+    """
+    a, q, t, s = diag[0] - x, math.inf, 0.0, 0.0
+    for e2 in chain((0.0,), off_sq):
+        r = e2 / q
+        q = a - r
+        if q <= 0.0:
+            return None
+        t = (r * t - 1.0) / q
+        s += t
+    return s
+
+
+def _last_float_below(diag: list[float], off_sq: list[float], x: float) -> float:
+    """The largest float at which ``count_below`` finds no eigenvalue, by a gallop from x.
+
+    Counts at x -+ 1, 2, 4, ... times ``_unit`` until the count switches
+    between 0 and >= 1, then halves that gap down to two adjacent floats.
+    x is returned as it is if it is not finite or the switch is more than
+    2**_GALLOP units away.
+    """
+    if not math.isfinite(x):
+        return x
+    pivmin = tridiagonal._pivot_floor(off_sq)  # once: on a window the max costs as much as a sweep
+
+    def below(y):
+        return tridiagonal.count_below(diag, off_sq, y, pivmin=pivmin) == 0
+
+    up = below(x)
+    near, step = x, _unit(diag[0], x)
+    for _ in range(_GALLOP):
+        far = x + step if up else x - step
+        if below(far) != up:
+            break
+        near, step = far, 2.0 * step
+    else:
+        return x
+    lo, hi = (near, far) if up else (far, near)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def check_reciprocity(n: int, i: int, j: int) -> bool:

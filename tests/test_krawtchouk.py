@@ -151,27 +151,81 @@ def test_first_root_is_the_unseeded_bisection_bit_for_bit(n):
         assert kw.first_root(n, k) == plain, (n, k)
 
 
-def test_first_root_sweeps_the_full_matrix_only_a_few_times(monkeypatch):
-    sweeps = []
-    count_below = tridiagonal.count_below
+def count_rows(monkeypatch):
+    # patch count_below and the Newton sweep to record the rows of every sweep
+    sweeps, newton = [], []
+    count_below, log_det_slope = tridiagonal.count_below, kw._log_det_slope
 
     def counting(diag, off_sq, x, **kwargs):
         sweeps.append(len(diag))
         return count_below(diag, off_sq, x, **kwargs)
 
+    def newton_counting(diag, off_sq, x):
+        newton.append(len(diag))
+        return log_det_slope(diag, off_sq, x)
+
     monkeypatch.setattr(tridiagonal, "count_below", counting)
-    # rows swept, measured: 4.08 k and 21.0 k
-    for n, k, budget in ((10**5, 44120, 4.2), (10**4, 1100, 22)):
+    monkeypatch.setattr(kw, "_log_det_slope", newton_counting)
+    return sweeps, newton
+
+
+def windows_refined(n, k, monkeypatch):
+    # the (diag, off_sq, start) of every window first_root hands to _window_root
+    seen = []
+    window_root = kw._window_root
+
+    def spying(diag, off_sq, below, tol):
+        seen.append((diag, off_sq, below))
+        return window_root(diag, off_sq, below, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(kw, "_window_root", spying)
+        kw.first_root(n, k)
+    return seen
+
+
+def test_first_root_sweeps_the_full_matrix_only_a_few_times(monkeypatch):
+    sweeps, newton = count_rows(monkeypatch)
+    # rows swept, Newton's included, measured: 2.88 k and 7.53 k
+    for n, k, budget in ((10**5, 44120, 3.0), (10**4, 1100, 7.6)):
         sweeps.clear()
+        newton.clear()
         kw.first_root(n, k)
         full = sweeps.count(k)
         assert 2 <= full <= 3, (n, k)  # plain bisection from Gershgorin takes 56
-        assert sum(sweeps) < budget * k, (n, k)
+        assert sum(sweeps) + sum(newton) < budget * k, (n, k)
     for n, degrees in BOUNDS_DEGREES.items():
         for k in degrees:
             sweeps.clear()
             kw.first_root(n, k)
             assert 2 <= sweeps.count(k) <= 3, (n, k)
+            # the final window is the widest one: the gallop and the certificate, measured 5-11
+            assert sweeps.count(max(m for m in sweeps if m < k)) <= 12, (n, k)
+
+
+# (N, k) where no two coarse windows agree, so _window_guess gives None; plain bisection sweeps 51-52 times
+WINDOWS_NEVER_AGREE = [(3000, 1154), (3000, 1300), (3000, 1501), (10**4, 2044), (4096, 2049)]
+
+
+@pytest.mark.parametrize("n,k", WINDOWS_NEVER_AGREE)
+def test_first_root_guesses_when_the_windows_never_agree(n, k, monkeypatch):
+    diag, off_sq = kw._jacobi_matrix(n, k)
+    assert kw._window_guess(n, k, diag, off_sq, kw.DEFAULT_TOL) is None
+    plain, _ = tridiagonal.eigenvalue_k(diag, off_sq, 0, kw.DEFAULT_TOL)
+    # the guess is the unseeded bisection of the widest window, 4w rows for the largest 8w <= k
+    end, rows = min(k, n // 2 + 1), 4 * 64 * 2 ** int(math.log2(k // 512))
+    window, _ = tridiagonal.eigenvalue_k(diag[end - rows:end], off_sq[end - rows:end - 1], 0, kw.DEFAULT_TOL)
+    assert kw._widest_window_guess(n, k, diag, off_sq, kw.DEFAULT_TOL) == window
+    (refined, _, _), = windows_refined(n, k, monkeypatch)
+    assert len(refined) == rows
+    sweeps, _ = count_rows(monkeypatch)
+    assert kw.first_root(n, k) == plain
+    assert sweeps.count(k) <= 3
+
+
+def test_widest_window_needs_k_at_least_512():
+    diag, off_sq = kw._jacobi_matrix(1000, 511)
+    assert kw._widest_window_guess(1000, 511, diag, off_sq, kw.DEFAULT_TOL) is None
 
 
 def jacobi_matrix_loop(n, k):
@@ -218,6 +272,49 @@ def test_window_guess_matches_the_unseeded_windows(n, k, tol):
     diag, off_sq = kw._jacobi_matrix(n, k)
     got = kw._window_guess(n, k, diag, off_sq, tol)
     assert got == window_guess_unseeded(n, k, diag, off_sq, tol)
+
+
+NEWTON_LANDINGS = {
+    "nan": lambda x: math.nan,
+    "inf": lambda x: math.inf,
+    "-inf": lambda x: -math.inf,
+    "far above": lambda x: x + 1.0,
+    "1e-3 above": lambda x: x + 1e-3,
+    "1e-3 below": lambda x: x - 1e-3,
+}
+
+
+@pytest.mark.parametrize("landing", NEWTON_LANDINGS)
+def test_a_bad_newton_landing_keeps_the_bits(landing, monkeypatch):
+    newton = kw._newton_from_below
+    monkeypatch.setattr(kw, "_newton_from_below",
+                        lambda diag, off_sq, x: NEWTON_LANDINGS[landing](newton(diag, off_sq, x)))
+    for n, k, tol in [(10**5, 44120, kw.DEFAULT_TOL), (10**5, 44120, 1e-6), (10**4, 1100, kw.DEFAULT_TOL),
+                      (10**4, 5002, kw.DEFAULT_TOL), (10**4, 2044, kw.DEFAULT_TOL)]:
+        diag, off_sq = kw._jacobi_matrix(n, k)
+        assert kw._window_guess(n, k, diag, off_sq, tol) == window_guess_unseeded(n, k, diag, off_sq, tol)
+        plain, _ = tridiagonal.eigenvalue_k(diag, off_sq, 0, tol)
+        assert kw.first_root(n, k, tol) == plain, (n, k, tol)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, ks in BOUNDS_DEGREES.items() for k in ks] + WINDOWS_NEVER_AGREE)
+def test_newton_lands_within_a_unit_and_the_gallop_on_the_switch(n, k, monkeypatch):
+    (diag, off_sq, below), = windows_refined(n, k, monkeypatch)
+
+    def count(x):
+        return tridiagonal.count_below(diag, off_sq, x)
+
+    assert count(below) == 0
+    x = kw._newton_from_below(diag, off_sq, below)
+    unit = kw._unit(diag[0], x)
+    last = kw._last_float_below(diag, off_sq, x)
+    assert count(last) == 0 and count(math.nextafter(last, math.inf)) == 1
+    assert below < x and abs(x - last) <= unit
+    # from anywhere within 2**_GALLOP units, and from the switch itself
+    for start in (last, math.nextafter(last, math.inf), x - 3 * unit, x + 5 * unit, x + 1000 * unit):
+        assert kw._last_float_below(diag, off_sq, start) == last
+    for start in (math.nan, math.inf, -math.inf, x + 2.0 ** (kw._GALLOP + 1) * unit):
+        assert kw._last_float_below(diag, off_sq, start) is start
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
