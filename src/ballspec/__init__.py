@@ -21,7 +21,6 @@ from .eigenfunctions import (
     build_basis,
     check_eigenspace_membership,
     check_zonal_uniqueness,
-    restricted_adjacency,
     synthesize,
 )
 from .errors import (

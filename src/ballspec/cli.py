@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-budget exceeded.  Text and CSV output print floats with 15 significant
-digits; JSON uses Python's shortest-roundtrip float repr.  Identical
-invocations produce byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a dimension
+too large for a float included), 3 resource budget exceeded.  Text and CSV
+output print floats with 15 significant digits; JSON uses Python's
+shortest-roundtrip float repr.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bounds as bounds_mod
@@ -52,6 +54,10 @@ def cmd_spectrum(args) -> int:
     r1, r2 = _radii(args)
     check_tol(args.merge_eps_scale, "--merge-eps-scale")
     merge_eps = args.merge_eps_scale * (args.n + 1)
+    if math.isinf(merge_eps):
+        raise InvalidParameterError(
+            f"--merge-eps-scale {args.merge_eps_scale!r} times n + 1 = {args.n + 1} overflows"
+        )
     _emit_table(spectrum.full_spectrum(args.n, r1, r2, merge_eps=merge_eps), args.format)
     return EXIT_OK
 
@@ -250,6 +256,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:  # an integer that no float can hold
+        print(f"error: the dimension is too large for floating point: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

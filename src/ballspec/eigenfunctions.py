@@ -1,15 +1,14 @@
-"""Semi-symmetric bases, restricted adjacency blocks, explicit eigenfunctions.
+"""Semi-symmetric bases and explicit eigenfunctions.
 
 Fix an origin mask y of weight t.  On each sphere of weight i >= max(t, r1)
 there is a unique function, constant on the intersection classes
 {x : |x & y| = c}, that equals 1 on supersets of y and is orthogonal to
 every superset-indicator of a proper sub-mask of y.  These per-sphere
 functions span an adjacency-invariant subspace on which the adjacency acts
-as a small tridiagonal matrix with integer super-diagonal n-i+1 and
-rational sub-diagonal (i-t+1)(n-t-i)/(n-i); conjugating by a diagonal
-scaling turns it into the symmetric coupling block of the same origin, so
-its eigenvalues are exactly that block's.  Pulling eigenvectors back gives
-explicit eigenfunctions of the band graph.
+as a small tridiagonal matrix; a diagonal scaling turns it into the
+symmetric coupling block of the same origin (``spectrum.TridiagonalSym``),
+so its eigenvalues are exactly that block's.  Pulling eigenvectors back
+gives explicit eigenfunctions of the band graph.
 """
 
 from __future__ import annotations
@@ -100,66 +99,6 @@ def build_basis(n: int, r1: int, r2: int, t: int, y: int) -> SemiSymBasis:
 
 
 @dataclass(frozen=True)
-class RestrictedAdjacency:
-    """Adjacency restricted to the invariant subspace of one origin weight.
-
-    Row/column k corresponds to sphere tstar + k.  ``beta`` holds the
-    super-diagonal (integer) entries, ``gamma`` the sub-diagonal (rational)
-    ones; beta[k] * gamma[k] is always the exact integer that squares the
-    symmetric coupling block's off-diagonal.
-    """
-
-    n: int
-    r1: int
-    r2: int
-    t: int
-    tstar: int
-    beta: tuple[int, ...]
-    gamma: tuple[Fraction, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.r2 - self.tstar + 1
-
-    def dense(self) -> np.ndarray:
-        m = self.dim
-        a = np.zeros((m, m))
-        for k in range(m - 1):
-            a[k, k + 1] = float(self.beta[k])
-            a[k + 1, k] = float(self.gamma[k])
-        return a
-
-    def coupling_sq(self) -> tuple[int, ...]:
-        out = []
-        for b, g in zip(self.beta, self.gamma):
-            prod = b * g
-            if prod.denominator != 1:
-                raise ArithmeticError("internal-error: non-integer coupling square")
-            out.append(prod.numerator)
-        return tuple(out)
-
-    def scaling(self) -> np.ndarray:
-        """Diagonal D with D^-1 A D symmetric (first entry 1)."""
-        d = [1.0]
-        for b, g in zip(self.beta, self.gamma):
-            d.append(d[-1] * math.sqrt(float(g) / float(b)))
-        return np.array(d)
-
-
-def restricted_adjacency(n: int, r1: int, r2: int, t: int) -> RestrictedAdjacency:
-    check_band(n, r1, r2, t)
-    tstar = max(t, r1)
-    beta = tuple(n - i + 1 for i in range(tstar + 1, r2 + 1))
-    gamma = tuple(
-        Fraction((i - t + 1) * (n - t - i), n - i) for i in range(tstar, r2)
-    )
-    op = RestrictedAdjacency(n, r1, r2, t, tstar, beta, gamma)
-    if op.coupling_sq() != coupling_matrix(n, r1, r2, t).offdiag_sq:
-        raise ArithmeticError("internal-error: restricted block disagrees with coupling")
-    return op
-
-
-@dataclass(frozen=True)
 class EigenFunction:
     """Explicit eigenfunction of the band adjacency from one origin mask."""
 
@@ -218,14 +157,10 @@ def synthesize(
             f"eigenvalue index {which} out of range [0, {block.dim})"
         )
     lam = lambda_set(n, r1, r2, t).values[which]
-    if block.dim == 1:
-        v = np.ones(1)
-    else:
-        w = tridiagonal.eigenvector([0.0] * block.dim, block.offdiag_sq, lam)
-        v = restricted_adjacency(n, r1, r2, t).scaling() * w
-        if v[0] == 0.0:
-            raise ArithmeticError("internal-error: vanishing first coefficient")
-        v = v / v[0]
+    v = block.scaling() * tridiagonal.eigenvector([0.0] * block.dim, block.offdiag_sq, lam)
+    if v[0] == 0.0:
+        raise ArithmeticError("internal-error: vanishing first coefficient")
+    v = v / v[0]
 
     if graph is None:
         graph = build_graph(n, r1, r2)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,6 +43,11 @@ class TridiagonalSym:
     The squared off-diagonal entries are the exact integers
     (k-1)(n-2t-k+2) for k = t*-t+2 .. r2-t+1 where t* = max(t, r1); all are
     strictly positive, so the dim = r2-t*+1 eigenvalues are simple.
+
+    Row k stands for sphere i = t*+k.  On the functions constant on the
+    classes around a weight-t mask the adjacency acts as the tridiagonal R
+    with R[k, k+1] = n-i and R[k+1, k] = offdiag_sq[k] / (n-i); ``scaling``
+    gives the D for which D^-1 R D is this block.
     """
 
     n: int
@@ -59,8 +65,6 @@ class TridiagonalSym:
         negation, so paired estimates are averaged and an odd dimension
         pins the middle eigenvalue to exactly 0.0.
         """
-        if self.dim == 1:
-            return RootList((0.0,), (0.0,), TRIDIAGONAL_EIGENSOLVE)
         diag = [0.0] * self.dim
         off_sq = [float(v) for v in self.offdiag_sq]
         values, radii = tridiagonal.eigenvalues_all(diag, off_sq)
@@ -70,6 +74,13 @@ class TridiagonalSym:
         if m % 2 == 1:
             sym_vals[m // 2] = 0.0
         return RootList(tuple(sym_vals), tuple(sym_radii), TRIDIAGONAL_EIGENSOLVE)
+
+    def scaling(self) -> np.ndarray:
+        """Diagonal D of the restricted adjacency R, first entry 1, with D^-1 R D this block."""
+        d = [1.0]
+        for i, e2 in enumerate(self.offdiag_sq, self.tstar):
+            d.append(d[-1] * math.sqrt(float(Fraction(e2, self.n - i)) / float(self.n - i)))
+        return np.array(d)
 
 
 def coupling_matrix(n: int, r1: int, r2: int, t: int) -> TridiagonalSym:

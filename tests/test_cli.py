@@ -85,6 +85,17 @@ def test_verify_all_csv(capsys):
     assert keys == sorted(keys)
 
 
+# A dimension, or a first-root coupling, too large for a float.
+TOO_LARGE_FOR_A_FLOAT = [
+    ["spectrum", "--n", str(10**400), "--r", "1"],
+    ["incidence", "--n", str(10**400), "--r", "1"],
+    ["eigenfunction", "--n", str(10**400), "--r", "1", "--t", "0"],
+    ["krawtchouk", "--n", str(10**400), "--k", "2", "--first-root"],
+    ["krawtchouk", "--n", str(10**308), "--k", "3", "--first-root"],
+    ["bounds", "--n", str(10**400), "--log2s", "5"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--r", "2"],
     ["verify", "--n", "4", "--r", "2", "--tol", "nan"],
@@ -106,6 +117,7 @@ def test_verify_all_csv(capsys):
     ["krawtchouk", "--n", "0", "--k", "0", "--first-root"],
     ["krawtchouk", "--n", "0", "--k", "-3", "--first-root"],
     ["krawtchouk", "--n", "0", "--k", "1", "--first-root", "--tol", "nan"],
+    *TOO_LARGE_FOR_A_FLOAT,
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -117,6 +129,19 @@ def test_bad_merge_eps_scale_names_the_option_and_the_typed_value(capsys, scale,
     code, out, err = run(capsys, "spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", scale)
     assert code == 2 and out == ""
     assert err == f"error: --merge-eps-scale must be finite and positive, got {typed}\n"
+
+
+def test_merge_eps_scale_that_overflows_names_the_option_and_the_typed_value(capsys):
+    code, out, err = run(capsys, "spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", "1e308")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --merge-eps-scale ") and "1e+308" in err
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE_FOR_A_FLOAT)
+def test_dimension_too_large_for_a_float_says_so(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the dimension is too large for floating point")
 
 
 def test_verify_workers_flag_is_gone(capsys):

@@ -63,39 +63,79 @@ def test_basis_matches_pointwise_indicator_sums():
             assert abs(f @ g_z) < 1e-12
 
 
+def restricted_operator(n, r1, r2, t):
+    """The paper's adjacency on the origin-t subspace, in exact rationals.
+
+    Row k is sphere i = max(t, r1) + k: super-diagonal n-i+1 into sphere i,
+    sub-diagonal (i-t+1)(n-t-i)/(n-i) out of it.  Returns (beta, gamma).
+    """
+    tstar = max(t, r1)
+    beta = [Fraction(n - i + 1) for i in range(tstar + 1, r2 + 1)]
+    gamma = [Fraction((i - t + 1) * (n - t - i), n - i) for i in range(tstar, r2)]
+    return beta, gamma
+
+
+def dense(beta, gamma):
+    m = len(beta) + 1
+    a = np.zeros((m, m))
+    for k in range(m - 1):
+        a[k, k + 1] = float(beta[k])
+        a[k + 1, k] = float(gamma[k])
+    return a
+
+
+def all_blocks(max_n):
+    for n in range(2, max_n + 1):
+        for r2 in range(1, n // 2 + 1):
+            for r1 in range(r2 + 1):
+                for t in range(r2 + 1):
+                    yield n, r1, r2, t
+
+
 def test_restricted_adjacency_example():
-    op = ef.restricted_adjacency(4, 0, 2, 0)
-    assert np.array_equal(
-        op.dense(), np.array([[0, 4, 0], [1, 0, 3], [0, 2, 0]], dtype=float)
-    )
-    vals = np.sort(np.linalg.eigvals(op.dense()).real)
+    op = dense(*restricted_operator(4, 0, 2, 0))
+    assert np.array_equal(op, np.array([[0, 4, 0], [1, 0, 3], [0, 2, 0]], dtype=float))
+    vals = np.sort(np.linalg.eigvals(op).real)
     assert vals == pytest.approx([-math.sqrt(10), 0, math.sqrt(10)], abs=1e-10)
 
 
 def test_restricted_adjacency_single_sphere_is_zero():
-    op = ef.restricted_adjacency(6, 0, 3, 3)
-    assert op.dim == 1 and op.dense().shape == (1, 1) and op.dense()[0, 0] == 0.0
+    op = dense(*restricted_operator(6, 0, 3, 3))
+    assert op.shape == (1, 1) and op[0, 0] == 0.0
+    block = sp.coupling_matrix(6, 0, 3, 3)
+    assert block.dim == 1 and block.offdiag_sq == ()
+    assert block.eigenvalues().values == (0.0,) and block.eigenvalues().radius == (0.0,)
+    assert np.array_equal(block.scaling(), [1.0])
 
 
 def test_symmetrization_matches_coupling_block():
     # beta*gamma products equal the closed-form squared couplings, exactly
-    op = ef.restricted_adjacency(4, 0, 2, 0)
-    assert op.coupling_sq() == (4, 6)
+    beta, gamma = restricted_operator(4, 0, 2, 0)
+    assert [b * g for b, g in zip(beta, gamma)] == [4, 6]
     for n, r1, r2 in [(6, 0, 3), (8, 1, 4), (9, 3, 4), (7, 2, 3)]:
         for t in range(r2 + 1):
-            op = ef.restricted_adjacency(n, r1, r2, t)
-            assert op.coupling_sq() == sp.coupling_matrix(n, r1, r2, t).offdiag_sq
+            beta, gamma = restricted_operator(n, r1, r2, t)
+            products = tuple(b * g for b, g in zip(beta, gamma))
+            assert all(p.denominator == 1 for p in products)
+            assert products == sp.coupling_matrix(n, r1, r2, t).offdiag_sq
 
 
 def test_operator_eigenvalues_match_lambda_set():
-    for n in range(2, 11):
-        for r2 in range(1, n // 2 + 1):
-            for r1 in range(r2 + 1):
-                for t in range(r2 + 1):
-                    op = ef.restricted_adjacency(n, r1, r2, t)
-                    got = np.sort(np.linalg.eigvals(op.dense()).real)
-                    want = sp.lambda_set(n, r1, r2, t).values
-                    assert np.abs(got - np.asarray(want)).max() < 1e-10
+    for n, r1, r2, t in all_blocks(10):
+        got = np.sort(np.linalg.eigvals(dense(*restricted_operator(n, r1, r2, t))).real)
+        want = sp.lambda_set(n, r1, r2, t).values
+        assert np.abs(got - np.asarray(want)).max() < 1e-10
+
+
+def test_scaling_turns_the_restricted_operator_into_the_block():
+    for n, r1, r2, t in all_blocks(10):
+        block = sp.coupling_matrix(n, r1, r2, t)
+        d = block.scaling()
+        assert d[0] == 1.0 and d.shape == (block.dim,)
+        got = dense(*restricted_operator(n, r1, r2, t)) * d[None, :] / d[:, None]
+        off = np.sqrt(np.asarray(block.offdiag_sq, dtype=float))
+        want = np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (n, r1, r2, t)
 
 
 def test_synthesize_star_null_function():

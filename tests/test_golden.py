@@ -56,6 +56,8 @@ COMMANDS = {
     "eigenfunction_json": "eigenfunction --n 8 --r 3 --t 1 --which 1",
     "eigenfunction_text":
         "eigenfunction --n 8 --r1 1 --r2 4 --t 2 --y 00100100 --which 2 --format text",
+    "eigenfunction_single_sphere_text": "eigenfunction --n 6 --r 3 --t 3 --format text",
+    "eigenfunction_origin_below_band_json": "eigenfunction --n 12 --r1 2 --r2 6 --t 1 --which 3",
     "export_band": "export --n 6 --r1 1 --r2 2",
 }
 
