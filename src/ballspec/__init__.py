@@ -12,22 +12,17 @@ from .bounds import (
     entropy,
     entropy_inv,
     modls_bound,
-    reciprocity_delta_bound,
-    subcube_reference,
 )
 from .eigenfunctions import (
     EigenFunction,
     SemiSymBasis,
     build_basis,
-    check_eigenspace_membership,
-    check_zonal_uniqueness,
     synthesize,
 )
 from .errors import (
     BudgetExceededError,
     InvalidDegreeError,
     InvalidParameterError,
-    ZeroFunctionError,
 )
 from .hamming import (
     InducedGraph,
@@ -35,13 +30,11 @@ from .hamming import (
     build_graph,
     incidence_matrix,
     oracle_spectrum,
-    rayleigh_fractional_boundary,
 )
 from .krawtchouk import (
     KrawtchoukPoly,
     RootList,
     build,
-    check_reciprocity,
     eval_exact,
     first_root,
     roots,

@@ -68,13 +68,6 @@ def modls_bound(n: int, log2_s: float) -> float:
     return n * (1.0 - 2.0 * math.sqrt(u * (1.0 - u)))
 
 
-def subcube_reference(n: int, k: int) -> tuple[float, float]:
-    """(fractional boundary, max eigenvalue) of a k-dimensional subcube: (n-k, k)."""
-    if not 0 <= k <= n:
-        raise InvalidParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return float(n - k), float(k)
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """All bound quantities for one (n, log2_s) pair.
@@ -127,31 +120,3 @@ def ball_bound(n: int, log2_s: float) -> BoundsReport:
         subcube_delta=n - log2_s,
         log_lower=(n - log2_s) * LN2,
     )
-
-
-def reciprocity_delta_bound(n: int, t: int) -> int:
-    """Smallest degree i whose first root is <= t+1; then 2i bounds the boundary.
-
-    Uses strict monotone decrease of the first root in the degree for a
-    binary search; afterwards asserts the reciprocity consequence
-    first_root(n, t+1) <= i.
-    """
-    if not 0 <= t < n / 2:
-        raise InvalidParameterError(f"need 0 <= t < n/2, got t={t}, n={n}")
-    target = t + 1.0
-    slack = 1e-9 * max(1.0, n)
-    lo, hi = 1, n  # first_root(n, n) < 1 <= target, so hi always qualifies
-    if first_root(n, 1) <= target + slack:
-        hi = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if first_root(n, mid) <= target + slack:
-            hi = mid
-        else:
-            lo = mid + 1
-    i = hi
-    if first_root(n, t + 1) > i + slack:
-        raise ArithmeticError(
-            f"internal-error: reciprocity consequence failed for n={n}, t={t}, i={i}"
-        )
-    return i

@@ -143,10 +143,8 @@ def cmd_krawtchouk(args) -> int:
 def cmd_bounds(args) -> int:
     if args.log2s is not None:
         log2_s = args.log2s
-    elif args.s is not None:
-        log2_s = bounds_mod.log2_big(int(args.s))
     else:
-        raise InvalidParameterError("need --log2s or --s")
+        log2_s = bounds_mod.log2_big(int(args.s))
     report = bounds_mod.ball_bound(args.n, log2_s)
     if args.format == "csv":
         print(bounds_mod.BoundsReport.CSV_HEADER)
@@ -162,6 +160,8 @@ def cmd_bounds(args) -> int:
 def cmd_eigenfunction(args) -> int:
     r1, r2 = _radii(args)
     if args.y is not None:
+        if not args.y or args.y.strip("01"):
+            raise InvalidParameterError(f"--y must be a string of 0s and 1s, got {args.y!r}")
         y = int(args.y, 2)
     else:
         y = (1 << args.t) - 1
@@ -215,17 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_krawtchouk)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--roots", action="store_true", help="certified roots (default)")
-    p.add_argument("--first-root", action="store_true")
-    p.add_argument("--eval", type=int, default=None, metavar="X")
-    p.add_argument("--coeffs", action="store_true")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--roots", action="store_true", help="certified roots (default)")
+    what.add_argument("--first-root", action="store_true")
+    what.add_argument("--eval", type=int, default=None, metavar="X")
+    what.add_argument("--coeffs", action="store_true")
     p.add_argument("--tol", type=float, default=krawtchouk.DEFAULT_TOL)
 
     p = sub.add_parser("bounds", help="entropy/eigenvalue bounds report")
     p.set_defaults(func=cmd_bounds)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--log2s", type=float, default=None)
-    p.add_argument("--s", type=str, default=None, help="cardinality (integer, any size)")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--log2s", type=float, default=None)
+    size.add_argument("--s", type=str, default=None, help="cardinality (integer, any size)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("eigenfunction", help="synthesize an explicit eigenfunction")

@@ -13,21 +13,16 @@ gives explicit eigenfunctions of the band graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import tridiagonal
-from .errors import BudgetExceededError, InvalidParameterError, check_band
-from .hamming import InducedGraph, build_graph, weight_masks
+from .errors import InvalidParameterError, check_band
+from .hamming import build_graph
 from .krawtchouk import binom_int
 from .spectrum import coupling_matrix, lambda_set
-
-MEMBERSHIP_ORTH_RTOL = 1e-10
-MEMBERSHIP_SPAN_RTOL = 1e-8
-UNIQUENESS_SPHERE_LIMIT = 5000
 
 
 def _check_origin_mask(n: int, t: int, y: int) -> None:
@@ -35,11 +30,6 @@ def _check_origin_mask(n: int, t: int, y: int) -> None:
         raise InvalidParameterError(f"origin mask {y:#x} does not fit in {n} bits")
     if y.bit_count() != t:
         raise InvalidParameterError(f"origin mask has weight {y.bit_count()}, expected {t}")
-
-
-def _check_sphere(n: int, i: int, t: int) -> None:
-    if not 0 <= t <= i <= n // 2:
-        raise InvalidParameterError(f"need 0 <= t <= i <= n//2, got t={t}, i={i}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +50,6 @@ class SemiSymBasis:
 
     def value(self, i: int, c: int) -> Fraction:
         return self.values[(i, c)]
-
-    def sphere_values(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(self.values[(i, c)] for c in range(self.t + 1))
 
 
 def class_size(n: int, t: int, i: int, c: int) -> int:
@@ -141,7 +128,6 @@ def synthesize(
     t: int,
     y: int,
     which: int,
-    graph: InducedGraph | None = None,
 ) -> EigenFunction:
     """Materialize the eigenfunction for the which-th eigenvalue of origin (t, y).
 
@@ -162,10 +148,7 @@ def synthesize(
         raise ArithmeticError("internal-error: vanishing first coefficient")
     v = v / v[0]
 
-    if graph is None:
-        graph = build_graph(n, r1, r2)
-    elif (graph.n, graph.r1, graph.r2) != (n, r1, r2):
-        raise InvalidParameterError("supplied graph does not match the band")
+    graph = build_graph(n, r1, r2)
 
     tstar = basis.tstar
     class_values = {
@@ -189,90 +172,3 @@ def synthesize(
         n, r1, r2, t, y, tstar, lam, tuple(float(c) for c in v),
         values, class_values, residual,
     )
-
-
-def _superset_columns(n: int, sphere_masks: list[int], max_weight: int) -> np.ndarray:
-    """Matrix whose columns are superset indicators for all masks of weight <= max_weight."""
-    cols = []
-    for w in range(max_weight + 1):
-        for z in weight_masks(n, w):
-            cols.append([1.0 if (x & z) == z else 0.0 for x in sphere_masks])
-    return np.array(cols).T if cols else np.zeros((len(sphere_masks), 0))
-
-
-def check_eigenspace_membership(n: int, i: int, t: int, values) -> bool:
-    """Does a function on the weight-i sphere lie in eigenspace index t?
-
-    Operationalized as: (a) orthogonal (counting measure) to every superset
-    indicator of weight < t, and (b) inside the span of superset indicators
-    of weight <= t, by least-squares residual.
-    """
-    _check_sphere(n, i, t)
-    sphere = list(weight_masks(n, i))
-    f = np.asarray(values, dtype=float)
-    if f.shape != (len(sphere),):
-        raise InvalidParameterError(
-            f"function has shape {f.shape}, sphere has {len(sphere)} points"
-        )
-    norm = float(np.linalg.norm(f))
-    if norm == 0.0:
-        return True
-    if t > 0:
-        low = _superset_columns(n, sphere, t - 1)
-        if float(np.abs(low.T @ f).max()) > MEMBERSHIP_ORTH_RTOL * norm:
-            return False
-    span = _superset_columns(n, sphere, t)
-    coef, *_ = np.linalg.lstsq(span, f, rcond=None)
-    residual = float(np.linalg.norm(span @ coef - f))
-    return residual <= MEMBERSHIP_SPAN_RTOL * norm
-
-
-@dataclass(frozen=True)
-class ZonalUniquenessReport:
-    n: int
-    i: int
-    t: int
-    semi_dim: int
-    constraint_rank: int
-    dimension: int
-
-
-def check_zonal_uniqueness(n: int, i: int, t: int) -> ZonalUniquenessReport:
-    """Dimension of {semi-symmetric around a weight-t mask} cap {eigenspace t}.
-
-    Computed by explicit linear algebra on the weight-i sphere: the class
-    indicators span the semi-symmetric functions; membership constraints cut
-    them down.  The result must be 1.
-    """
-    _check_sphere(n, i, t)
-    if math.comb(n, i) > UNIQUENESS_SPHERE_LIMIT:
-        raise BudgetExceededError(
-            f"sphere has {math.comb(n, i)} points, budget {UNIQUENESS_SPHERE_LIMIT}",
-            vertex_count=math.comb(n, i),
-        )
-    y = (1 << t) - 1
-    sphere = list(weight_masks(n, i))
-    classes = np.array(
-        [[1.0 if (x & y).bit_count() == c else 0.0 for c in range(t + 1)] for x in sphere]
-    )
-    low = _superset_columns(n, sphere, t - 1) if t > 0 else np.zeros((len(sphere), 0))
-    constraints = low.T @ classes
-    if constraints.shape[0] == 0:
-        null_basis = np.eye(t + 1)
-        rank = 0
-    else:
-        u, s, vt = np.linalg.svd(constraints)
-        cutoff = max(constraints.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
-        rank = int((s > cutoff).sum())
-        null_basis = vt[rank:].T
-    span = _superset_columns(n, sphere, t)
-    dimension = 0
-    for col in null_basis.T:
-        f = classes @ col
-        norm = float(np.linalg.norm(f))
-        if norm == 0.0:
-            continue
-        coef, *_ = np.linalg.lstsq(span, f, rcond=None)
-        if float(np.linalg.norm(span @ coef - f)) <= MEMBERSHIP_SPAN_RTOL * norm:
-            dimension += 1
-    return ZonalUniquenessReport(n, i, t, t + 1, rank, dimension)

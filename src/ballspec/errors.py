@@ -25,10 +25,6 @@ class BudgetExceededError(RuntimeError):
         self.vertex_count = vertex_count
 
 
-class ZeroFunctionError(ValueError):
-    """An operation received an identically-zero function."""
-
-
 def check_band(n: int, r1: int, r2: int, t: int | None = None) -> None:
     """Reject a weight band [r1, r2] of {0,1}^n, or an origin weight t, out of range."""
     if n < 0 or not 0 <= r1 <= r2 <= n // 2:

@@ -20,12 +20,12 @@ even x odd biadjacency: without eigenvectors it holds only the blocks.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidParameterError, ZeroFunctionError, check_band
+from .errors import BudgetExceededError, InvalidParameterError, check_band
 
 DEFAULT_GRAPH_LIMIT = 2_000_000
 DEFAULT_DENSE_LIMIT = 5000
@@ -392,21 +392,3 @@ def oracle_spectrum(
         )
     ascending = np.argsort(w, kind="stable")
     return OracleSpectrum(w[ascending], x_mat[:, ascending], residual, tolerance)
-
-
-def rayleigh_fractional_boundary(g: InducedGraph, f: Iterable[float]) -> float:
-    """Dirichlet quotient n - (f^T A f)/(f^T f) for f supported on the band.
-
-    Extension of f by zero to the rest of the cube is implicit; minimizing
-    over f gives the fractional edge boundary of the band, n - lambda_max.
-    """
-    arr = np.asarray(list(f) if not isinstance(f, np.ndarray) else f, dtype=float)
-    if arr.shape != (g.vertex_count,):
-        raise InvalidParameterError(
-            f"function has {arr.shape} values, graph has {g.vertex_count} vertices"
-        )
-    den = float(arr @ arr)
-    if den == 0.0:
-        raise ZeroFunctionError("function is identically zero")
-    num = float(arr @ g.apply_adjacency(arr))
-    return g.n - num / den

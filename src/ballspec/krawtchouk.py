@@ -34,24 +34,8 @@ EXACT_COEFF_LIMIT = 64
 
 
 def binom_int(n: int, k: int) -> int:
-    """C(n, k) for any integer n and k >= 0 (0 for k < 0)."""
-    if k < 0:
-        return 0
-    if n >= 0:
-        return math.comb(n, k) if k <= n else 0
-    # falling factorial keeps this exact for negative n
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // math.factorial(k)
-
-
-def defining_sum(ambient_dim: int, degree: int, x: int) -> int:
-    """Evaluate the defining alternating binomial sum at an integer point."""
-    return sum(
-        (-1) ** l * binom_int(x, l) * binom_int(ambient_dim - x, degree - l)
-        for l in range(degree + 1)
-    )
+    """C(n, k) for n >= 0 and any integer k (0 for k < 0 or k > n)."""
+    return math.comb(n, k) if k >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -71,9 +55,6 @@ class KrawtchoukPoly:
     def eval_scaled(self, x: int) -> int:
         """Exact value of k! * K_k at an integer point."""
         return _horner(self.coeffs, x)
-
-    def leading_coefficient(self) -> Fraction:
-        return Fraction(self.coeffs[-1], self.scale)
 
 
 @dataclass(frozen=True)
@@ -245,7 +226,13 @@ def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
 
 
 def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], list[float]]:
-    """Diagonal and squared off-diagonals of the k x k Jacobi matrix of K_k over {0..N}."""
+    """Diagonal and squared off-diagonals of the k x k Jacobi matrix of K_k over {0..N}.
+
+    The monic transform P_k = k!/(-2)^k K_k satisfies
+    P_k = (x - N/2) P_{k-1} - (k-1)(N-k+2)/4 P_{k-2}, so the Jacobi matrix
+    has constant diagonal N/2 and squared off-diagonals (j-1)(N-j+2)/4;
+    its eigenvalues are exactly the roots of K_k.
+    """
     n, k = ambient_dim, degree
     if k < 1 or k > n:
         raise InvalidDegreeError(f"need 1 <= k <= N, got k={k}, N={n}")
@@ -253,18 +240,6 @@ def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], list[flo
     # Either way one correctly rounded int-to-float conversion, then an exact / 4.
     j = np.arange(2, k + 1, dtype=np.int64 if n < 2**32 else object)
     return [n / 2.0] * k, ((j - 1) * (n - j + 2) / 4.0).tolist()
-
-
-def jacobi_eigenvalues(ambient_dim: int, degree: int) -> RootList:
-    """Roots of K_k over {0..N} as eigenvalues of the k x k Jacobi matrix.
-
-    The monic transform P_k = k!/(-2)^k K_k satisfies
-    P_k = (x - N/2) P_{k-1} - (k-1)(N-k+2)/4 P_{k-2}, so the Jacobi matrix
-    has constant diagonal N/2 and squared off-diagonals (j-1)(N-j+2)/4;
-    its eigenvalues are exactly the roots of K_k.
-    """
-    values, radii = tridiagonal.eigenvalues_all(*_jacobi_matrix(ambient_dim, degree))
-    return RootList(tuple(values), tuple(radii), TRIDIAGONAL_EIGENSOLVE)
 
 
 def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float:
@@ -427,10 +402,3 @@ def _last_float_below(diag: list[float], off_sq: list[float], x: float) -> float
             lo = mid
         else:
             hi = mid
-
-
-def check_reciprocity(n: int, i: int, j: int) -> bool:
-    """C(n,j) K_i(j) == C(n,i) K_j(i), tested exactly in big integers."""
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise InvalidDegreeError(f"need 0 <= i, j <= n, got i={i}, j={j}, n={n}")
-    return math.comb(n, j) * defining_sum(n, i, j) == math.comb(n, i) * defining_sum(n, j, i)

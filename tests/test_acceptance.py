@@ -7,9 +7,11 @@ import numpy as np
 from ballspec import bounds as bd
 from ballspec import eigenfunctions as ef
 from ballspec import spectrum as sp
-from ballspec.krawtchouk import build, check_reciprocity, eval_exact, first_root, \
-    jacobi_eigenvalues, roots
+from ballspec import tridiagonal
+from ballspec.krawtchouk import TRIDIAGONAL_EIGENSOLVE, RootList, _jacobi_matrix, build, \
+    eval_exact, first_root, roots
 from helpers import cached_graph, cached_oracle
+from paper_checks import check_eigenspace_membership, check_reciprocity
 
 
 def _binom(n, k):
@@ -125,13 +127,13 @@ def test_criterion_5_eigenfunction_synthesis():
                     dim = r2 - tstar + 1
                     for y in _origin_samples(n, t):
                         for which in range(dim):
-                            fn = ef.synthesize(n, r1, r2, t, y, which, graph=graph)
+                            fn = ef.synthesize(n, r1, r2, t, y, which)
                             assert fn.residual <= 1e-8, (n, r1, r2, t, y, which)
                             for i in range(r1, tstar):
                                 assert not fn.values[graph.sphere_slice(i)].any()
                             for i in range(tstar, r2 + 1):
                                 restriction = fn.values[graph.sphere_slice(i)]
-                                assert ef.check_eigenspace_membership(n, i, t, restriction), \
+                                assert check_eigenspace_membership(n, i, t, restriction), \
                                     (n, r1, r2, t, y, which, i)
                             by_value.setdefault(round(fn.eigenvalue, 9), []).append(fn)
                             synth_count += 1
@@ -197,7 +199,8 @@ def test_criterion_7_root_properties():
                 hi = rl.values[i + 1] + rl.radius[i + 1]
                 assert math.ceil(lo) <= math.floor(hi), (n, k, i)
 
-            jac = jacobi_eigenvalues(n, k)
+            jac = RootList(*map(tuple, tridiagonal.eigenvalues_all(*_jacobi_matrix(n, k))),
+                           TRIDIAGONAL_EIGENSOLVE)
             for va, ra, vb, rb in zip(rl.values, rl.radius, jac.values, jac.radius):
                 assert abs(va - vb) <= ra + rb + 1e-13, (n, k)
 

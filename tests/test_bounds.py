@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import paper_checks as pc
 from ballspec import bounds as bd
 from ballspec.errors import InvalidParameterError
 from ballspec.krawtchouk import first_root
@@ -109,13 +110,13 @@ def test_first_root_upper_envelope():
 
 
 def test_reciprocity_delta_bound_small():
-    assert bd.reciprocity_delta_bound(4, 1) == 1
+    assert pc.reciprocity_delta_bound(4, 1) == 1
     # t+1 = ceil(n/2) forces degree 1 since its first root is n/2
-    assert bd.reciprocity_delta_bound(9, 4) == 1
+    assert pc.reciprocity_delta_bound(9, 4) == 1
 
 
 def test_reciprocity_delta_bound_n100():
-    i = bd.reciprocity_delta_bound(100, 40)
+    i = pc.reciprocity_delta_bound(100, 40)
     assert i == 4  # pinned by direct computation of the first roots
     assert first_root(100, 4) <= 41.0
     assert first_root(100, 3) > 41.0
@@ -125,9 +126,9 @@ def test_reciprocity_delta_bound_n100():
 
 def test_subcube_reference():
     n = 12
-    assert bd.subcube_reference(n, n - 1) == (1.0, float(n - 1))
-    assert bd.subcube_reference(n, n) == (0.0, float(n))
-    assert bd.subcube_reference(n, 0) == (float(n), 0.0)
+    assert pc.subcube_reference(n, n - 1) == (1.0, float(n - 1))
+    assert pc.subcube_reference(n, n) == (0.0, float(n))
+    assert pc.subcube_reference(n, 0) == (float(n), 0.0)
 
 
 def test_log2_big():

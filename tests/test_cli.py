@@ -117,6 +117,8 @@ TOO_LARGE_FOR_A_FLOAT = [
     ["krawtchouk", "--n", "0", "--k", "0", "--first-root"],
     ["krawtchouk", "--n", "0", "--k", "-3", "--first-root"],
     ["krawtchouk", "--n", "0", "--k", "1", "--first-root", "--tol", "nan"],
+    ["eigenfunction", "--n", "4", "--r", "2", "--t", "1", "--y", "1_0"],
+    ["eigenfunction", "--n", "4", "--r", "2", "--t", "1", "--y", "0b0"],
     *TOO_LARGE_FOR_A_FLOAT,
 ])
 def test_usage_errors_exit_2(capsys, argv):
@@ -149,6 +151,20 @@ def test_verify_workers_flag_is_gone(capsys):
         main(["verify", "--n", "4", "--r", "1", "--workers", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["krawtchouk", "--n", "5", "--k", "2", "--first-root", "--eval", "3"],
+    ["krawtchouk", "--n", "5", "--k", "2", "--roots", "--first-root"],
+    ["krawtchouk", "--n", "5", "--k", "2", "--coeffs", "--eval", "0"],
+    ["bounds", "--n", "100", "--log2s", "10", "--s", "5"],
+    ["bounds", "--n", "100"],
+])
+def test_conflicting_or_missing_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [

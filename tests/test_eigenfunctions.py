@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import paper_checks as pc
 from ballspec import eigenfunctions as ef
 from ballspec import spectrum as sp
 from ballspec.errors import InvalidParameterError
@@ -14,7 +15,7 @@ from helpers import cached_graph
 def test_basis_origin_zero_is_constant_one():
     b = ef.build_basis(5, 0, 2, 0, 0)
     for i in range(3):
-        assert b.sphere_values(i) == (Fraction(1),)
+        assert tuple(b.value(i, c) for c in range(b.t + 1)) == (Fraction(1),)
 
 
 def test_basis_closed_form_values():
@@ -186,15 +187,15 @@ def test_synthesize_invalid_index():
 
 
 def test_membership_constant_function():
-    assert ef.check_eigenspace_membership(4, 2, 0, np.ones(6))
+    assert pc.check_eigenspace_membership(4, 2, 0, np.ones(6))
 
 
 def test_membership_of_synthesized_restriction():
     g = cached_graph(4, 0, 2)
-    fn = ef.synthesize(4, 0, 2, 1, 0b0001, 0, graph=g)
+    fn = ef.synthesize(4, 0, 2, 1, 0b0001, 0)
     restriction = fn.values[g.sphere_slice(2)]
-    assert ef.check_eigenspace_membership(4, 2, 1, restriction)
-    assert not ef.check_eigenspace_membership(4, 2, 0, restriction)
+    assert pc.check_eigenspace_membership(4, 2, 1, restriction)
+    assert not pc.check_eigenspace_membership(4, 2, 0, restriction)
 
 
 def test_membership_superset_indicator_fails_below_its_weight():
@@ -205,26 +206,26 @@ def test_membership_superset_indicator_fails_below_its_weight():
     sphere = list(weight_masks(n, i))
     g_z = [1.0 if x & z == z else 0.0 for x in sphere]
     assert sum(g_z) == math.comb(n - t, i - t)
-    assert not ef.check_eigenspace_membership(n, i, t, g_z)
+    assert not pc.check_eigenspace_membership(n, i, t, g_z)
 
 
 def test_membership_dimension_mismatch():
     with pytest.raises(InvalidParameterError):
-        ef.check_eigenspace_membership(4, 2, 1, np.ones(5))
+        pc.check_eigenspace_membership(4, 2, 1, np.ones(5))
 
 
 def test_zonal_uniqueness_examples():
-    assert ef.check_zonal_uniqueness(4, 2, 1).dimension == 1
-    assert ef.check_zonal_uniqueness(6, 3, 3).dimension == 1
+    assert pc.check_zonal_uniqueness(4, 2, 1).dimension == 1
+    assert pc.check_zonal_uniqueness(6, 3, 3).dimension == 1
     for n, i in [(4, 2), (6, 3), (8, 4)]:
-        assert ef.check_zonal_uniqueness(n, i, 0).dimension == 1
+        assert pc.check_zonal_uniqueness(n, i, 0).dimension == 1
 
 
 def test_zonal_uniqueness_sweep():
     for n in range(2, 9):
         for i in range(n // 2 + 1):
             for t in range(i + 1):
-                assert ef.check_zonal_uniqueness(n, i, t).dimension == 1
+                assert pc.check_zonal_uniqueness(n, i, t).dimension == 1
 
 
 def test_nonzero_components_do_not_vanish_on_origin_supersets():
@@ -236,7 +237,7 @@ def test_nonzero_components_do_not_vanish_on_origin_supersets():
         for i in range(t, r2 + 1)
     }
     for which in range(3):
-        fn = ef.synthesize(n, r1, r2, t, y, which, graph=g)
+        fn = ef.synthesize(n, r1, r2, t, y, which)
         for k, i in enumerate(range(t, r2 + 1)):
             on_supersets = np.abs(fn.values[sup_idx[i]]).max()
             # normalized to the coefficient itself on supersets of the origin
@@ -247,9 +248,8 @@ def test_nonzero_components_do_not_vanish_on_origin_supersets():
 
 
 def test_cross_origin_orthogonality_at_shared_eigenvalue():
-    g = cached_graph(4, 0, 2)
-    f0 = ef.synthesize(4, 0, 2, 0, 0, 1, graph=g)  # eigenvalue 0 from origin 0
-    f2 = ef.synthesize(4, 0, 2, 2, 0b0011, 0, graph=g)  # eigenvalue 0 from origin 2
+    f0 = ef.synthesize(4, 0, 2, 0, 0, 1)  # eigenvalue 0 from origin 0
+    f2 = ef.synthesize(4, 0, 2, 2, 0b0011, 0)  # eigenvalue 0 from origin 2
     assert f0.eigenvalue == f2.eigenvalue == 0.0
     dot = abs(float(f0.values @ f2.values))
     assert dot <= 1e-8 * np.linalg.norm(f0.values) * np.linalg.norm(f2.values)
@@ -260,7 +260,7 @@ def test_restriction_determines_function():
     n, r1, r2, t = 6, 0, 3, 1
     g = cached_graph(n, r1, r2)
     rows = [
-        ef.synthesize(n, r1, r2, t, y, 0, graph=g).values
+        ef.synthesize(n, r1, r2, t, y, 0).values
         for y in weight_masks(n, t)
     ]
     full = np.array(rows)

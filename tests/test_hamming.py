@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import paper_checks as pc
 from ballspec import hamming as hm
-from ballspec.errors import BudgetExceededError, InvalidParameterError, ZeroFunctionError
+from ballspec.errors import BudgetExceededError, InvalidParameterError
 from helpers import band_cases, cached_graph, cached_oracle
 
 
@@ -291,7 +292,7 @@ def test_perron_for_balls():
 def test_rayleigh_on_perron_vector():
     orc = cached_oracle(4, 0, 1, want_vectors=True)
     g = cached_graph(4, 0, 1)
-    val = hm.rayleigh_fractional_boundary(g, orc.eigenvectors[:, -1])
+    val = pc.rayleigh_fractional_boundary(g, orc.eigenvectors[:, -1])
     assert val == pytest.approx(2.0, abs=1e-10)  # 4 - sqrt(4)
 
 
@@ -299,13 +300,13 @@ def test_rayleigh_single_vertex_indicator():
     g = cached_graph(5, 0, 2)
     f = np.zeros(g.vertex_count)
     f[3] = 1.0
-    assert hm.rayleigh_fractional_boundary(g, f) == 5.0
+    assert pc.rayleigh_fractional_boundary(g, f) == 5.0
 
 
 def test_rayleigh_rejects_zero_function():
     g = cached_graph(4, 0, 1)
-    with pytest.raises(ZeroFunctionError):
-        hm.rayleigh_fractional_boundary(g, np.zeros(5))
+    with pytest.raises(pc.ZeroFunctionError):
+        pc.rayleigh_fractional_boundary(g, np.zeros(5))
 
 
 def test_subcube_dirichlet_reference():

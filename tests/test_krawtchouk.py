@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import paper_checks as pc
 from ballspec import krawtchouk as kw
 from ballspec import tridiagonal
 from ballspec.errors import InvalidDegreeError, InvalidParameterError
@@ -31,7 +32,7 @@ def test_build_agrees_with_defining_sum_everywhere():
         for k in range(n + 1):
             p = kw.build(n, k)
             for x in range(-2, n + 3):
-                assert p.eval_scaled(x) == p.scale * kw.defining_sum(n, k, x)
+                assert p.eval_scaled(x) == p.scale * pc.defining_sum(n, k, x)
 
 
 @pytest.mark.parametrize("n,k", [(3, -1), (3, 4), (0, 1)])
@@ -44,7 +45,7 @@ def test_leading_coefficient():
     for n in range(1, 11):
         for k in range(n + 1):
             p = kw.build(n, k)
-            assert p.leading_coefficient() == Fraction((-2) ** k, math.factorial(k))
+            assert Fraction(p.coeffs[-1], p.scale) == Fraction((-2) ** k, math.factorial(k))
             assert p.coeffs[-1] == (-2) ** k
 
 
@@ -129,7 +130,9 @@ def test_first_root_at_zero_dimension_checks_tolerance(tol):
 def test_first_root_large_dimension_uses_jacobi_path():
     # straddle the exact-coefficient threshold; the two paths must line up
     at_limit = kw.first_root(64, 5)
-    assert at_limit == pytest.approx(kw.jacobi_eigenvalues(64, 5).values[0], abs=1e-11)
+    jacobi = kw.RootList(*map(tuple, tridiagonal.eigenvalues_all(*kw._jacobi_matrix(64, 5))),
+                         kw.TRIDIAGONAL_EIGENSOLVE)
+    assert at_limit == pytest.approx(jacobi.values[0], abs=1e-11)
     beyond = kw.first_root(65, 5)
     assert at_limit < beyond < 65  # roots shift up with the ambient dimension
     # the linear case has a closed form at any size
@@ -330,11 +333,11 @@ def test_roots_tolerance_above_quarter_is_clamped():
 
 
 def test_check_reciprocity_examples():
-    assert kw.check_reciprocity(4, 2, 1)
-    assert kw.check_reciprocity(4, 3, 2)
+    assert pc.check_reciprocity(4, 2, 1)
+    assert pc.check_reciprocity(4, 3, 2)
     for n in range(1, 10):
         for j in range(n + 1):
-            assert kw.check_reciprocity(n, 0, j)
+            assert pc.check_reciprocity(n, 0, j)
 
 
 def test_recurrence_consistency_small():
@@ -378,6 +381,7 @@ def test_polynomial_vs_jacobi_paths_agree():
     for n in range(1, 13):
         for k in range(1, n + 1):
             a = kw.roots(kw.build(n, k))
-            b = kw.jacobi_eigenvalues(n, k)
+            b = kw.RootList(*map(tuple, tridiagonal.eigenvalues_all(*kw._jacobi_matrix(n, k))),
+                            kw.TRIDIAGONAL_EIGENSOLVE)
             for va, ra, vb, rb in zip(a.values, a.radius, b.values, b.radius):
                 assert abs(va - vb) <= ra + rb + 1e-13
