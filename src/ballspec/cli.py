@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -160,8 +161,8 @@ def cmd_bounds(args) -> int:
 def cmd_eigenfunction(args) -> int:
     r1, r2 = _radii(args)
     if args.y is not None:
-        if not args.y or args.y.strip("01"):
-            raise InvalidParameterError(f"--y must be a string of 0s and 1s, got {args.y!r}")
+        if not args.y or len(args.y) != args.n or args.y.strip("01"):
+            raise InvalidParameterError(f"--y must be a string of n = {args.n} 0s and 1s, got {args.y!r}")
         y = int(args.y, 2)
     else:
         y = (1 << args.t) - 1
@@ -183,7 +184,9 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="ballspec",
         description="Spectra and eigenfunctions of weight-band subgraphs of the binary cube",

@@ -8,7 +8,12 @@ an integer-valued degree-k polynomial whose k! multiple has integer
 coefficients; that scaled form is what gets stored.  Roots are isolated by
 exact sign evaluation on the integer grid (each open unit interval holds at
 most one root, integer roots are detected exactly and deflated) and then
-certified by dyadic bisection with exact integer sign tests.
+certified by dyadic bisection with exact integer sign tests.  The bisection
+is seeded from a floating-point eigensolve of the Jacobi matrix, whose
+eigenvalues are the roots: the dyadic interval of the final width that
+holds the guess is taken when exact sign tests show a root strictly inside
+it, which is the interval the bisection would end on, so the seed changes
+no bit of the result.
 """
 
 from __future__ import annotations
@@ -150,6 +155,7 @@ def _bisect_bracket(
     left: int,
     sign_left: int,
     tol: float,
+    guess: float = math.nan,
 ) -> tuple[float, float]:
     """Certify the single root of ``work`` inside the open interval (left, left+1).
 
@@ -157,7 +163,24 @@ def _bisect_bracket(
     integer sign tests until the width drops below ``tol`` *and* the original
     polynomial ``full`` has nonzero opposite signs at both endpoints (an
     endpoint can transiently sit on a deflated integer root of ``full``).
+
+    A ``guess`` skips the halving: the level-e interval holding it, for the
+    first level e >= 2 with 2^-e <= tol, is returned when ``work`` and
+    ``full`` both have nonzero opposite signs at its ends.  Then the root of
+    ``work`` is strictly inside, so it is no dyadic of level <= e, no
+    midpoint the halving tests is a root, and the halving would end on that
+    same interval at that same e.  Any other guess (NaN, infinite, outside
+    the unit interval, or failing a sign test) runs the halving.
     """
+    level = 2
+    while 2.0 ** -level > tol:
+        level += 1
+    if math.isfinite(guess):
+        num, den = guess.as_integer_ratio()
+        a = (num << level) // den
+        inside = left << level <= a < (left + 1) << level
+        if inside and _brackets(work, a, level) and _brackets(full, a, level):
+            return _dyadic_midpoint(a, level)
     a, e = left, 0
     while True:
         mid = 2 * a + 1
@@ -171,14 +194,19 @@ def _bisect_bracket(
         else:
             a = 2 * a
         e += 1
-        if 2.0 ** -e <= tol and e >= 2:
-            s_lo = _sign_at_dyadic(full, a, e)
-            s_hi = _sign_at_dyadic(full, a + 1, e)
-            if s_lo != 0 and s_hi != 0 and s_lo != s_hi:
-                break
+        if e >= level and _brackets(full, a, e):
+            return _dyadic_midpoint(a, e)
+
+
+def _brackets(coeffs: list[int], a: int, e: int) -> bool:
+    """Whether the polynomial has nonzero, opposite signs at a/2^e and (a+1)/2^e."""
+    return _sign_at_dyadic(coeffs, a, e) * _sign_at_dyadic(coeffs, a + 1, e) < 0
+
+
+def _dyadic_midpoint(a: int, e: int) -> tuple[float, float]:
+    """Midpoint and certified half-width of the dyadic interval (a/2^e, (a+1)/2^e)."""
     value = float(Fraction(2 * a + 1, 1 << (e + 1)))
-    radius = 2.0 ** -(e + 1) + 2.0 * math.ulp(max(1.0, abs(value)))
-    return value, radius
+    return value, 2.0 ** -(e + 1) + 2.0 * math.ulp(max(1.0, abs(value)))
 
 
 def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
@@ -187,7 +215,11 @@ def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
     Integer roots come out exact (half-width one ulp); the rest are bracketed
     by the sign pattern on the integer grid -- orthogonality w.r.t. the
     binomial measure puts at most one root in each open unit interval -- and
-    bisected with exact sign confirmation.
+    bisected with exact sign confirmation.  Each bisection is seeded with
+    the eigenvalue of the Jacobi matrix (``_root_guesses``) that has
+    the same rank among the roots as its bracket; ``_bisect_bracket``
+    certifies the guess with four exact sign tests or ignores it, so the
+    roots are the unseeded ones, bit for bit.
     """
     if p.degree < 1:
         raise InvalidDegreeError("roots requires degree >= 1")
@@ -201,28 +233,42 @@ def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
     for r in int_roots:
         work = _deflate(work, r)
 
-    found: list[tuple[float, float]] = [
-        (float(r), math.ulp(max(1.0, float(r)))) for r in int_roots
-    ]
+    brackets: list[tuple[int, int]] = []
     if len(work) > 1:
         dgrid = [_horner(work, x) for x in range(p.ambient_dim + 1)]
         if any(v == 0 for v in dgrid):
             raise ArithmeticError("internal-error: repeated integer root")
-        for x in range(p.ambient_dim):
-            s_lo = (dgrid[x] > 0) - (dgrid[x] < 0)
-            s_hi = (dgrid[x + 1] > 0) - (dgrid[x + 1] < 0)
-            if s_lo != s_hi:
-                found.append(_bisect_bracket(work, full, x, s_lo, tol))
-    if len(found) != p.degree:
+        signs = [(v > 0) - (v < 0) for v in dgrid]
+        brackets = [(x, signs[x]) for x in range(p.ambient_dim) if signs[x] != signs[x + 1]]
+    if len(int_roots) + len(brackets) != p.degree:
         raise ArithmeticError(
-            f"internal-error: isolated {len(found)} roots, expected {p.degree}"
+            f"internal-error: isolated {len(int_roots) + len(brackets)} roots, expected {p.degree}"
         )
+    found = [(float(r), math.ulp(max(1.0, float(r)))) for r in int_roots]
+    if brackets:
+        guesses = _root_guesses(p.ambient_dim, p.degree)
+        # the roots below bracket i: the i brackets before it and the integer roots <= its left end
+        below = 0
+        for i, (x, sign) in enumerate(brackets):
+            while below < len(int_roots) and int_roots[below] <= x:
+                below += 1
+            found.append(_bisect_bracket(work, full, x, sign, tol, guesses[i + below]))
     found.sort()
     return RootList(
         tuple(v for v, _ in found),
         tuple(r for _, r in found),
         POLYNOMIAL_BISECTION,
     )
+
+
+def _root_guesses(ambient_dim: int, degree: int) -> list[float]:
+    """Eigenvalues of the Jacobi matrix of K_k, ascending, by a dense floating-point eigensolve.
+
+    Uncertified: only guesses for ``_bisect_bracket``.
+    """
+    diag, off_sq = _jacobi_matrix(ambient_dim, degree)
+    off = np.sqrt(off_sq)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)).tolist()
 
 
 def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], list[float]]:
@@ -249,9 +295,8 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
     dimension, where the corresponding 1x1 coupling block is the zero
     matrix); any other k needs 1 <= k <= N.  Large N skips exact
     coefficients and bisects the Jacobi matrix, seeded for k >= 512 from
-    the smallest eigenvalue of a window of it (``_window_guess``, or when
-    its coarse windows never agree ``_widest_window_guess``): the same bits,
-    in 2 full sweeps instead of ~55 when the guess is right.
+    the smallest eigenvalue of a window of it (``_window_guess``): the same
+    bits, in 2 full sweeps instead of ~55 when the guess is right.
     """
     n, k = ambient_dim, degree
     if n == 0 and k == 1:
@@ -261,48 +306,44 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
     if n <= EXACT_COEFF_LIMIT:
         return roots(build(n, k), tol).values[0]
     guess = _window_guess(n, k, diag, off_sq, tol)
-    if guess is None:
-        guess = _widest_window_guess(n, k, diag, off_sq, tol)
     return tridiagonal.eigenvalue_k(diag, off_sq, 0, tol, guess)[0]
 
 
 def _window_guess(n: int, k: int, diag: list[float], off_sq: list[float], tol: float):
-    """Smallest eigenvalue of the window of rows ending at row min(k, N//2 + 1), or None.
+    """Smallest eigenvalue of a window of rows ending at row min(k, N//2 + 1), or None for k < 512.
 
     The off-diagonals peak there, so the extreme eigenvector decays fast away
     from that end; by Cauchy interlacing a window gives an upper bound.
-    Windows of w = 64, 128, ... rows are solved coarsely until two agree, then
-    one of 4w rows to ``tol`` by ``_window_root``, starting 4 coarse
-    tolerances below the w-row value.  None if 4w would pass k/2.  Each
-    coarse solve is seeded with the last coarse value (the first with inf,
-    which costs no count); ``eigenvalue_k`` returns the same bits for any
-    guess, so the seeds only save sweeps.
-    """
-    end = min(k, n // 2 + 1)
-    coarse = max(tol, 1e-6 * n)
-    w, prev = 64, math.inf
-    while 8 * w <= k:
-        cur, _ = tridiagonal.eigenvalue_k(diag[end - w:end], off_sq[end - w:end - 1], 0, coarse, prev)
-        if abs(prev - cur) <= 2.0 * coarse:
-            start = end - 4 * w
-            return _window_root(diag[start:end], off_sq[start:end - 1], cur - 4.0 * coarse, tol)
-        prev, w = cur, 2 * w
-    return None
-
-
-def _widest_window_guess(n: int, k: int, diag: list[float], off_sq: list[float], tol: float):
-    """Smallest eigenvalue of the widest window ``_window_guess`` may refine, or None for k < 512.
-
-    For when its coarse windows never agree: the 4w rows ending at row
-    min(k, N//2 + 1) for the largest w = 64 * 2^j with 8w <= k, solved by
-    ``_window_root`` from the window's Gershgorin bottom.
+    Windows of w = 64, 128, ... rows with 8w <= k are solved coarsely until
+    two agree, then one of 4w rows to ``tol`` by ``_window_root``, starting
+    4 coarse tolerances below the w-row value.  If none agree, the widest
+    window, 4w rows for the last w, starts 4 times the gap between the last
+    two coarse values below the last; at its Gershgorin bottom if that is
+    higher, if only one window was solved, or if a Sturm count finds that
+    start not below its smallest eigenvalue.  Each coarse solve is seeded
+    with the last coarse value (the first with inf, which costs no count);
+    ``eigenvalue_k`` returns the same bits for any guess, so the seeds only
+    save sweeps.
     """
     if k < 512:
         return None
     end = min(k, n // 2 + 1)
-    start = end - (256 << ((k // 512).bit_length() - 1))
-    window = off_sq[start:end - 1]
-    return _window_root(diag[start:end], window, diag[0] - 2.0 * math.sqrt(max(window)), tol)
+    coarse = max(tol, 1e-6 * n)
+    w, prev, cur = 64, math.inf, math.inf
+    while 8 * w <= k:
+        prev, cur = cur, tridiagonal.eigenvalue_k(
+            diag[end - w:end], off_sq[end - w:end - 1], 0, coarse, cur)[0]
+        if abs(prev - cur) <= 2.0 * coarse:
+            start = end - 4 * w
+            return _window_root(diag[start:end], off_sq[start:end - 1], cur - 4.0 * coarse, tol)
+        w *= 2
+    start = end - 4 * (w // 2)  # the widest window: 4w rows for the last w solved
+    window_diag, window = diag[start:end], off_sq[start:end - 1]
+    gershgorin = diag[0] - 2.0 * math.sqrt(max(window))
+    below = cur - 4.0 * (prev - cur)  # -inf after one window
+    if not (gershgorin < below and tridiagonal.count_below(window_diag, window, below) == 0):
+        below = gershgorin
+    return _window_root(window_diag, window, below, tol)
 
 
 def _window_root(diag: list[float], off_sq: list[float], below: float, tol: float) -> float:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from ballspec import spectrum
-from ballspec.cli import main
+from ballspec.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -119,6 +119,9 @@ TOO_LARGE_FOR_A_FLOAT = [
     ["krawtchouk", "--n", "0", "--k", "1", "--first-root", "--tol", "nan"],
     ["eigenfunction", "--n", "4", "--r", "2", "--t", "1", "--y", "1_0"],
     ["eigenfunction", "--n", "4", "--r", "2", "--t", "1", "--y", "0b0"],
+    ["eigenfunction", "--n", "4", "--r", "2", "--t", "1", "--y", "1"],
+    ["eigenfunction", "--n", "4", "--r", "2", "--t", "1", "--y", "000000000001"],
+    ["eigenfunction", "--n", "4", "--r", "2", "--t", "1", "--y", ""],
     *TOO_LARGE_FOR_A_FLOAT,
 ])
 def test_usage_errors_exit_2(capsys, argv):
@@ -269,3 +272,27 @@ def test_console_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "3"
+
+
+MIXED_COMMANDS = [
+    ["spectrum", "--n", "6", "--r1", "1", "--r2", "3", "--format", "json"],
+    ["eigenfunction", "--n", "4", "--r", "2", "--t", "1", "--y", "1"],  # a usage error in the command
+    ["krawtchouk", "--n", "9", "--k", "4", "--roots"],
+    ["bounds", "--n", "100"],  # an argparse usage error
+    ["eigenfunction", "--n", "4", "--r", "2", "--t", "1", "--y", "0011", "--format", "text"],
+    ["krawtchouk", "--n", "5", "--k", "2", "--first-root", "--eval", "3"],
+    ["bounds", "--n", "100", "--log2s", "10", "--format", "csv"],
+    ["spectrum", "--n", "6", "--r1", "1", "--r2", "3", "--format", "json"],
+]
+
+
+def test_one_parser_serves_many_commands_as_fresh_processes_do(capsys):
+    assert build_parser() is build_parser()
+    for argv in MIXED_COMMANDS:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "ballspec.cli", *argv], capture_output=True, text=True)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

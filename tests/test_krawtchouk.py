@@ -105,6 +105,90 @@ def test_roots_count_and_interval():
             assert 0.0 < rl.values[0] and rl.values[-1] < n
 
 
+def brackets_of(n, k):
+    # work (full deflated by its integer roots), full, and (left, sign of work at left) per sign change
+    full = list(kw.build(n, k).coeffs)
+    work = full
+    for x in range(n + 1):
+        if kw._horner(full, x) == 0:
+            work = kw._deflate(work, x)
+    signs = [(v > 0) - (v < 0) for v in (kw._horner(work, x) for x in range(n + 1))]
+    return work, full, [(x, signs[x]) for x in range(n) if signs[x] != signs[x + 1]]
+
+
+def counting_signs(monkeypatch):
+    # patch the exact sign test to count its calls
+    calls = []
+    sign_at_dyadic = kw._sign_at_dyadic
+
+    def counting(coeffs, num, e):
+        calls.append(e)
+        return sign_at_dyadic(coeffs, num, e)
+
+    monkeypatch.setattr(kw, "_sign_at_dyadic", counting)
+    return calls
+
+
+# (N, k) with an integer root of full (even N, odd k: N/2), a half-integer root (odd N, odd k: N/2), both
+# kinds of symmetry, and degrees with only inexact roots
+BISECT_CASES = [(4, 3), (9, 3), (12, 5), (13, 7), (16, 5), (21, 10), (40, 13), (64, 33)]
+
+
+@pytest.mark.parametrize("n,k", BISECT_CASES)
+@pytest.mark.parametrize("tol", [kw.DEFAULT_TOL, 1e-5, 0.25])
+def test_bisect_bracket_keeps_the_bits_for_any_guess(n, k, tol, monkeypatch):
+    work, full, brackets = brackets_of(n, k)
+    integer_roots = [float(x) for x in range(n + 1) if kw._horner(full, x) == 0]
+    level = max(2, math.ceil(-math.log2(tol)))
+    assert brackets and (integer_roots or n % 2)
+    calls = counting_signs(monkeypatch)
+    for x, sign in brackets:
+        plain = kw._bisect_bracket(work, full, x, sign, tol)  # no guess: the halving
+        value, radius = plain
+        unit = 2.0 ** -level
+        guesses = {
+            "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+            "left end": float(x), "right end": float(x + 1), "left of the bracket": x - 0.5,
+            "right of the bracket": x + 1.5, "far": 1e300, "N/2": n / 2,
+            "next dyadic interval up": value + unit, "next dyadic interval down": value - unit,
+            **{f"integer root {r}": r for r in integer_roots},
+        }
+        for name, guess in guesses.items():
+            assert kw._bisect_bracket(work, full, x, sign, tol, guess) == plain, (n, k, x, name)
+        calls.clear()
+        assert kw._bisect_bracket(work, full, x, sign, tol, value) == plain, (n, k, x)
+        if radius > math.ulp(value):  # not an exact dyadic root: the guess is taken with four sign tests
+            assert calls == [level] * 4, (n, k, x)
+
+
+@pytest.mark.parametrize("n,k", [(9, 3), (13, 7), (21, 5), (63, 31)])
+def test_bisect_bracket_on_the_half_integer_root(n, k):
+    # for odd N and odd k, N/2 is a root; the halving finds it exactly at its first midpoint, and a guess
+    # there, which sits on an end of its dyadic intervals, is ignored
+    work, full, brackets = brackets_of(n, k)
+    (x, sign), = [(x, sign) for x, sign in brackets if x < n / 2 < x + 1]
+    for tol in (kw.DEFAULT_TOL, 0.25):
+        plain = kw._bisect_bracket(work, full, x, sign, tol)
+        assert plain == (n / 2, math.ulp(n / 2))
+        assert kw._bisect_bracket(work, full, x, sign, tol, n / 2) == plain
+        assert kw._bisect_bracket(work, full, x, sign, tol, math.nextafter(n / 2, 0.0)) == plain
+
+
+def test_roots_are_the_unseeded_roots_bit_for_bit(monkeypatch):
+    seeded = {(n, k): kw.roots(kw.build(n, k)) for n in range(1, 31) for k in range(1, n + 1)}
+    calls = counting_signs(monkeypatch)
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            kw.roots(kw.build(n, k))
+    seeded_calls = len(calls)
+    monkeypatch.setattr(kw, "_root_guesses", lambda n, k: [math.nan] * k)
+    calls.clear()
+    for (n, k), rl in seeded.items():
+        assert kw.roots(kw.build(n, k)) == rl, (n, k)
+    # the guesses save most of the exact sign tests (measured: 19,328 against 191,304)
+    assert seeded_calls < len(calls) / 5
+
+
 def test_first_root_examples():
     assert kw.first_root(4, 2) == pytest.approx(1.0, abs=1e-12)
     assert kw.first_root(6, 1) == pytest.approx(3.0, abs=1e-12)
@@ -206,19 +290,19 @@ def test_first_root_sweeps_the_full_matrix_only_a_few_times(monkeypatch):
             assert sweeps.count(max(m for m in sweeps if m < k)) <= 12, (n, k)
 
 
-# (N, k) where no two coarse windows agree, so _window_guess gives None; plain bisection sweeps 51-52 times
+# (N, k) where no two coarse windows agree, so _window_guess solves the widest window;
+# plain bisection sweeps 51-52 times
 WINDOWS_NEVER_AGREE = [(3000, 1154), (3000, 1300), (3000, 1501), (10**4, 2044), (4096, 2049)]
 
 
 @pytest.mark.parametrize("n,k", WINDOWS_NEVER_AGREE)
 def test_first_root_guesses_when_the_windows_never_agree(n, k, monkeypatch):
     diag, off_sq = kw._jacobi_matrix(n, k)
-    assert kw._window_guess(n, k, diag, off_sq, kw.DEFAULT_TOL) is None
     plain, _ = tridiagonal.eigenvalue_k(diag, off_sq, 0, kw.DEFAULT_TOL)
     # the guess is the unseeded bisection of the widest window, 4w rows for the largest 8w <= k
     end, rows = min(k, n // 2 + 1), 4 * 64 * 2 ** int(math.log2(k // 512))
     window, _ = tridiagonal.eigenvalue_k(diag[end - rows:end], off_sq[end - rows:end - 1], 0, kw.DEFAULT_TOL)
-    assert kw._widest_window_guess(n, k, diag, off_sq, kw.DEFAULT_TOL) == window
+    assert kw._window_guess(n, k, diag, off_sq, kw.DEFAULT_TOL) == window
     (refined, _, _), = windows_refined(n, k, monkeypatch)
     assert len(refined) == rows
     sweeps, _ = count_rows(monkeypatch)
@@ -226,9 +310,21 @@ def test_first_root_guesses_when_the_windows_never_agree(n, k, monkeypatch):
     assert sweeps.count(k) <= 3
 
 
+@pytest.mark.parametrize("n,k", [(3000, 1154), (10**4, 2044)])
+def test_widest_window_newton_starts_near_its_root(n, k, monkeypatch):
+    # from the Gershgorin bottom Newton took 18 and 19 sweeps of the 512-row window; measured now: 4
+    diag, off_sq = kw._jacobi_matrix(n, k)
+    plain, _ = tridiagonal.eigenvalue_k(diag, off_sq, 0, kw.DEFAULT_TOL)
+    (window, window_off_sq, below), = windows_refined(n, k, monkeypatch)
+    assert below > window[0] - 2.0 * math.sqrt(max(window_off_sq))  # not the Gershgorin bottom
+    _, newton = count_rows(monkeypatch)
+    assert kw.first_root(n, k) == plain
+    assert newton == [512] * len(newton) and len(newton) <= 6
+
+
 def test_widest_window_needs_k_at_least_512():
     diag, off_sq = kw._jacobi_matrix(1000, 511)
-    assert kw._widest_window_guess(1000, 511, diag, off_sq, kw.DEFAULT_TOL) is None
+    assert kw._window_guess(1000, 511, diag, off_sq, kw.DEFAULT_TOL) is None
 
 
 def jacobi_matrix_loop(n, k):
@@ -250,16 +346,20 @@ def test_jacobi_matrix_matches_the_list_comprehension(n, k):
 
 def window_guess_unseeded(n, k, diag, off_sq, tol):
     # the window solves without seeds: the reference the seeded ones must match bit for bit
+    if k < 512:
+        return None
     end = min(k, n // 2 + 1)
     coarse = max(tol, 1e-6 * n)
     w, prev = 64, math.inf
     while 8 * w <= k:
         cur, _ = tridiagonal.eigenvalue_k(diag[end - w:end], off_sq[end - w:end - 1], 0, coarse)
         if abs(prev - cur) <= 2.0 * coarse:
-            start = end - 4 * w
-            return tridiagonal.eigenvalue_k(diag[start:end], off_sq[start:end - 1], 0, tol)[0]
+            break
         prev, w = cur, 2 * w
-    return None
+    else:
+        w //= 2  # the widest window
+    start = end - 4 * w
+    return tridiagonal.eigenvalue_k(diag[start:end], off_sq[start:end - 1], 0, tol)[0]
 
 
 @pytest.mark.parametrize("n,k,tol", [
@@ -268,8 +368,9 @@ def window_guess_unseeded(n, k, diag, off_sq, tol):
     (10**5, 44120, 1e-6),
     (10**4, 1100, kw.DEFAULT_TOL),
     (10**4, 5002, kw.DEFAULT_TOL),
-    (4096, 2049, kw.DEFAULT_TOL),  # the windows never agree: no guess
-    (1000, 600, kw.DEFAULT_TOL),  # one coarse window, then no guess
+    (4096, 2049, kw.DEFAULT_TOL),  # the windows never agree: the widest one
+    (1000, 600, kw.DEFAULT_TOL),  # one coarse window, then the widest one from its Gershgorin bottom
+    (1000, 511, kw.DEFAULT_TOL),  # no window: no guess
 ])
 def test_window_guess_matches_the_unseeded_windows(n, k, tol):
     diag, off_sq = kw._jacobi_matrix(n, k)
