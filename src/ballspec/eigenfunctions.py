@@ -143,7 +143,7 @@ def synthesize(
             f"eigenvalue index {which} out of range [0, {block.dim})"
         )
     lam = lambda_set(n, r1, r2, t).values[which]
-    v = block.scaling() * tridiagonal.eigenvector([0.0] * block.dim, block.offdiag_sq, lam)
+    v = block.scaling() * tridiagonal.eigenvector(block.offdiag_sq, 0.0, lam)
     if v[0] == 0.0:
         raise ArithmeticError("internal-error: vanishing first coefficient")
     v = v / v[0]

@@ -101,13 +101,12 @@ def build(ambient_dim: int, degree: int) -> KrawtchoukPoly:
     if k == 0:
         return KrawtchoukPoly(n, 0, (1,), 1)
     cur = [n, -2]
-    for j in range(2, k + 1):
+    for j, f in enumerate(jacobi_couplings(n, 0, k - 1).tolist(), 2):
         # (N - 2x) * cur
         nxt = [0] * (j + 1)
         for i, c in enumerate(cur):
             nxt[i] += n * c
             nxt[i + 1] -= 2 * c
-        f = (j - 1) * (n - j + 2)
         for i, c in enumerate(prev):
             nxt[i] -= f * c
         prev, cur = cur, nxt
@@ -163,6 +162,8 @@ def _bisect_bracket(
     integer sign tests until the width drops below ``tol`` *and* the original
     polynomial ``full`` has nonzero opposite signs at both endpoints (an
     endpoint can transiently sit on a deflated integer root of ``full``).
+    ``full is work`` when no integer root was deflated; the halving keeps
+    ``work``'s signs opposite and nonzero, so ``full`` is then not tested.
 
     A ``guess`` skips the halving: the level-e interval holding it, for the
     first level e >= 2 with 2^-e <= tol, is returned when ``work`` and
@@ -179,7 +180,7 @@ def _bisect_bracket(
         num, den = guess.as_integer_ratio()
         a = (num << level) // den
         inside = left << level <= a < (left + 1) << level
-        if inside and _brackets(work, a, level) and _brackets(full, a, level):
+        if inside and _brackets(work, a, level) and (full is work or _brackets(full, a, level)):
             return _dyadic_midpoint(a, level)
     a, e = left, 0
     while True:
@@ -194,7 +195,7 @@ def _bisect_bracket(
         else:
             a = 2 * a
         e += 1
-        if e >= level and _brackets(full, a, e):
+        if e >= level and (full is work or _brackets(full, a, e)):
             return _dyadic_midpoint(a, e)
 
 
@@ -218,8 +219,9 @@ def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
     bisected with exact sign confirmation.  Each bisection is seeded with
     the eigenvalue of the Jacobi matrix (``_root_guesses``) that has
     the same rank among the roots as its bracket; ``_bisect_bracket``
-    certifies the guess with four exact sign tests or ignores it, so the
-    roots are the unseeded ones, bit for bit.
+    certifies the guess with two exact sign tests (four when an integer
+    root was deflated) or ignores it, so the roots are the unseeded ones,
+    bit for bit.
     """
     if p.degree < 1:
         raise InvalidDegreeError("roots requires degree >= 1")
@@ -266,13 +268,22 @@ def _root_guesses(ambient_dim: int, degree: int) -> list[float]:
 
     Uncertified: only guesses for ``_bisect_bracket``.
     """
-    diag, off_sq = _jacobi_matrix(ambient_dim, degree)
-    off = np.sqrt(off_sq)
-    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)).tolist()
+    return np.linalg.eigvalsh(tridiagonal.dense(*_jacobi_matrix(ambient_dim, degree))).tolist()
 
 
-def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], list[float]]:
-    """Diagonal and squared off-diagonals of the k x k Jacobi matrix of K_k over {0..N}.
+def jacobi_couplings(ambient_dim: int, first: int, last: int) -> np.ndarray:
+    """4 times the squared off-diagonals of the Jacobi matrix over {0..N} between rows first..last.
+
+    The integers (j-1)(N-j+2), j = first+2 .. last+1: int64 for N < 2^32,
+    where they are < 2^62, and exact Python ints (an object array) past that.
+    """
+    n = ambient_dim
+    j = np.arange(first + 2, last + 2, dtype=np.int64 if n < 2**32 else object)
+    return (j - 1) * (n - j + 2)
+
+
+def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], float]:
+    """Squared off-diagonals and constant diagonal of the k x k Jacobi matrix of K_k over {0..N}.
 
     The monic transform P_k = k!/(-2)^k K_k satisfies
     P_k = (x - N/2) P_{k-1} - (k-1)(N-k+2)/4 P_{k-2}, so the Jacobi matrix
@@ -282,10 +293,8 @@ def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], list[flo
     n, k = ambient_dim, degree
     if k < 1 or k > n:
         raise InvalidDegreeError(f"need 1 <= k <= N, got k={k}, N={n}")
-    # (j-1)(N-j+2) < 2^62 fits int64 for N < 2^32; past that, exact Python ints.
-    # Either way one correctly rounded int-to-float conversion, then an exact / 4.
-    j = np.arange(2, k + 1, dtype=np.int64 if n < 2**32 else object)
-    return [n / 2.0] * k, ((j - 1) * (n - j + 2) / 4.0).tolist()
+    # One correctly rounded int-to-float conversion, then an exact / 4.
+    return (jacobi_couplings(n, 0, k - 1) / 4.0).tolist(), n / 2.0
 
 
 def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float:
@@ -302,14 +311,14 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
     if n == 0 and k == 1:
         check_tol(tol)
         return 0.0
-    diag, off_sq = _jacobi_matrix(n, k)  # checks 1 <= k <= N for both paths
+    off_sq, d = _jacobi_matrix(n, k)  # checks 1 <= k <= N for both paths
     if n <= EXACT_COEFF_LIMIT:
         return roots(build(n, k), tol).values[0]
-    guess = _window_guess(n, k, diag, off_sq, tol)
-    return tridiagonal.eigenvalue_k(diag, off_sq, 0, tol, guess)[0]
+    guess = _window_guess(n, k, off_sq, d, tol)
+    return tridiagonal.eigenvalue_k(off_sq, d, 0, tol, guess)[0]
 
 
-def _window_guess(n: int, k: int, diag: list[float], off_sq: list[float], tol: float):
+def _window_guess(n: int, k: int, off_sq: list[float], d: float, tol: float):
     """Smallest eigenvalue of a window of rows ending at row min(k, N//2 + 1), or None for k < 512.
 
     The off-diagonals peak there, so the extreme eigenvector decays fast away
@@ -331,22 +340,19 @@ def _window_guess(n: int, k: int, diag: list[float], off_sq: list[float], tol: f
     coarse = max(tol, 1e-6 * n)
     w, prev, cur = 64, math.inf, math.inf
     while 8 * w <= k:
-        prev, cur = cur, tridiagonal.eigenvalue_k(
-            diag[end - w:end], off_sq[end - w:end - 1], 0, coarse, cur)[0]
+        prev, cur = cur, tridiagonal.eigenvalue_k(off_sq[end - w:end - 1], d, 0, coarse, cur)[0]
         if abs(prev - cur) <= 2.0 * coarse:
-            start = end - 4 * w
-            return _window_root(diag[start:end], off_sq[start:end - 1], cur - 4.0 * coarse, tol)
+            return _window_root(off_sq[end - 4 * w:end - 1], d, cur - 4.0 * coarse, tol)
         w *= 2
-    start = end - 4 * (w // 2)  # the widest window: 4w rows for the last w solved
-    window_diag, window = diag[start:end], off_sq[start:end - 1]
-    gershgorin = diag[0] - 2.0 * math.sqrt(max(window))
+    window = off_sq[end - 4 * (w // 2):end - 1]  # the widest window: 4w rows for the last w solved
+    gershgorin = d - 2.0 * math.sqrt(max(window))
     below = cur - 4.0 * (prev - cur)  # -inf after one window
-    if not (gershgorin < below and tridiagonal.count_below(window_diag, window, below) == 0):
+    if not (gershgorin < below and tridiagonal.count_below(window, d, below) == 0):
         below = gershgorin
-    return _window_root(window_diag, window, below, tol)
+    return _window_root(window, d, below, tol)
 
 
-def _window_root(diag: list[float], off_sq: list[float], below: float, tol: float) -> float:
+def _window_root(off_sq: list[float], d: float, below: float, tol: float) -> float:
     """Smallest eigenvalue of a Jacobi window, with the bits of its bisection, in a few sweeps.
 
     Newton's method from ``below`` that eigenvalue lands within about one
@@ -355,8 +361,8 @@ def _window_root(diag: list[float], off_sq: list[float], below: float, tol: floa
     ``eigenvalue_k`` certifies that float as its guess with two counts.
     Whatever Newton or the gallop return, the certificate keeps the bits.
     """
-    x = _newton_from_below(diag, off_sq, below)
-    return tridiagonal.eigenvalue_k(diag, off_sq, 0, tol, _last_float_below(diag, off_sq, x))[0]
+    x = _newton_from_below(off_sq, d, below)
+    return tridiagonal.eigenvalue_k(off_sq, d, 0, tol, _last_float_below(off_sq, d, x))[0]
 
 
 # Caps on the sweeps of _newton_from_below and on the step doublings of _last_float_below.
@@ -369,7 +375,7 @@ def _unit(d: float, x: float) -> float:
     return math.ulp(abs(d) + abs(x))
 
 
-def _newton_from_below(diag: list[float], off_sq: list[float], x: float) -> float:
+def _newton_from_below(off_sq: list[float], d: float, x: float) -> float:
     """Newton's method on det(T - x) for a constant diagonal, from x below the smallest eigenvalue.
 
     The polynomial has only real roots, so from below the smallest one each
@@ -380,26 +386,26 @@ def _newton_from_below(diag: list[float], off_sq: list[float], x: float) -> floa
     """
     prev = 0.0
     for _ in range(_NEWTON_STEPS):
-        s = _log_det_slope(diag, off_sq, x)
+        s = _log_det_slope(off_sq, d, x)
         if s is None:
             return x
         step = -1.0 / s
         x += step
-        unit = _unit(diag[0], x)
+        unit = _unit(d, x)
         if step <= unit or step * step * step <= unit * prev * prev:
             return x
         prev = step
     return x
 
 
-def _log_det_slope(diag: list[float], off_sq: list[float], x: float) -> float | None:
+def _log_det_slope(off_sq: list[float], d: float, x: float) -> float | None:
     """d/dx log det(T - x) for a constant diagonal, or None at a pivot <= 0.
 
     det(T - x) is the product of the LDL^T pivots q_i = d - x - e2_i / q_{i-1}
     of ``tridiagonal.count_below``, and the same loop sums
     q_i' / q_i = (e2_i / q_{i-1} * q_{i-1}' / q_{i-1} - 1) / q_i.
     """
-    a, q, t, s = diag[0] - x, math.inf, 0.0, 0.0
+    a, q, t, s = d - x, math.inf, 0.0, 0.0
     for e2 in chain((0.0,), off_sq):
         r = e2 / q
         q = a - r
@@ -410,7 +416,7 @@ def _log_det_slope(diag: list[float], off_sq: list[float], x: float) -> float | 
     return s
 
 
-def _last_float_below(diag: list[float], off_sq: list[float], x: float) -> float:
+def _last_float_below(off_sq: list[float], d: float, x: float) -> float:
     """The largest float at which ``count_below`` finds no eigenvalue, by a gallop from x.
 
     Counts at x -+ 1, 2, 4, ... times ``_unit`` until the count switches
@@ -423,10 +429,10 @@ def _last_float_below(diag: list[float], off_sq: list[float], x: float) -> float
     pivmin = tridiagonal._pivot_floor(off_sq)  # once: on a window the max costs as much as a sweep
 
     def below(y):
-        return tridiagonal.count_below(diag, off_sq, y, pivmin=pivmin) == 0
+        return tridiagonal.count_below(off_sq, d, y, pivmin=pivmin) == 0
 
     up = below(x)
-    near, step = x, _unit(diag[0], x)
+    near, step = x, _unit(d, x)
     for _ in range(_GALLOP):
         far = x + step if up else x - step
         if below(far) != up:

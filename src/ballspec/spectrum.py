@@ -65,9 +65,7 @@ class TridiagonalSym:
         negation, so paired estimates are averaged and an odd dimension
         pins the middle eigenvalue to exactly 0.0.
         """
-        diag = [0.0] * self.dim
-        off_sq = [float(v) for v in self.offdiag_sq]
-        values, radii = tridiagonal.eigenvalues_all(diag, off_sq)
+        values, radii = tridiagonal.eigenvalues_all([float(v) for v in self.offdiag_sq], 0.0)
         m = self.dim
         sym_vals = [0.5 * (values[i] - values[m - 1 - i]) for i in range(m)]
         sym_radii = [max(radii[i], radii[m - 1 - i]) for i in range(m)]
@@ -87,9 +85,8 @@ def coupling_matrix(n: int, r1: int, r2: int, t: int) -> TridiagonalSym:
     check_band(n, r1, r2, t)
     tstar = max(t, r1)
     dim = r2 - tstar + 1
-    off_sq = tuple(
-        (k - 1) * (n - 2 * t - k + 2) for k in range(tstar - t + 2, r2 - t + 2)
-    )
+    # rows tstar-t .. r2-t of the Jacobi matrix over n - 2t, times 4
+    off_sq = tuple(krawtchouk.jacobi_couplings(n - 2 * t, tstar - t, r2 - t).tolist())
     if len(off_sq) != dim - 1 or any(v <= 0 for v in off_sq):
         raise ArithmeticError(f"internal-error: bad coupling entries {off_sq}")
     return TridiagonalSym(n, r1, r2, t, tstar, dim, off_sq)

@@ -1,9 +1,9 @@
 """Symmetric tridiagonal eigenvalues via Sturm-count bisection.
 
-All routines take the *squared* off-diagonal entries.  Callers in this
-package have those squares exactly (small integers, or integers over 4),
-so the Sturm recurrence never touches an inexact square root; only the
-Gershgorin bracket and the dense inverse-iteration matrix take roots.
+All routines take the *squared* off-diagonal entries ``off_sq`` and the
+constant diagonal ``d`` (0 for the origin blocks, N/2 for the Jacobi matrix)
+of a matrix of ``len(off_sq) + 1`` rows.  The squares are exact (integers,
+or integers over 4), so only the Gershgorin bracket and ``dense`` take roots.
 """
 
 from __future__ import annotations
@@ -21,51 +21,35 @@ _SAFMIN = 2.2250738585072014e-308
 DEFAULT_TOL = 1e-12
 
 
-def count_below(
-    diag: Sequence[float], off_sq: Sequence[float], x: float, *, pivmin: float | None = None
-) -> int:
+def count_below(off_sq: Sequence[float], d: float, x: float, *, pivmin: float | None = None) -> int:
     """Number of eigenvalues strictly below ``x``.
 
     Standard Sturm sign count on the sequence of leading-principal-minor
-    ratios q_i = d_i - x - e2_i / q_{i-1}, with the LAPACK-style pivot floor
+    ratios q_i = d - x - e2_i / q_{i-1}, with the LAPACK-style pivot floor
     (a q with |q| <= pivmin becomes -pivmin) to survive exact zeros.
     ``pivmin`` depends only on ``off_sq``; ``eigenvalue_k`` computes it once
     per matrix and passes it in.
 
     The floor is one branch on the sign of q, which for every float,
     including +-0.0 and NaN, counts and floors as the test |q| <= pivmin
-    followed by q < 0 does.  A constant diagonal takes ``a = d - x`` once:
-    Python evaluates ``d - x - e2 / q`` as ``(d - x) - e2 / q``, so every q
-    has the same bits (a diagonal that mixes 0.0 and -0.0 can flip only the
-    sign of a zero q, which the floor treats alike).  A leading zero coupling
-    over q = inf makes row 0 the plain ``d - x``.
+    followed by q < 0 does.  ``a = d - x`` is taken once: Python evaluates
+    ``d - x - e2 / q`` as ``(d - x) - e2 / q``, so every q has the same
+    bits.  A leading zero coupling over q = inf makes row 0 the plain
+    ``d - x``.
     """
     if pivmin is None:
         pivmin = _pivot_floor(off_sq)
     floor = -pivmin
-    q, count = math.inf, 0
-    couplings = chain((0.0,), off_sq)
-    if diag.count(diag[0]) == len(diag):
-        a = diag[0] - x
-        for e2 in couplings:
-            q = a - e2 / q
-            if q < 0.0:
-                count += 1
-                if q >= floor:
-                    q = floor
-            elif q <= pivmin:
+    a, q, count = d - x, math.inf, 0
+    for e2 in chain((0.0,), off_sq):
+        q = a - e2 / q
+        if q < 0.0:
+            count += 1
+            if q >= floor:
                 q = floor
-                count += 1
-    else:
-        for d, e2 in zip(diag, couplings):
-            q = d - x - e2 / q
-            if q < 0.0:
-                count += 1
-                if q >= floor:
-                    q = floor
-            elif q <= pivmin:
-                q = floor
-                count += 1
+        elif q <= pivmin:
+            q = floor
+            count += 1
     return count
 
 
@@ -73,18 +57,13 @@ def _pivot_floor(off_sq: Sequence[float]) -> float:
     return _SAFMIN * max(1.0, max(off_sq, default=1.0))
 
 
-def _gershgorin(diag: Sequence[float], off_sq: Sequence[float]) -> tuple[float, float]:
+def _gershgorin(off_sq: Sequence[float], d: float) -> tuple[float, float]:
+    """d -+ the largest row spread, padded; rounding is monotone, so the extreme rows' bits."""
     off = np.sqrt(np.asarray(off_sq, dtype=float))
     spread = np.append(off, 0.0)  # row i: off[i] + off[i - 1], one term at either end
     spread[1:] += off
-    if diag.count(diag[0]) == len(diag):
-        # rounding is monotone, so d -+ the largest spread gives the extreme rows' bits
-        widest = float(spread.max())
-        lo, hi = diag[0] - widest, diag[0] + widest
-    else:
-        d = np.asarray(diag, dtype=float)
-        lo = float((d - spread).min())
-        hi = float((d + spread).max())
+    widest = float(spread.max())
+    lo, hi = d - widest, d + widest
     pad = 1e-10 * max(1.0, abs(lo), abs(hi))
     return lo - pad, hi + pad
 
@@ -93,7 +72,7 @@ def _gershgorin(diag: Sequence[float], off_sq: Sequence[float]) -> tuple[float, 
 _RETRIES = 1
 
 
-def _certified_count(diag, off_sq, k: int, lo: float, hi: float, guess: float, tol: float,
+def _certified_count(off_sq, d, k: int, lo: float, hi: float, guess: float, tol: float,
                      pivmin: float):
     """``count_below``, sweeping only where the checks of ``guess`` leave ``> k`` undecided.
 
@@ -121,37 +100,52 @@ def _certified_count(diag, off_sq, k: int, lo: float, hi: float, guess: float, t
             else:
                 a = mid
         if a > below:
-            if count_below(diag, off_sq, a, pivmin=pivmin) > k:
+            if count_below(off_sq, d, a, pivmin=pivmin) > k:
                 above, guess = a, math.nextafter(a, -math.inf)
                 continue
             below = a
         if b < above:
-            if count_below(diag, off_sq, b, pivmin=pivmin) <= k:
+            if count_below(off_sq, d, b, pivmin=pivmin) <= k:
                 below = guess = b
                 continue
             above = b
         break
 
-    def count(diag, off_sq, x, *, pivmin):
+    def count(off_sq, d, x, *, pivmin):
         if x >= above:
             return k + 1
-        return k if x <= below else count_below(diag, off_sq, x, pivmin=pivmin)
+        return k if x <= below else count_below(off_sq, d, x, pivmin=pivmin)
 
     return count
 
 
+def _bisect(off_sq, d, k: int, lo: float, hi: float, tol: float, pivmin: float, count):
+    """The midpoint of (lo, hi) bisected to ``tol`` keeping count(lo) <= k < count(hi).
+
+    The certified half-width is the final bracket radius plus a few ulps of
+    slop for the floating-point Sturm recurrence itself.
+    """
+    while hi - lo > 2.0 * tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # hit floating-point resolution
+        if count(off_sq, d, mid, pivmin=pivmin) >= k + 1:
+            hi = mid
+        else:
+            lo = mid
+    value = 0.5 * (lo + hi)
+    radius = 0.5 * (hi - lo) + 4.0 * math.ulp(max(1.0, abs(value)))
+    return value, radius
+
+
 def eigenvalue_k(
-    diag: Sequence[float],
     off_sq: Sequence[float],
+    d: float,
     k: int,
     tol: float = DEFAULT_TOL,
     guess: float | None = None,
 ) -> tuple[float, float]:
-    """k-th smallest eigenvalue (0-based) with a certified half-width.
-
-    Bisection keeps the invariant count(lo) <= k < count(hi); the returned
-    half-width is the final bracket radius plus a few ulps of slop for the
-    floating-point Sturm recurrence itself.
+    """k-th smallest eigenvalue (0-based) with a certified half-width, by bisection.
 
     A ``guess`` strictly inside the Gershgorin bracket is checked with two
     Sturm counts (``_certified_count``); the bisection then sweeps only at a
@@ -161,46 +155,45 @@ def eigenvalue_k(
     Any other guess, NaN included, is ignored.
     """
     check_tol(tol)
-    m = len(diag)
+    m = len(off_sq) + 1
     if not 0 <= k < m:
         raise ValueError(f"eigenvalue index {k} out of range for dimension {m}")
     if m == 1:
-        return float(diag[0]), 0.0
-    lo, hi = _gershgorin(diag, off_sq)
+        return float(d), 0.0
+    lo, hi = _gershgorin(off_sq, d)
     pivmin = _pivot_floor(off_sq)
     if guess is not None and lo < guess < hi:
-        count = _certified_count(diag, off_sq, k, lo, hi, guess, tol, pivmin)
+        count = _certified_count(off_sq, d, k, lo, hi, guess, tol, pivmin)
     else:
         count = count_below
-    while hi - lo > 2.0 * tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # hit floating-point resolution
-        if count(diag, off_sq, mid, pivmin=pivmin) >= k + 1:
-            hi = mid
-        else:
-            lo = mid
-    value = 0.5 * (lo + hi)
-    radius = 0.5 * (hi - lo) + 4.0 * math.ulp(max(1.0, abs(value)))
-    return value, radius
+    return _bisect(off_sq, d, k, lo, hi, tol, pivmin, count)
 
 
 def eigenvalues_all(
-    diag: Sequence[float],
     off_sq: Sequence[float],
+    d: float,
     tol: float = DEFAULT_TOL,
 ) -> tuple[list[float], list[float]]:
-    """All eigenvalues ascending, each with its certified half-width."""
-    values = []
-    radii = []
-    for k in range(len(diag)):
-        v, r = eigenvalue_k(diag, off_sq, k, tol)
-        values.append(v)
-        radii.append(r)
-    return values, radii
+    """All eigenvalues ascending with their half-widths: ``eigenvalue_k``'s, bracketed once."""
+    check_tol(tol)
+    m = len(off_sq) + 1
+    if m == 1:
+        return [float(d)], [0.0]
+    lo, hi = _gershgorin(off_sq, d)
+    pivmin = _pivot_floor(off_sq)
+    pairs = [_bisect(off_sq, d, k, lo, hi, tol, pivmin, count_below) for k in range(m)]
+    return [v for v, _ in pairs], [r for _, r in pairs]
 
 
-def eigenvector(diag: Sequence[float], off_sq: Sequence[float], lam: float) -> np.ndarray:
+def dense(off_sq: Sequence[float], d: float) -> np.ndarray:
+    """The matrix as a dense float array."""
+    off = np.sqrt(np.asarray(off_sq, dtype=float))
+    a = np.diag(off, 1) + np.diag(off, -1)
+    np.fill_diagonal(a, d)
+    return a
+
+
+def eigenvector(off_sq: Sequence[float], d: float, lam: float) -> np.ndarray:
     """Unit eigenvector for a precomputed eigenvalue, by inverse iteration.
 
     Two iterations from e_1 with a slightly perturbed shift; e_1 is never
@@ -208,12 +201,10 @@ def eigenvector(diag: Sequence[float], off_sq: Sequence[float], lam: float) -> n
     have a nonzero first coordinate.  Dense solves are fine at the tiny
     dimensions used here.
     """
-    m = len(diag)
+    m = len(off_sq) + 1
     if m == 1:
         return np.ones(1)
-    a = np.diag(np.asarray(diag, dtype=float))
-    offa = np.sqrt(np.asarray(off_sq, dtype=float))
-    a += np.diag(offa, 1) + np.diag(offa, -1)
+    a = dense(off_sq, d)
     scale = max(1.0, float(np.abs(a).max()))
     shift = lam + 1e-13 * scale
     v = np.zeros(m)

@@ -2,8 +2,10 @@
 
 ``bench/run.py`` counts ``spectrum.AmbiguousMergeWarning``; the tracer in
 ``bench/tracing.py`` wraps each function under every name a module binds it
-to, and the ``InducedGraph`` methods in ``GRAPH_METHODS``.  A rename here
-would break ``bench/run.py --trace 1`` without failing any other test.
+to, and the ``InducedGraph`` methods in ``GRAPH_METHODS``; it counts Sturm
+rows as the length of the first argument of ``tridiagonal.count_below``.  A
+rename here, or a scalar first argument there, would break
+``bench/run.py --trace 1`` without failing any other test.
 """
 
 import importlib
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from ballspec import cli
 from ballspec.hamming import InducedGraph
 from ballspec.spectrum import AmbiguousMergeWarning
 
@@ -35,9 +38,29 @@ def test_bindings_are_the_defining_function(module, name, home):
     assert bound is getattr(importlib.import_module(f"ballspec.{home}"), name)
 
 
-def test_graph_methods_the_tracer_wraps_exist():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for name in tracing.GRAPH_METHODS:
+    return tracing
+
+
+def test_graph_methods_the_tracer_wraps_exist():
+    for name in load_tracing().GRAPH_METHODS:
         assert callable(getattr(InducedGraph, name, None)), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "8", "--r", "3"],
+    ["krawtchouk", "--n", "2000", "--k", "700", "--first-root"],
+    ["eigenfunction", "--n", "6", "--r", "3", "--t", "1"],
+])
+def test_traced_commands_count_sturm_rows(argv, capsys):
+    # the tracer counts Sturm rows from the first argument of count_below, the couplings
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["tridiagonal.sturm_steps"] > 0

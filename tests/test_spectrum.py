@@ -211,3 +211,38 @@ def test_expanded_matches_oracle_multiset():
         tab = sp.full_spectrum(n, r1, r2)
         orc = cached_oracle(n, r1, r2)
         assert np.abs(tab.expanded() - orc.eigenvalues).max() < 1e-8
+
+
+def coupling_comprehension(n, r1, r2, t):
+    # the couplings as a comprehension over the formula: the reference for the shared integer one
+    tstar = max(t, r1)
+    return tuple((k - 1) * (n - 2 * t - k + 2) for k in range(tstar - t + 2, r2 - t + 2))
+
+
+def assert_couplings(n, r1, r2, t):
+    got = sp.coupling_matrix(n, r1, r2, t).offdiag_sq
+    assert got == coupling_comprehension(n, r1, r2, t), (n, r1, r2, t)
+    assert all(type(v) is int for v in got), (n, r1, r2, t)
+
+
+def test_coupling_matrix_matches_the_comprehension_on_every_small_block():
+    for n in range(40):
+        for r2 in range(n // 2 + 1):
+            for r1 in range(r2 + 1):
+                for t in range(r2 + 1):
+                    assert_couplings(n, r1, r2, t)
+
+
+@pytest.mark.parametrize("n,r1,r2,t", [
+    (2**32 - 1, 0, 6, 0),  # n - 2t = 2**32 - 1: the last int64 case
+    (2**32 + 1, 3, 9, 1),
+    (2**32 - 1, 2**31 - 5, 2**31 - 1, 0),  # couplings near 2**62, the int64 top
+    (2**32, 0, 6, 0),  # n - 2t = 2**32: exact Python ints
+    (2**32 + 4, 3, 9, 2),
+    (2**32, 2**31 - 4, 2**31, 0),
+    (10**21, 0, 5, 0),
+    (10**21, 2, 8, 4),
+    (10**21, 10**21 // 2 - 3, 10**21 // 2, 0),
+])
+def test_coupling_matrix_matches_the_comprehension_past_int64(n, r1, r2, t):
+    assert_couplings(n, r1, r2, t)

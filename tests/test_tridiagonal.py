@@ -8,14 +8,29 @@ from ballspec.krawtchouk import _jacobi_matrix
 from ballspec.spectrum import coupling_matrix
 
 
+# A case lists its whole diagonal, as the row-loop references below read it; the routines
+# take the one value of that constant diagonal.
+
+
 def dense(diag, off):
     a = np.diag(np.asarray(diag, float))
     off = np.asarray(off, float)
     return a + np.diag(off, 1) + np.diag(off, -1)
 
 
+def constant(diag):
+    # the one value of a case's diagonal, with its sign
+    assert len({repr(v) for v in diag}) == 1, diag
+    return diag[0]
+
+
+def jacobi(n, k):
+    off_sq, d = _jacobi_matrix(n, k)
+    return [d] * k, off_sq
+
+
 def test_two_by_two_antidiagonal():
-    vals, radii = td.eigenvalues_all([0.0, 0.0], [2.0])
+    vals, radii = td.eigenvalues_all([2.0], 0.0)
     assert vals[0] == pytest.approx(-np.sqrt(2), abs=1e-12)
     assert vals[1] == pytest.approx(np.sqrt(2), abs=1e-12)
     assert all(r < 1e-11 for r in radii)
@@ -23,64 +38,66 @@ def test_two_by_two_antidiagonal():
 
 def test_count_below_at_exact_eigenvalue():
     # zero pivots must still count correctly
-    assert td.count_below([0.0, 0.0], [2.0], 0.0) == 1
-    assert td.count_below([0.0, 0.0, 0.0], [1.0, 1.0], 0.0) in (1, 2)
+    assert td.count_below([2.0], 0.0, 0.0) == 1
+    assert td.count_below([1.0, 1.0], 0.0, 0.0) in (1, 2)
 
 
 def test_random_matrices_against_numpy():
     rng = np.random.default_rng(20240117)
     for m in (1, 2, 3, 5, 8, 13, 21):
-        d = rng.normal(size=m) * 3
+        d = float(rng.normal()) * 3
         e = rng.normal(size=m - 1) * 2
-        vals, radii = td.eigenvalues_all(list(d), list(e * e), 1e-13)
-        ref = np.linalg.eigvalsh(dense(d, e))
+        vals, radii = td.eigenvalues_all((e * e).tolist(), d, 1e-13)
+        ref = np.linalg.eigvalsh(dense([d] * m, e))
         assert np.abs(np.asarray(vals) - ref).max() < 1e-10
         assert np.all(np.diff(vals) >= 0)
 
 
 def test_certified_radius_brackets_truth():
     rng = np.random.default_rng(7)
-    d = rng.normal(size=9)
+    d = float(rng.normal())
     e = rng.normal(size=8)
-    ref = np.linalg.eigvalsh(dense(d, e))
+    ref = np.linalg.eigvalsh(dense([d] * 9, e))
     for k in range(9):
-        v, r = td.eigenvalue_k(list(d), list(e * e), k, tol=1e-10)
+        v, r = td.eigenvalue_k((e * e).tolist(), d, k, tol=1e-10)
         assert abs(v - ref[k]) <= r + 1e-12
 
 
 def test_eigenvector_inverse_iteration():
     rng = np.random.default_rng(11)
-    d = rng.normal(size=7)
+    d = float(rng.normal())
     e = rng.uniform(0.5, 2.0, size=6)  # unreduced
-    a = dense(d, e)
+    a = dense([d] * 7, e)
+    assert np.array_equal(td.dense((e * e).tolist(), d), a)
     ref = np.linalg.eigvalsh(a)
     for k in (0, 3, 6):
-        v = td.eigenvector(list(d), list(e * e), ref[k])
+        v = td.eigenvector((e * e).tolist(), d, ref[k])
         assert np.linalg.norm(a @ v - ref[k] * v) < 1e-9
         assert v[0] != 0.0
 
 
 def test_eigenvalue_index_range():
     with pytest.raises(ValueError):
-        td.eigenvalue_k([0.0, 0.0], [1.0], 2)
+        td.eigenvalue_k([1.0], 0.0, 2)
 
 
 def random_block(seed, m):
+    # random couplings and a random constant diagonal
     rng = np.random.default_rng(seed)
     e = rng.normal(size=m - 1) * 2
-    return list(rng.normal(size=m) * 3), list(e * e)
+    return [float(rng.normal()) * 3] * m, (e * e).tolist()
 
 
-def bisection_run(diag, off_sq, k, tol=td.DEFAULT_TOL):
+def bisection_run(off_sq, d, k, tol=td.DEFAULT_TOL):
     # the unseeded bisection step by step: its midpoints and its final bracket
-    lo, hi = td._gershgorin(diag, off_sq)
+    lo, hi = td._gershgorin(off_sq, d)
     mids = []
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
         mids.append(mid)
-        if td.count_below(diag, off_sq, mid) > k:
+        if td.count_below(off_sq, d, mid) > k:
             hi = mid
         else:
             lo = mid
@@ -92,17 +109,17 @@ def counted(monkeypatch):
     shifts = []
     count_below = td.count_below
 
-    def counting(diag, off_sq, x, **kwargs):
+    def counting(off_sq, d, x, **kwargs):
         shifts.append(x)
-        return count_below(diag, off_sq, x, **kwargs)
+        return count_below(off_sq, d, x, **kwargs)
 
     monkeypatch.setattr(td, "count_below", counting)
     return shifts
 
 
 GUESS_CASES = [
-    (*_jacobi_matrix(1000, 300), 0),
-    (*_jacobi_matrix(300, 200), 0),
+    (*jacobi(1000, 300), 0),
+    (*jacobi(300, 200), 0),
     (*random_block(11, 40), 17),
     (*random_block(12, 9), 8),
 ]
@@ -110,11 +127,12 @@ GUESS_CASES = [
 
 @pytest.mark.parametrize("diag,off_sq,k", GUESS_CASES)
 def test_guess_never_changes_the_result(diag, off_sq, k, monkeypatch):
-    plain = td.eigenvalue_k(diag, off_sq, k)
+    d = constant(diag)
+    plain = td.eigenvalue_k(off_sq, d, k)
     root = plain[0]
-    mids, lo, hi = bisection_run(diag, off_sq, k)
+    mids, lo, hi = bisection_run(off_sq, d, k)
     assert 0.5 * (lo + hi) == root
-    glo, ghi = td._gershgorin(diag, off_sq)
+    glo, ghi = td._gershgorin(off_sq, d)
     up, down = math.inf, -math.inf
     guesses = [root, root - 1e-13, root + 3e-12, root - 3e-12, root - 1e-9, root + 0.5,
                root - 1e6, root + 1e6, 1e308, -1e308, 0.0, -0.0,
@@ -127,41 +145,43 @@ def test_guess_never_changes_the_result(diag, off_sq, k, monkeypatch):
     shifts = counted(monkeypatch)
     for guess in guesses:
         shifts.clear()
-        assert td.eigenvalue_k(diag, off_sq, k, guess=guess) == plain, guess
+        assert td.eigenvalue_k(off_sq, d, k, guess=guess) == plain, guess
         # a bad guess wastes at most its checks: two per try
         assert len(shifts) <= len(mids) + 2 * (1 + td._RETRIES), guess
 
 
 @pytest.mark.parametrize("diag,off_sq,k", GUESS_CASES)
 def test_a_guess_costs_two_counts_when_it_is_right(diag, off_sq, k, monkeypatch):
-    plain = td.eigenvalue_k(diag, off_sq, k)
-    mids, _, _ = bisection_run(diag, off_sq, k)
+    d = constant(diag)
+    plain = td.eigenvalue_k(off_sq, d, k)
+    mids, _, _ = bisection_run(off_sq, d, k)
     shifts = counted(monkeypatch)
-    assert td.eigenvalue_k(diag, off_sq, k, guess=plain[0]) == plain
+    assert td.eigenvalue_k(off_sq, d, k, guess=plain[0]) == plain
     assert len(shifts) == 2
     for guess in (plain[0] - 1e-9, plain[0] + 1e-9):
         shifts.clear()
-        assert td.eigenvalue_k(diag, off_sq, k, guess=guess) == plain, guess
+        assert td.eigenvalue_k(off_sq, d, k, guess=guess) == plain, guess
         # the proven bound spares every midpoint past it: 27-38 counts here, against 43-49
         assert len(shifts) < len(mids), guess
 
 
 @pytest.mark.parametrize("diag,off_sq", [
-    _jacobi_matrix(1000, 300),
-    _jacobi_matrix(200, 150),
-    _jacobi_matrix(65, 40),
+    jacobi(1000, 300),
+    jacobi(200, 150),
+    jacobi(65, 40),
     random_block(21, 50),
     ([0.0] * 31, [float(i * (32 - i)) for i in range(1, 31)]),
 ])
 def test_count_below_is_monotone_next_to_roots(diag, off_sq):
     # the seeded bisection in eigenvalue_k is exact only if this holds
     rng = np.random.default_rng(3)
+    d = constant(diag)
     for k in range(0, len(diag), max(1, len(diag) // 12)):
-        root, _ = td.eigenvalue_k(diag, off_sq, k)
+        root, _ = td.eigenvalue_k(off_sq, d, k)
         near = root + rng.uniform(-1e-9, 1e-9, size=200)
         ulps = root + np.arange(-60, 61) * math.ulp(root)
         shifts = np.sort(np.concatenate([near, ulps, [root]]))
-        counts = [td.count_below(diag, off_sq, float(x)) for x in shifts]
+        counts = [td.count_below(off_sq, d, float(x)) for x in shifts]
         assert all(a <= b for a, b in zip(counts, counts[1:])), root
 
 
@@ -184,8 +204,8 @@ def coupling_block(n, r1, r2, t):
 
 
 @pytest.mark.parametrize("diag,off_sq", [
-    _jacobi_matrix(10**5, 44120),
-    _jacobi_matrix(1000, 300),
+    jacobi(10**5, 44120),
+    jacobi(1000, 300),
     coupling_block(200, 50, 100, 10),
     coupling_block(160, 79, 80, 3),
     coupling_block(60, 0, 30, 0),
@@ -193,13 +213,13 @@ def coupling_block(n, r1, r2, t):
     random_block(32, 7),
     random_block(33, 2),
     ([0.0, 0.0], [2.0]),
-    ([1.5, -2.0], [0.0]),
-    ([0.0, -0.0, 0.0, -0.0], [1.0, 4.0, 2.25]),  # signed zeros on a "constant" diagonal
-    ([-0.0, 0.0], [0.0]),
-    ([0.0, -0.0], [0.0]),
+    ([-2.0, -2.0], [0.0]),
+    ([-0.0, -0.0, -0.0, -0.0], [1.0, 4.0, 2.25]),
+    ([-0.0, -0.0], [0.0]),
+    ([0.0, 0.0], [0.0]),
 ])
 def test_gershgorin_bracket_matches_the_row_loop(diag, off_sq):
-    got = td._gershgorin(diag, off_sq)
+    got = td._gershgorin(off_sq, constant(diag))
     assert got == gershgorin_loop(diag, off_sq)
     assert all(type(x) is float for x in got)
 
@@ -222,10 +242,11 @@ def count_below_loop(diag, off_sq, x):
 
 def assert_counts_match(diag, off_sq, shifts):
     pivmin = td._SAFMIN * max(1.0, max(off_sq, default=1.0))
+    d = constant(diag)
     for x in shifts:
         ref = count_below_loop(diag, off_sq, x)
-        assert td.count_below(diag, off_sq, x) == ref, x
-        assert td.count_below(diag, off_sq, x, pivmin=pivmin) == ref, x
+        assert td.count_below(off_sq, d, x) == ref, x
+        assert td.count_below(off_sq, d, x, pivmin=pivmin) == ref, x
 
 
 def shifts_around(values, rng):
@@ -237,7 +258,7 @@ def shifts_around(values, rng):
 
 
 def test_count_below_matches_the_row_loop_on_the_large_jacobi_block():
-    diag, off_sq = _jacobi_matrix(10**5, 44120)
+    diag, off_sq = jacobi(10**5, 44120)
     root = 362.99608045511195  # first_root(10**5, 44120), pinned by a golden
     assert_counts_match(diag, off_sq, shifts_around([root], np.random.default_rng(5)))
 
@@ -247,7 +268,7 @@ def test_count_below_matches_the_row_loop_on_the_large_jacobi_block():
     coupling_block(160, 79, 80, 3),
     coupling_block(60, 0, 30, 0),
     coupling_block(12, 0, 6, 6),
-    _jacobi_matrix(1000, 300),
+    jacobi(1000, 300),
     random_block(41, 1),
     random_block(42, 2),
     random_block(43, 7),
@@ -257,31 +278,60 @@ def test_count_below_matches_the_row_loop(block):
     diag, off_sq = block
     values = np.linalg.eigvalsh(dense(diag, np.sqrt(off_sq))) if off_sq else diag
     rng = np.random.default_rng(len(diag))
-    assert_counts_match(diag, off_sq, shifts_around(values, rng) + [0.0, -0.0, *diag])
+    assert_counts_match(diag, off_sq, shifts_around(values, rng) + [0.0, -0.0, diag[0]])
 
 
 @pytest.mark.parametrize("diag,off_sq,x", [
-    ([1.0, 2.0, 3.0], [1.0, 1.0], 1.0),  # q = +0.0 in row 0
-    ([-0.0, 1.0], [1.0], 0.0),  # q = -0.0 in row 0
+    ([1.0, 1.0, 1.0], [1.0, 1.0], 1.0),  # q = +0.0 in row 0, a tiny negative q in row 2
+    ([-0.0, -0.0], [1.0], 0.0),  # q = -0.0 in row 0
     ([0.0, 0.0], [2.0], -0.0),
-    ([1.0, 1.0], [1.0], 0.0),  # q = +0.0 in row 1, constant diagonal
-    ([2.0, 1.0, 5.0], [2.0, 3.0], 0.0),  # q = +0.0 in row 1, general diagonal
-    ([1.0, 3.0], [2.0], 1.0),  # a floored row 0 sends row 1 to about 1 / _SAFMIN
-    ([0.0, -0.0, 0.0, -0.0], [1.0, 1.0, 1.0], 0.0),  # signed zeros on a "constant" diagonal
-    ([0.5, -1.0, 2.0], [0.0, 0.0], 0.5),  # zero off-diagonals
+    ([1.0, 1.0], [1.0], 0.0),  # q = +0.0 in the last row
+    ([2.0, 2.0, 2.0], [4.0, 3.0], 0.0),  # q = +0.0 in row 1, with a row after it
+    ([1.0, 1.0], [2.0], 1.0),  # a floored row 0 sends row 1 to about 1 / _SAFMIN
+    ([-0.0, -0.0, -0.0, -0.0], [1.0, 1.0, 1.0], 0.0),  # q = -0.0 in row 0, a floor again in row 2
+    ([0.5, 0.5, 0.5], [0.0, 0.0], 0.5),  # zero off-diagonals
     ([0.0, 0.0, 0.0], [0.0, 0.0], 0.0),
     ([3.0, 3.0, 3.0], [1e300, 4.0], 3.0),  # pivmin > _SAFMIN
-    ([1.0, 1e-10, 1e-10], [1e300, 4.0], 0.0),  # ... and a floor at _SAFMIN would count 1, not 2
-    ([3.0, -1.0, 3.0], [1e300, 1e-300], -1.0),
-    ([3.0, -1.0, 3.0], [1e300, 1e-300], 1e300),
-    ([0.0, 5.0, 1.0], [1.0, 1e300], 1e-310),  # a tiny negative q is floored too
-    ([0.0, 0.0, 0.0, 0.0], [1.0, 1e300, 1.0], 1e-310),  # ... on a constant diagonal
+    ([1e-10, 1e-10, 1e-10], [1e300, 4.0], 0.0),  # ... and a floor at _SAFMIN would count 1, not 2
+    ([3.0, 3.0, 3.0], [1e300, 1e-300], -1.0),
+    ([3.0, 3.0, 3.0], [1e300, 1e-300], 1e300),
+    ([0.0, 0.0, 0.0], [1.0, 1e300], 1e-310),  # a tiny negative q is floored too
+    ([0.0, 0.0, 0.0, 0.0], [1.0, 1e300, 1.0], 1e-310),  # ... with a row after the big one
     ([0.0, 0.0, 0.0], [1.0, 1.0], math.nan),
-    ([1.0, 2.0, 3.0], [1.0, 1.0], math.nan),
-    ([1.0, 2.0, 3.0], [1.0, 1.0], math.inf),
+    ([2.0, 2.0, 2.0], [1.0, 1.0], math.nan),
+    ([2.0, 2.0, 2.0], [1.0, 1.0], math.inf),
     ([1.0, 1.0, 1.0], [1.0, 1.0], -math.inf),
     ([7.0], [], 7.0),
     ([7.0], [], math.nan),
 ])
 def test_count_below_matches_the_row_loop_at_the_pivot_floor(diag, off_sq, x):
     assert_counts_match(diag, off_sq, [x])
+
+
+def assert_all_is_each(off_sq, d):
+    values, radii = td.eigenvalues_all(off_sq, d)
+    each = [td.eigenvalue_k(off_sq, d, k) for k in range(len(off_sq) + 1)]
+    # float.hex tells -0.0 from 0.0, which == does not
+    assert [v.hex() for v in values] == [v.hex() for v, _ in each], (off_sq, d)
+    assert [r.hex() for r in radii] == [r.hex() for _, r in each], (off_sq, d)
+
+
+def test_eigenvalues_all_is_eigenvalue_k_on_every_coupling_block():
+    blocks = {
+        coupling_matrix(n, r1, r2, t).offdiag_sq
+        for n in range(25) for r2 in range(n // 2 + 1) for r1 in range(r2 + 1) for t in range(r2 + 1)
+    }
+    for off_sq in blocks:
+        assert_all_is_each([float(v) for v in off_sq], 0.0)
+
+
+@pytest.mark.parametrize("diag,off_sq", [
+    jacobi(1000, 300),
+    jacobi(65, 40),
+    random_block(51, 1),
+    random_block(52, 2),
+    random_block(53, 9),
+    random_block(54, 40),
+])
+def test_eigenvalues_all_is_eigenvalue_k_at_every_index(diag, off_sq):
+    assert_all_is_each(off_sq, constant(diag))
