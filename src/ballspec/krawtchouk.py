@@ -166,12 +166,13 @@ def _bisect_bracket(
     ``work``'s signs opposite and nonzero, so ``full`` is then not tested.
 
     A ``guess`` skips the halving: the level-e interval holding it, for the
-    first level e >= 2 with 2^-e <= tol, is returned when ``work`` and
-    ``full`` both have nonzero opposite signs at its ends.  Then the root of
-    ``work`` is strictly inside, so it is no dyadic of level <= e, no
-    midpoint the halving tests is a root, and the halving would end on that
-    same interval at that same e.  Any other guess (NaN, infinite, outside
-    the unit interval, or failing a sign test) runs the halving.
+    first level e >= 2 with 2^-e <= tol, or the neighbour its signs point
+    to (``_interval_of_root``), is returned when ``work`` and ``full`` both
+    have nonzero opposite signs at its ends.  Then the root of ``work`` is
+    strictly inside, so it is no dyadic of level <= e, no midpoint the
+    halving tests is a root, and the halving would end on that same
+    interval at that same e.  Any other guess (NaN, infinite, outside the
+    unit interval, or failing a sign test) runs the halving.
     """
     level = 2
     while 2.0 ** -level > tol:
@@ -179,9 +180,10 @@ def _bisect_bracket(
     if math.isfinite(guess):
         num, den = guess.as_integer_ratio()
         a = (num << level) // den
-        inside = left << level <= a < (left + 1) << level
-        if inside and _brackets(work, a, level) and (full is work or _brackets(full, a, level)):
-            return _dyadic_midpoint(a, level)
+        if left << level <= a < (left + 1) << level:
+            a = _interval_of_root(work, a, level, sign_left)
+            if a is not None and (full is work or _brackets(full, a, level)):
+                return _dyadic_midpoint(a, level)
     a, e = left, 0
     while True:
         mid = 2 * a + 1
@@ -197,6 +199,26 @@ def _bisect_bracket(
         e += 1
         if e >= level and (full is work or _brackets(full, a, e)):
             return _dyadic_midpoint(a, e)
+
+
+def _interval_of_root(work: list[int], a: int, e: int, sign_left: int) -> int | None:
+    """a, or the neighbour a -+ 1, if ``work`` has nonzero opposite signs at the ends of that
+    level-e interval of the unit interval whose left end has sign ``sign_left``; else None.
+
+    ``work`` has one simple root in the unit interval: its sign is
+    ``sign_left`` below the root and the opposite above.  So when both ends
+    of interval a have the same nonzero sign, that sign says on which side
+    the root is, and one more test, at the neighbour's far end, decides the
+    neighbour.  That neighbour lies inside the unit interval, whose ends
+    have opposite signs.
+    """
+    s_a, s_b = _sign_at_dyadic(work, a, e), _sign_at_dyadic(work, a + 1, e)
+    if s_a * s_b < 0:
+        return a
+    if s_a != s_b or s_a == 0:
+        return None
+    near, far = (a + 1, a + 2) if s_a == sign_left else (a - 1, a - 1)
+    return near if _sign_at_dyadic(work, far, e) == -s_a else None
 
 
 def _brackets(coeffs: list[int], a: int, e: int) -> bool:
@@ -282,6 +304,16 @@ def jacobi_couplings(ambient_dim: int, first: int, last: int) -> np.ndarray:
     return (j - 1) * (n - j + 2)
 
 
+def _jacobi_off_sq(ambient_dim: int, degree: int) -> np.ndarray:
+    """Squared off-diagonals (j-1)(N-j+2)/4 of the k x k Jacobi matrix of K_k over {0..N}, float64."""
+    n, k = ambient_dim, degree
+    if k < 1 or k > n:
+        raise InvalidDegreeError(f"need 1 <= k <= N, got k={k}, N={n}")
+    # One correctly rounded int-to-float conversion, then an exact / 4; past int64 the
+    # object array already holds Python floats, which float64 keeps as they are.
+    return np.asarray(jacobi_couplings(n, 0, k - 1) / 4.0, dtype=float)
+
+
 def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], float]:
     """Squared off-diagonals and constant diagonal of the k x k Jacobi matrix of K_k over {0..N}.
 
@@ -290,11 +322,7 @@ def _jacobi_matrix(ambient_dim: int, degree: int) -> tuple[list[float], float]:
     has constant diagonal N/2 and squared off-diagonals (j-1)(N-j+2)/4;
     its eigenvalues are exactly the roots of K_k.
     """
-    n, k = ambient_dim, degree
-    if k < 1 or k > n:
-        raise InvalidDegreeError(f"need 1 <= k <= N, got k={k}, N={n}")
-    # One correctly rounded int-to-float conversion, then an exact / 4.
-    return (jacobi_couplings(n, 0, k - 1) / 4.0).tolist(), n / 2.0
+    return _jacobi_off_sq(ambient_dim, degree).tolist(), ambient_dim / 2.0
 
 
 def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float:
@@ -305,34 +333,39 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
     matrix); any other k needs 1 <= k <= N.  Large N skips exact
     coefficients and bisects the Jacobi matrix, seeded for k >= 512 from
     the smallest eigenvalue of a window of it (``_window_guess``): the same
-    bits, in 2 full sweeps instead of ~55 when the guess is right.
+    bits, in 2 full sweeps instead of ~55 when the guess is right.  The
+    couplings are built once, as a float64 array and its list: every matrix
+    solved here takes its Gershgorin bracket and pivot floor from a slice
+    of the array and its sweeps from the same slice of the list.
     """
     n, k = ambient_dim, degree
     if n == 0 and k == 1:
         check_tol(tol)
         return 0.0
-    off_sq, d = _jacobi_matrix(n, k)  # checks 1 <= k <= N for both paths
+    array = _jacobi_off_sq(n, k)  # checks 1 <= k <= N for both paths
     if n <= EXACT_COEFF_LIMIT:
         return roots(build(n, k), tol).values[0]
-    guess = _window_guess(n, k, off_sq, d, tol)
-    return tridiagonal.eigenvalue_k(off_sq, d, 0, tol, guess)[0]
+    off_sq, d = array.tolist(), n / 2.0
+    guess = _window_guess(n, k, off_sq, array, d, tol)
+    return tridiagonal.eigenvalue_k(off_sq, d, 0, tol, guess, array=array)[0]
 
 
-def _window_guess(n: int, k: int, off_sq: list[float], d: float, tol: float):
-    """Smallest eigenvalue of a window of rows ending at row min(k, N//2 + 1), or None for k < 512.
+def _window_guess(n: int, k: int, off_sq: list[float], array: np.ndarray, d: float, tol: float):
+    """A guess at the smallest eigenvalue from a window of rows ending at row min(k, N//2 + 1).
 
-    The off-diagonals peak there, so the extreme eigenvector decays fast away
-    from that end; by Cauchy interlacing a window gives an upper bound.
-    Windows of w = 64, 128, ... rows with 8w <= k are solved coarsely until
-    two agree, then one of 4w rows to ``tol`` by ``_window_root``, starting
-    4 coarse tolerances below the w-row value.  If none agree, the widest
+    None for k < 512.  The off-diagonals peak there, so the extreme
+    eigenvector decays fast away from that end; by Cauchy interlacing a
+    window gives an upper bound.  Windows of w = 64, 128, ... rows with
+    8w <= k are solved coarsely until two agree, then one of 4w rows by
+    ``_window_root``, starting 4 coarse tolerances below the w-row value.  If none agree, the widest
     window, 4w rows for the last w, starts 4 times the gap between the last
     two coarse values below the last; at its Gershgorin bottom if that is
     higher, if only one window was solved, or if a Sturm count finds that
     start not below its smallest eigenvalue.  Each coarse solve is seeded
     with the last coarse value (the first with inf, which costs no count);
     ``eigenvalue_k`` returns the same bits for any guess, so the seeds only
-    save sweeps.
+    save sweeps.  ``array`` is ``off_sq`` as a float64 array; each window
+    is the same slice of both.
     """
     if k < 512:
         return None
@@ -340,29 +373,39 @@ def _window_guess(n: int, k: int, off_sq: list[float], d: float, tol: float):
     coarse = max(tol, 1e-6 * n)
     w, prev, cur = 64, math.inf, math.inf
     while 8 * w <= k:
-        prev, cur = cur, tridiagonal.eigenvalue_k(off_sq[end - w:end - 1], d, 0, coarse, cur)[0]
+        rows = slice(end - w, end - 1)
+        prev, cur = cur, tridiagonal.eigenvalue_k(off_sq[rows], d, 0, coarse, cur, array=array[rows])[0]
         if abs(prev - cur) <= 2.0 * coarse:
-            return _window_root(off_sq[end - 4 * w:end - 1], d, cur - 4.0 * coarse, tol)
+            rows = slice(end - 4 * w, end - 1)
+            return _window_root(off_sq[rows], array[rows], d, cur - 4.0 * coarse, tol)
         w *= 2
-    window = off_sq[end - 4 * (w // 2):end - 1]  # the widest window: 4w rows for the last w solved
-    gershgorin = d - 2.0 * math.sqrt(max(window))
+    rows = slice(end - 4 * (w // 2), end - 1)  # the widest window: 4w rows for the last w solved
+    window, couplings = off_sq[rows], array[rows]
+    gershgorin = d - 2.0 * math.sqrt(couplings.max())
     below = cur - 4.0 * (prev - cur)  # -inf after one window
-    if not (gershgorin < below and tridiagonal.count_below(window, d, below) == 0):
+    pivmin = tridiagonal._pivot_floor(couplings)
+    if not (gershgorin < below and tridiagonal.count_below(window, d, below, pivmin=pivmin) == 0):
         below = gershgorin
-    return _window_root(window, d, below, tol)
+    return _window_root(window, couplings, d, below, tol)
 
 
-def _window_root(off_sq: list[float], d: float, below: float, tol: float) -> float:
-    """Smallest eigenvalue of a Jacobi window, with the bits of its bisection, in a few sweeps.
+def _window_root(off_sq: list[float], array: np.ndarray, d: float, below: float, tol: float) -> float:
+    """The last float below the smallest eigenvalue of a Jacobi window, in a few sweeps.
 
     Newton's method from ``below`` that eigenvalue lands within about one
-    rounding unit of the pivots (``_unit``) of it, a gallop finds the last
-    float where the floating-point Sturm count is still 0, and
-    ``eigenvalue_k`` certifies that float as its guess with two counts.
-    Whatever Newton or the gallop return, the certificate keeps the bits.
+    rounding unit of the pivots (``_unit``) of it, and a gallop finds the
+    last float where the floating-point Sturm count is still 0: that float
+    is the guess for the full matrix, whose certificate keeps the bits
+    whatever the guess.  Only when the gallop gives up (a Newton landing
+    that is not finite or is more than 2**_GALLOP units off) does
+    ``eigenvalue_k`` bisect the window from the landing, so a bad landing
+    costs window sweeps, not full-matrix ones.
     """
     x = _newton_from_below(off_sq, d, below)
-    return tridiagonal.eigenvalue_k(off_sq, d, 0, tol, _last_float_below(off_sq, d, x))[0]
+    last = _last_float_below(off_sq, d, x, tridiagonal._pivot_floor(array))
+    if last is not None:
+        return last
+    return tridiagonal.eigenvalue_k(off_sq, d, 0, tol, x, array=array)[0]
 
 
 # Caps on the sweeps of _newton_from_below and on the step doublings of _last_float_below.
@@ -416,17 +459,16 @@ def _log_det_slope(off_sq: list[float], d: float, x: float) -> float | None:
     return s
 
 
-def _last_float_below(off_sq: list[float], d: float, x: float) -> float:
+def _last_float_below(off_sq: list[float], d: float, x: float, pivmin: float) -> float | None:
     """The largest float at which ``count_below`` finds no eigenvalue, by a gallop from x.
 
     Counts at x -+ 1, 2, 4, ... times ``_unit`` until the count switches
     between 0 and >= 1, then halves that gap down to two adjacent floats.
-    x is returned as it is if it is not finite or the switch is more than
-    2**_GALLOP units away.
+    None if x is not finite or the switch is more than 2**_GALLOP units
+    away.  ``pivmin`` is the matrix's pivot floor.
     """
     if not math.isfinite(x):
-        return x
-    pivmin = tridiagonal._pivot_floor(off_sq)  # once: on a window the max costs as much as a sweep
+        return None
 
     def below(y):
         return tridiagonal.count_below(off_sq, d, y, pivmin=pivmin) == 0
@@ -439,7 +481,7 @@ def _last_float_below(off_sq: list[float], d: float, x: float) -> float:
             break
         near, step = far, 2.0 * step
     else:
-        return x
+        return None
     lo, hi = (near, far) if up else (far, near)
     while True:
         mid = 0.5 * (lo + hi)

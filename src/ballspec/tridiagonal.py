@@ -53,12 +53,18 @@ def count_below(off_sq: Sequence[float], d: float, x: float, *, pivmin: float | 
     return count
 
 
-def _pivot_floor(off_sq: Sequence[float]) -> float:
+def _pivot_floor(off_sq: Sequence[float] | np.ndarray) -> float:
+    """The LAPACK pivot floor; the same bits from the list or from its float64 array."""
+    if isinstance(off_sq, np.ndarray):
+        return _SAFMIN * float(off_sq.max(initial=1.0))
     return _SAFMIN * max(1.0, max(off_sq, default=1.0))
 
 
-def _gershgorin(off_sq: Sequence[float], d: float) -> tuple[float, float]:
-    """d -+ the largest row spread, padded; rounding is monotone, so the extreme rows' bits."""
+def _gershgorin(off_sq: Sequence[float] | np.ndarray, d: float) -> tuple[float, float]:
+    """d -+ the largest row spread, padded; rounding is monotone, so the extreme rows' bits.
+
+    A float64 array of the couplings is used as it is; a list is converted first.
+    """
     off = np.sqrt(np.asarray(off_sq, dtype=float))
     spread = np.append(off, 0.0)  # row i: off[i] + off[i - 1], one term at either end
     spread[1:] += off
@@ -144,6 +150,8 @@ def eigenvalue_k(
     k: int,
     tol: float = DEFAULT_TOL,
     guess: float | None = None,
+    *,
+    array: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """k-th smallest eigenvalue (0-based) with a certified half-width, by bisection.
 
@@ -153,6 +161,10 @@ def eigenvalue_k(
     for any guess.  A guess within about ``tol`` of the eigenvalue costs two
     sweeps in all, a worse one at most ``2 * (1 + _RETRIES)`` more than none.
     Any other guess, NaN included, is ignored.
+
+    ``array``, the same couplings as a float64 array, gives the bracket and
+    the pivot floor their bits without a pass over the list; the sweeps
+    still run over ``off_sq``.
     """
     check_tol(tol)
     m = len(off_sq) + 1
@@ -160,8 +172,9 @@ def eigenvalue_k(
         raise ValueError(f"eigenvalue index {k} out of range for dimension {m}")
     if m == 1:
         return float(d), 0.0
-    lo, hi = _gershgorin(off_sq, d)
-    pivmin = _pivot_floor(off_sq)
+    couplings = off_sq if array is None else array
+    lo, hi = _gershgorin(couplings, d)
+    pivmin = _pivot_floor(couplings)
     if guess is not None and lo < guess < hi:
         count = _certified_count(off_sq, d, k, lo, hi, guess, tol, pivmin)
     else:

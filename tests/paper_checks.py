@@ -3,7 +3,8 @@
 No command reaches these; each states a result of the paper (eigenspace
 membership and zonal uniqueness on a sphere, Krawtchouk reciprocity and its
 boundary bound, the Dirichlet quotient of a band function) as code that the
-tests run against the library.
+tests run against the library, or counts exactly what the library
+computes in floating point (``exact_count_below``).
 """
 
 from __future__ import annotations
@@ -145,6 +146,30 @@ def check_reciprocity(n: int, i: int, j: int) -> bool:
     if not (0 <= i <= n and 0 <= j <= n):
         raise InvalidDegreeError(f"need 0 <= i, j <= n, got i={i}, j={j}, n={n}")
     return math.comb(n, j) * defining_sum(n, i, j) == math.comb(n, i) * defining_sum(n, j, i)
+
+
+def exact_count_below(n: int, k: int, x: float) -> int:
+    """Eigenvalues below the float x of the k-row Krawtchouk Jacobi matrix over {0..n}, in integers.
+
+    The matrix has diagonal n/2 and squared couplings c_j / 4 with
+    c_j = (j-1)(n-j+2).  With x = num/den, the leading minors
+    D_j = (4 den)^j det(T_j - x) obey D_j = b D_(j-1) - 4 c_j den^2 D_(j-2),
+    b = 2 n den - 4 num, from D_0 = 1 and D_1 = b.  The count is the number
+    of sign changes in D_0 .. D_k (Sturm).  A zero minor, where x is an
+    eigenvalue of a leading block, raises ArithmeticError.
+    """
+    num, den = x.as_integer_ratio()
+    b, scale = 2 * n * den - 4 * num, 4 * den * den
+    prev, cur = 1, b
+    changes = int(cur < 0)
+    for j in range(2, k + 1):
+        if cur == 0:
+            break
+        prev, cur = cur, b * cur - scale * (j - 1) * (n - j + 2) * prev
+        changes += (cur < 0) != (prev < 0)
+    if cur == 0:
+        raise ArithmeticError(f"a leading minor of the ({n}, {k}) Jacobi matrix vanishes at {x!r}")
+    return changes
 
 
 def subcube_reference(n: int, k: int) -> tuple[float, float]:

@@ -64,3 +64,20 @@ def test_traced_commands_count_sturm_rows(argv, capsys):
     finally:
         tracer.uninstall()
     assert tracer.counts["tridiagonal.sturm_steps"] > 0
+
+
+def test_traced_bounds_prints_what_the_untraced_run_prints(capsys):
+    # the first-root path hands eigenvalue_k the couplings' array by keyword; the tracer's wrappers
+    # must pass it through and still see the list as the first argument of count_below
+    argv = ["bounds", "--n", "10000", "--log2s", "5000"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == plain
+    assert tracer.counts["tridiagonal.sturm_steps"] > 0
+    assert any(span[0] == "tridiagonal.eigenvalue_k" for span in tracer.spans)

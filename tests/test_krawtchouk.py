@@ -1,6 +1,9 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import paper_checks as pc
@@ -160,6 +163,12 @@ def test_bisect_bracket_keeps_the_bits_for_any_guess(n, k, tol, monkeypatch):
         if radius > math.ulp(value):  # not an exact dyadic root: the guess is taken with
             # two sign tests on work, and two on full when an integer root was deflated from it
             assert calls == [level] * (2 if work is full else 4), (n, k, x)
+            # a guess one interval off costs one more test on work, at the far end of the neighbour
+            for guess in (value - unit, value + unit):
+                if x < guess < x + 1:
+                    calls.clear()
+                    assert kw._bisect_bracket(work, full, x, sign, tol, guess) == plain, (n, k, x)
+                    assert calls == [level] * (3 if work is full else 5), (n, k, x, guess)
 
 
 @pytest.mark.parametrize("n,k", [(9, 3), (13, 7), (21, 5), (63, 31)])
@@ -188,6 +197,22 @@ def test_roots_are_the_unseeded_roots_bit_for_bit(monkeypatch):
         assert kw.roots(kw.build(n, k)) == rl, (n, k)
     # the guesses save most of the exact sign tests (measured: 12,656 against 184,632)
     assert seeded_calls < len(calls) / 5
+
+
+def test_roots_up_to_64_keep_their_bits_and_rarely_halve(monkeypatch):
+    # all 2,080 RootLists with N <= 64, by float.hex: the digest of the roots with every guess NaN,
+    # the halving alone (36 s to recompute, so pinned)
+    calls = counting_signs(monkeypatch)
+    digest = hashlib.sha256()
+    for n in range(1, 65):
+        for k in range(1, n + 1):
+            rl = kw.roots(kw.build(n, k))
+            digest.update(repr(([v.hex() for v in rl.values], [r.hex() for r in rl.radius])).encode())
+    assert digest.hexdigest() == "20852ba36235897714a71039c39bcbfe177469ce5cc5cfe2fdc839bc1d7bf54a"
+    # a guess is tested only at its final level, so each halving is one test at level 1; measured 566:
+    # 528 end at once on the half-integer root N/2 (odd N, odd k) and 38 have the guess across an
+    # integer from the root
+    assert calls.count(1) == 566
 
 
 def test_first_root_examples():
@@ -231,12 +256,34 @@ BOUNDS_DEGREES = {
 }
 
 
+def random_degrees(count, seed):
+    # (N, k) with 65 <= N <= 10^4 and 1 <= k <= N, drawn once from a fixed seed
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(65, 10**4)
+        cases.append((n, rng.randint(1, n)))
+    return cases
+
+
+def jacobi(n, k):
+    # the couplings as first_root builds them: the list, the float64 array, and the diagonal
+    array = kw._jacobi_off_sq(n, k)
+    return array.tolist(), array, n / 2.0
+
+
 @pytest.mark.parametrize("n", [65, 300, 1000, 10**4, 10**5])
 def test_first_root_is_the_unseeded_bisection_bit_for_bit(n):
     # k = 1, small, ~N/3, the off-diagonal peak N//2 + 1, just past it, N
     for k in sorted({1, 7, n // 3, n // 2 + 1, n // 2 + 2, n, *BOUNDS_DEGREES.get(n, ())}):
         plain, _ = tridiagonal.eigenvalue_k(*kw._jacobi_matrix(n, k), 0, kw.DEFAULT_TOL)
         assert kw.first_root(n, k) == plain, (n, k)
+
+
+@pytest.mark.parametrize("n,k", random_degrees(20, 14))
+def test_first_root_is_the_unseeded_bisection_at_random_degrees(n, k):
+    plain, _ = tridiagonal.eigenvalue_k(*kw._jacobi_matrix(n, k), 0, kw.DEFAULT_TOL)
+    assert kw.first_root(n, k) == plain, (n, k)
 
 
 def count_rows(monkeypatch):
@@ -258,13 +305,13 @@ def count_rows(monkeypatch):
 
 
 def windows_refined(n, k, monkeypatch):
-    # the (off_sq, d, start) of every window first_root hands to _window_root
+    # the (off_sq, array, d, start) of every window first_root hands to _window_root
     seen = []
     window_root = kw._window_root
 
-    def spying(off_sq, d, below, tol):
-        seen.append((off_sq, d, below))
-        return window_root(off_sq, d, below, tol)
+    def spying(off_sq, array, d, below, tol):
+        seen.append((off_sq, array, d, below))
+        return window_root(off_sq, array, d, below, tol)
 
     with monkeypatch.context() as m:
         m.setattr(kw, "_window_root", spying)
@@ -272,23 +319,65 @@ def windows_refined(n, k, monkeypatch):
     return seen
 
 
+def assert_last_float_below(off_sq, d, g):
+    # g is the last float at which the Sturm count of the matrix is still 0
+    assert tridiagonal.count_below(off_sq, d, g) == 0, g
+    assert tridiagonal.count_below(off_sq, d, math.nextafter(g, math.inf)) >= 1, g
+
+
 def test_first_root_sweeps_the_full_matrix_only_a_few_times(monkeypatch):
     sweeps, newton = count_rows(monkeypatch)
-    # rows swept, Newton's included, measured: 2.88 k and 7.53 k
-    for n, k, budget in ((10**5, 44120, 3.0), (10**4, 1100, 7.6)):
+    # rows swept, Newton's included, measured: 2.79 k and 6.60 k
+    for n, k, budget in ((10**5, 44120, 2.8), (10**4, 1100, 6.7)):
         sweeps.clear()
         newton.clear()
         kw.first_root(n, k)
-        full = sweeps.count(k)
-        assert 2 <= full <= 3, (n, k)  # plain bisection from Gershgorin takes 56
+        assert sweeps.count(k) == 2, (n, k)  # plain bisection from Gershgorin takes 56
         assert sum(sweeps) + sum(newton) < budget * k, (n, k)
     for n, degrees in BOUNDS_DEGREES.items():
         for k in degrees:
             sweeps.clear()
             kw.first_root(n, k)
-            assert 2 <= sweeps.count(k) <= 3, (n, k)
-            # the final window is the widest one: the gallop and the certificate, measured 5-11
-            assert sweeps.count(max(m for m in sweeps if m < k)) <= 12, (n, k)
+            assert sweeps.count(k) == 2, (n, k)
+            # the final window is the widest one: the gallop alone, measured 3-9
+            assert sweeps.count(max(m for m in sweeps if m < k)) <= 9, (n, k)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, ks in BOUNDS_DEGREES.items() for k in ks])
+def test_every_bracket_and_pivot_floor_comes_from_the_array_with_the_list_bits(n, k, monkeypatch):
+    # every matrix first_root solves, the full one and each window, takes its Gershgorin bracket and
+    # pivot floor from a float64 array (no pass over a Python list) and sweeps the same slice as a list
+    solves, brackets, floors = [], [], []
+    eigenvalue_k, gershgorin, pivot_floor = tridiagonal.eigenvalue_k, tridiagonal._gershgorin, tridiagonal._pivot_floor
+
+    def solving(off_sq, *args, **kwargs):
+        solves.append((off_sq, kwargs.get("array")))
+        return eigenvalue_k(off_sq, *args, **kwargs)
+
+    def bracketing(off_sq, d):
+        brackets.append((off_sq, d))
+        return gershgorin(off_sq, d)
+
+    def flooring(off_sq):
+        floors.append(off_sq)
+        return pivot_floor(off_sq)
+
+    plain, _ = eigenvalue_k(*kw._jacobi_matrix(n, k), 0)
+    monkeypatch.setattr(tridiagonal, "eigenvalue_k", solving)
+    monkeypatch.setattr(tridiagonal, "_gershgorin", bracketing)
+    monkeypatch.setattr(tridiagonal, "_pivot_floor", flooring)
+    assert kw.first_root(n, k) == plain
+    assert len(solves) >= 2 and len(brackets) == len(solves) and len(floors) >= len(solves) + 1
+    assert max(len(off_sq) for off_sq, _ in solves) == k - 1
+    for off_sq, array in solves:
+        assert isinstance(array, np.ndarray) and array.dtype == np.float64
+        assert array.tolist() == off_sq
+    for array, d in brackets:
+        assert isinstance(array, np.ndarray), (n, k)
+        assert [x.hex() for x in gershgorin(array, d)] == [x.hex() for x in gershgorin(array.tolist(), d)]
+    for array in floors:
+        assert isinstance(array, np.ndarray), (n, k)
+        assert pivot_floor(array).hex() == pivot_floor(array.tolist()).hex()
 
 
 # (N, k) where no two coarse windows agree, so _window_guess solves the widest window;
@@ -298,17 +387,17 @@ WINDOWS_NEVER_AGREE = [(3000, 1154), (3000, 1300), (3000, 1501), (10**4, 2044), 
 
 @pytest.mark.parametrize("n,k", WINDOWS_NEVER_AGREE)
 def test_first_root_guesses_when_the_windows_never_agree(n, k, monkeypatch):
-    off_sq, d = kw._jacobi_matrix(n, k)
+    off_sq, array, d = jacobi(n, k)
     plain, _ = tridiagonal.eigenvalue_k(off_sq, d, 0, kw.DEFAULT_TOL)
-    # the guess is the unseeded bisection of the widest window, 4w rows for the largest 8w <= k
+    # the guess is the last float below the widest window, 4w rows for the largest 8w <= k
     end, rows = min(k, n // 2 + 1), 4 * 64 * 2 ** int(math.log2(k // 512))
-    window, _ = tridiagonal.eigenvalue_k(off_sq[end - rows:end - 1], d, 0, kw.DEFAULT_TOL)
-    assert kw._window_guess(n, k, off_sq, d, kw.DEFAULT_TOL) == window
-    (refined, _, _), = windows_refined(n, k, monkeypatch)
-    assert len(refined) + 1 == rows
+    window = off_sq[end - rows:end - 1]
+    assert_last_float_below(window, d, kw._window_guess(n, k, off_sq, array, d, kw.DEFAULT_TOL))
+    (refined, refined_array, _, _), = windows_refined(n, k, monkeypatch)
+    assert refined == window and refined_array.tolist() == window
     sweeps, _ = count_rows(monkeypatch)
     assert kw.first_root(n, k) == plain
-    assert sweeps.count(k) <= 3
+    assert sweeps.count(k) == 2
 
 
 @pytest.mark.parametrize("n,k", [(3000, 1154), (10**4, 2044)])
@@ -316,7 +405,7 @@ def test_widest_window_newton_starts_near_its_root(n, k, monkeypatch):
     # from the Gershgorin bottom Newton took 18 and 19 sweeps of the 512-row window; measured now: 4
     off_sq, d = kw._jacobi_matrix(n, k)
     plain, _ = tridiagonal.eigenvalue_k(off_sq, d, 0, kw.DEFAULT_TOL)
-    (window_off_sq, _, below), = windows_refined(n, k, monkeypatch)
+    (window_off_sq, _, _, below), = windows_refined(n, k, monkeypatch)
     assert below > d - 2.0 * math.sqrt(max(window_off_sq))  # not the Gershgorin bottom
     _, newton = count_rows(monkeypatch)
     assert kw.first_root(n, k) == plain
@@ -324,8 +413,8 @@ def test_widest_window_newton_starts_near_its_root(n, k, monkeypatch):
 
 
 def test_widest_window_needs_k_at_least_512():
-    off_sq, d = kw._jacobi_matrix(1000, 511)
-    assert kw._window_guess(1000, 511, off_sq, d, kw.DEFAULT_TOL) is None
+    off_sq, array, d = jacobi(1000, 511)
+    assert kw._window_guess(1000, 511, off_sq, array, d, kw.DEFAULT_TOL) is None
 
 
 def jacobi_matrix_loop(n, k):
@@ -343,10 +432,12 @@ def test_jacobi_matrix_matches_the_list_comprehension(n, k):
     assert len(off_sq) == k - 1
     assert d == ref_d and off_sq == ref_off_sq
     assert all(type(v) is float for v in [d, *off_sq])
+    array = kw._jacobi_off_sq(n, k)
+    assert array.dtype == np.float64 and array.tolist() == ref_off_sq
 
 
-def window_guess_unseeded(n, k, off_sq, d, tol):
-    # the window solves without seeds: the reference the seeded ones must match bit for bit
+def final_window_unseeded(n, k, off_sq, d, tol):
+    # the couplings of the window _window_guess refines, found by unseeded coarse solves, or None
     if k < 512:
         return None
     end = min(k, n // 2 + 1)
@@ -359,7 +450,7 @@ def window_guess_unseeded(n, k, off_sq, d, tol):
         prev, w = cur, 2 * w
     else:
         w //= 2  # the widest window
-    return tridiagonal.eigenvalue_k(off_sq[end - 4 * w:end - 1], d, 0, tol)[0]
+    return off_sq[end - 4 * w:end - 1]
 
 
 @pytest.mark.parametrize("n,k,tol", [
@@ -373,9 +464,13 @@ def window_guess_unseeded(n, k, off_sq, d, tol):
     (1000, 511, kw.DEFAULT_TOL),  # no window: no guess
 ])
 def test_window_guess_matches_the_unseeded_windows(n, k, tol):
-    off_sq, d = kw._jacobi_matrix(n, k)
-    got = kw._window_guess(n, k, off_sq, d, tol)
-    assert got == window_guess_unseeded(n, k, off_sq, d, tol)
+    off_sq, array, d = jacobi(n, k)
+    got = kw._window_guess(n, k, off_sq, array, d, tol)
+    window = final_window_unseeded(n, k, off_sq, d, tol)
+    if window is None:
+        assert got is None
+    else:
+        assert_last_float_below(window, d, got)
 
 
 NEWTON_LANDINGS = {
@@ -393,17 +488,27 @@ def test_a_bad_newton_landing_keeps_the_bits(landing, monkeypatch):
     newton = kw._newton_from_below
     monkeypatch.setattr(kw, "_newton_from_below",
                         lambda off_sq, d, x: NEWTON_LANDINGS[landing](newton(off_sq, d, x)))
+    sweeps, _ = count_rows(monkeypatch)
     for n, k, tol in [(10**5, 44120, kw.DEFAULT_TOL), (10**5, 44120, 1e-6), (10**4, 1100, kw.DEFAULT_TOL),
                       (10**4, 5002, kw.DEFAULT_TOL), (10**4, 2044, kw.DEFAULT_TOL)]:
-        off_sq, d = kw._jacobi_matrix(n, k)
-        assert kw._window_guess(n, k, off_sq, d, tol) == window_guess_unseeded(n, k, off_sq, d, tol)
+        off_sq, array, d = jacobi(n, k)
+        # every landing here is not finite or more than 2**_GALLOP units off, so the gallop gives up
+        # and the guess is the window's own certified bisection, its unseeded value
+        window = final_window_unseeded(n, k, off_sq, d, tol)
+        window_plain, _ = tridiagonal.eigenvalue_k(window, d, 0, tol)
+        assert kw._window_guess(n, k, off_sq, array, d, tol) == window_plain, (n, k, tol)
         plain, _ = tridiagonal.eigenvalue_k(off_sq, d, 0, tol)
+        sweeps.clear()
         assert kw.first_root(n, k, tol) == plain, (n, k, tol)
+        # the bad landing costs window sweeps only; past the off-diagonal peak the window's root is not
+        # the full matrix's, and the full matrix takes 40 sweeps with any landing
+        assert sweeps.count(k) == (2 if k <= n // 2 + 1 else 40), (n, k, tol)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n, ks in BOUNDS_DEGREES.items() for k in ks] + WINDOWS_NEVER_AGREE)
 def test_newton_lands_within_a_unit_and_the_gallop_on_the_switch(n, k, monkeypatch):
-    (off_sq, d, below), = windows_refined(n, k, monkeypatch)
+    (off_sq, array, d, below), = windows_refined(n, k, monkeypatch)
+    pivmin = tridiagonal._pivot_floor(array)
 
     def count(x):
         return tridiagonal.count_below(off_sq, d, x)
@@ -411,14 +516,40 @@ def test_newton_lands_within_a_unit_and_the_gallop_on_the_switch(n, k, monkeypat
     assert count(below) == 0
     x = kw._newton_from_below(off_sq, d, below)
     unit = kw._unit(d, x)
-    last = kw._last_float_below(off_sq, d, x)
+    last = kw._last_float_below(off_sq, d, x, pivmin)
     assert count(last) == 0 and count(math.nextafter(last, math.inf)) == 1
     assert below < x and abs(x - last) <= unit
     # from anywhere within 2**_GALLOP units, and from the switch itself
     for start in (last, math.nextafter(last, math.inf), x - 3 * unit, x + 5 * unit, x + 1000 * unit):
-        assert kw._last_float_below(off_sq, d, start) == last
+        assert kw._last_float_below(off_sq, d, start, pivmin) == last
     for start in (math.nan, math.inf, -math.inf, x + 2.0 ** (kw._GALLOP + 1) * unit):
-        assert kw._last_float_below(off_sq, d, start) is start
+        assert kw._last_float_below(off_sq, d, start, pivmin) is None
+    # the switch float is the window's value: the guess for the full matrix
+    assert kw._window_root(off_sq, array, d, below, kw.DEFAULT_TOL) == last
+
+
+FIRST_ROOT_PROOFS = [(1000, 600), (3000, 1154), (4096, 2049), (10**4, 1100), (10**4, 4412)]
+
+
+@pytest.mark.parametrize("n,k", FIRST_ROOT_PROOFS)
+def test_first_root_interval_is_proven_by_exact_sturm_counts(n, k):
+    # the certified interval [v - r, v + r] of the smallest Jacobi eigenvalue holds it: the integer
+    # minors count no eigenvalue below v - r and at least one below v + r
+    value, radius = tridiagonal.eigenvalue_k(*kw._jacobi_matrix(n, k), 0)
+    assert pc.exact_count_below(n, k, value - radius) == 0
+    assert pc.exact_count_below(n, k, value + radius) >= 1
+    assert kw.first_root(n, k) == value
+
+
+def test_exact_count_below_is_the_float_count_away_from_the_eigenvalues():
+    for n, k in [(1, 1), (7, 3), (20, 7), (64, 40), (300, 120)]:
+        off_sq, d = kw._jacobi_matrix(n, k)
+        values = np.linalg.eigvalsh(tridiagonal.dense(off_sq, d))
+        # off the eigenvalues of every leading block too: N/2 is one of each odd block's
+        for x in [-1.0, 0.1, *(a + 0.3 * (b - a) for a, b in zip(values, values[1:])), n + 1.0]:
+            assert pc.exact_count_below(n, k, x) == tridiagonal.count_below(off_sq, d, x), (n, k, x)
+    with pytest.raises(ArithmeticError):
+        pc.exact_count_below(10, 3, 5.0)  # the 1 x 1 leading block is N/2
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])

@@ -151,6 +151,18 @@ def test_guess_never_changes_the_result(diag, off_sq, k, monkeypatch):
 
 
 @pytest.mark.parametrize("diag,off_sq,k", GUESS_CASES)
+def test_the_array_form_of_the_couplings_keeps_the_bits(diag, off_sq, k, monkeypatch):
+    # the bracket and pivot floor come from the array, the sweeps from the list
+    d = constant(diag)
+    array = np.asarray(off_sq, dtype=float)
+    plain = td.eigenvalue_k(off_sq, d, k)
+    shifts = counted(monkeypatch)
+    for guess in (None, plain[0], plain[0] + 1e-9, math.nan):
+        assert td.eigenvalue_k(off_sq, d, k, guess=guess, array=array) == plain, guess
+    assert len(shifts) > 0
+
+
+@pytest.mark.parametrize("diag,off_sq,k", GUESS_CASES)
 def test_a_guess_costs_two_counts_when_it_is_right(diag, off_sq, k, monkeypatch):
     d = constant(diag)
     plain = td.eigenvalue_k(off_sq, d, k)
@@ -222,6 +234,7 @@ def test_gershgorin_bracket_matches_the_row_loop(diag, off_sq):
     got = td._gershgorin(off_sq, constant(diag))
     assert got == gershgorin_loop(diag, off_sq)
     assert all(type(x) is float for x in got)
+    assert td._gershgorin(np.asarray(off_sq, dtype=float), constant(diag)) == got  # the array form
 
 
 def count_below_loop(diag, off_sq, x):
@@ -242,6 +255,8 @@ def count_below_loop(diag, off_sq, x):
 
 def assert_counts_match(diag, off_sq, shifts):
     pivmin = td._SAFMIN * max(1.0, max(off_sq, default=1.0))
+    assert td._pivot_floor(off_sq) == pivmin
+    assert td._pivot_floor(np.asarray(off_sq, dtype=float)) == pivmin  # the array form, empty too
     d = constant(diag)
     for x in shifts:
         ref = count_below_loop(diag, off_sq, x)
