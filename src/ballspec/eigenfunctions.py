@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tridiagonal
 from .errors import InvalidParameterError, check_band
-from .hamming import build_graph
+from .hamming import _popcount, build_graph
 from .krawtchouk import binom_int
 from .spectrum import coupling_matrix, lambda_set
 
@@ -156,11 +156,10 @@ def synthesize(
         for i in range(tstar, r2 + 1)
         for c in range(t + 1)
     }
-    values = np.zeros(graph.vertex_count)
-    for idx, mask in enumerate(graph.masks):
-        i = mask.bit_count()
-        if i >= tstar:
-            values[idx] = class_values[(i, (mask & y).bit_count())]
+    table = np.zeros((r2 + 1, t + 1))  # rows below tstar stay 0
+    for (i, c), value in class_values.items():
+        table[i, c] = value
+    values = table[_popcount(graph.masks), _popcount(graph.masks & np.uint64(y))]
 
     sup = float(np.abs(values).max())
     residual = float(np.abs(graph.apply_adjacency(values) - lam * values).max()) / sup

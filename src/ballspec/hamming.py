@@ -5,6 +5,13 @@ order: ascending weight, then ascending numeric mask value.  That makes
 each sphere a contiguous index range and gives the two-sphere case the
 bipartite block layout [[0, C], [C^T, 0]] for the incidence matrix C.
 
+The graph is stored as read-only numpy arrays: the uint64 masks, and the
+adjacency in CSR form (``indptr``, ``indices``, each row ascending).
+``build_graph`` makes each sphere's masks in ascending order by a
+recurrence on the bit count and fills the rows a chunk of vertices at a
+time, flipping each bit and binary-searching the adjacent sphere, so no
+temporary of V x n entries is held for the whole graph.
+
 Every edge joins weights of opposite parity, so every band graph is
 bipartite, and every permutation of the coordinates maps it onto itself.
 The dense oracle uses both.  The swaps of coordinates (0 1), (2 3), ...
@@ -46,15 +53,23 @@ def weight_masks(n: int, w: int) -> Iterator[int]:
         v = (((r ^ v) >> 2) // c) | r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedGraph:
-    """Immutable vertex indexing + adjacency for the weight band [r1, r2]."""
+    """Immutable vertex indexing + adjacency for the weight band [r1, r2], as read-only arrays.
+
+    ``masks`` (uint64) holds the vertices in the module's order, and
+    ``sphere_start[i]`` is the index of the first vertex of weight i.  The
+    adjacency is in CSR form: the neighbours of vertex u are
+    ``indices[indptr[u]:indptr[u + 1]]``, ascending.  ``edge_count`` is the
+    number of edges, counted from the sphere sizes, not from the arrays.
+    """
 
     n: int
     r1: int
     r2: int
-    masks: tuple[int, ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    masks: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     sphere_start: dict[int, int]
     edge_count: int
 
@@ -63,7 +78,7 @@ class InducedGraph:
         return len(self.masks)
 
     def weight_of(self, v: int) -> int:
-        return self.masks[v].bit_count()
+        return int(self.masks[v]).bit_count()
 
     def sphere_slice(self, i: int) -> slice:
         if not self.r1 <= i <= self.r2:
@@ -73,26 +88,27 @@ class InducedGraph:
         return slice(start, stop)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def dense_adjacency(self) -> np.ndarray:
         a = np.zeros((self.vertex_count, self.vertex_count))
-        for u, nbrs in enumerate(self.adjacency):
-            a[u, list(nbrs)] = 1.0
+        a[np.repeat(np.arange(self.vertex_count), np.diff(self.indptr)), self.indices] = 1.0
         return a
 
     def apply_adjacency(self, f: np.ndarray) -> np.ndarray:
-        """Matrix-vector product with the adjacency, via the neighbor lists."""
+        """Matrix-vector product with the adjacency, one neighbour sum per vertex."""
         out = np.zeros(self.vertex_count)
-        for u, nbrs in enumerate(self.adjacency):
-            if nbrs:
-                out[u] = f[list(nbrs)].sum()
+        bounds, indices = self.indptr.tolist(), self.indices
+        for u, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if b > a:
+                out[u] = f[indices[a:b]].sum()
         return out
 
     def edge_lines(self) -> Iterator[str]:
         """Edge-list export, one "u v" line per edge, 0-based, u < v."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
+        bounds, indices = self.indptr.tolist(), self.indices.tolist()
+        for u, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            for v in indices[a:b]:
                 if u < v:
                     yield f"{u} {v}"
 
@@ -110,38 +126,76 @@ def check_vertex_budget(n: int, r1: int, r2: int, max_vertices: int) -> None:
         )
 
 
+# Rows per neighbour lookup in build_graph: its temporaries stay near _CHUNK_ROWS x n words.
+_CHUNK_ROWS = 2048
+
+
+def _spheres(n: int, top: int) -> list[np.ndarray]:
+    """Per weight w <= top, the n-bit masks of weight w, ascending, as uint64 arrays.
+
+    The k+1-bit masks of weight w are the k-bit ones followed by the k-bit
+    ones of weight w - 1 with bit k set, so each step keeps the order.
+    """
+    spheres = [np.zeros(1, dtype=np.uint64)] + [np.zeros(0, dtype=np.uint64)] * top
+    for k in range(n):
+        bit = np.uint64(1 << k)
+        spheres = [spheres[0]] + [
+            np.concatenate([spheres[w], spheres[w - 1] | bit]) for w in range(1, top + 1)
+        ]
+    return spheres
+
+
 def build_graph(
     n: int, r1: int, r2: int, max_vertices: int = DEFAULT_GRAPH_LIMIT
 ) -> InducedGraph:
-    """Build the induced subgraph on the weight band [r1, r2]."""
+    """Build the induced subgraph on the weight band [r1, r2].
+
+    Every vertex of sphere i has i neighbours below (if i > r1) and n - i
+    above (if i < r2), so ``indptr`` follows from the sphere sizes.  The
+    rows are filled a chunk of ``_CHUNK_ROWS`` vertices at a time: flipping
+    each bit gives the neighbours' masks, and a binary search in the
+    adjacent sphere their indices.  Clearing bit b lowers a mask by 2^b, so
+    the neighbours below, taken from the highest bit down, ascend, and so do
+    the ones above, taken from the lowest bit up; the sphere below comes
+    first in the vertex order, so every row ascends without a sort.
+    """
     check_vertex_budget(n, r1, r2, max_vertices)
-    masks: list[int] = []
-    sphere_start: dict[int, int] = {}
+    spheres = _spheres(n, r2)
+    sizes = [len(spheres[i]) for i in range(r1, r2 + 1)]
+    starts = np.cumsum([0] + sizes).tolist()
+    sphere_start = dict(zip(range(r1, r2 + 1), starts))
+    degrees = [(i if i > r1 else 0) + (n - i if i < r2 else 0) for i in range(r1, r2 + 1)]
+    indptr = np.zeros(starts[-1] + 1, dtype=np.int64)
+    np.cumsum(np.repeat(degrees, sizes), out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    bits = np.left_shift(_ONE, np.arange(n, dtype=np.uint64))
     for i in range(r1, r2 + 1):
-        sphere_start[i] = len(masks)
-        masks.extend(weight_masks(n, i))
-    index = {m: v for v, m in enumerate(masks)}
-    adjacency: list[list[int]] = [[] for _ in masks]
-    edges = 0
-    for i in range(r1 + 1, r2 + 1):
-        for v in range(sphere_start[i], sphere_start[i + 1] if i < r2 else len(masks)):
-            mask = masks[v]
-            m = mask
-            while m:
-                bit = m & -m
-                u = index[mask ^ bit]
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-                edges += 1
-                m ^= bit
+        for lo in range(0, len(spheres[i]), _CHUNK_ROWS):
+            rows = spheres[i][lo : lo + _CHUNK_ROWS]
+            flipped = rows[:, None] ^ bits
+            has = (rows[:, None] & bits) != 0
+            parts = []
+            if i > r1:
+                below = flipped[has].reshape(len(rows), i)[:, ::-1]
+                parts.append(sphere_start[i - 1] + np.searchsorted(spheres[i - 1], below))
+            if i < r2:
+                above = flipped[~has].reshape(len(rows), n - i)
+                parts.append(sphere_start[i + 1] + np.searchsorted(spheres[i + 1], above))
+            if parts:
+                first = sphere_start[i] + lo
+                indices[indptr[first] : indptr[first + len(rows)]] = np.hstack(parts).ravel()
+    masks = np.concatenate(spheres[r1 : r2 + 1])
+    for array in (masks, indptr, indices):
+        array.setflags(write=False)
     return InducedGraph(
         n=n,
         r1=r1,
         r2=r2,
-        masks=tuple(masks),
-        adjacency=tuple(tuple(sorted(a)) for a in adjacency),
+        masks=masks,
+        indptr=indptr,
+        indices=indices,
         sphere_start=sphere_start,
-        edge_count=edges,
+        edge_count=sum(math.comb(n, i) * i for i in range(r1 + 1, r2 + 1)),
     )
 
 
@@ -277,16 +331,15 @@ def oracle_spectrum(
             vertex_count=v_count,
         )
     pairs = g.n // 2
-    masks = np.array(g.masks, dtype=np.uint64)
+    masks = g.masks
     low_bits = np.uint64(sum(1 << 2 * j for j in range(pairs)))
     low, high = masks & low_bits, (masks >> _ONE) & low_bits
     mixed, flipped = low ^ high, high & ~low  # both on the low bit of each pair
     odd = (_popcount(masks) & 1).astype(bool)
 
     # directed edges out of the even-weight vertices
-    degree = np.array([len(nbrs) for nbrs in g.adjacency], dtype=np.int64)
-    src = np.repeat(np.arange(v_count), degree)
-    dst = np.array([v for nbrs in g.adjacency for v in nbrs], dtype=np.int64)
+    src = np.repeat(np.arange(v_count), np.diff(g.indptr))
+    dst = g.indices
     even_src = ~odd[src]
     src, dst = src[even_src], dst[even_src]
 

@@ -166,24 +166,24 @@ def _bisect_bracket(
     ``work``'s signs opposite and nonzero, so ``full`` is then not tested.
 
     A ``guess`` skips the halving: the level-e interval holding it, for the
-    first level e >= 2 with 2^-e <= tol, or the neighbour its signs point
+    first level e >= 2 with 2^-e <= tol (the unit interval's first or last
+    one for a guess below or above it), or the neighbour its signs point
     to (``_interval_of_root``), is returned when ``work`` and ``full`` both
     have nonzero opposite signs at its ends.  Then the root of ``work`` is
     strictly inside, so it is no dyadic of level <= e, no midpoint the
     halving tests is a root, and the halving would end on that same
-    interval at that same e.  Any other guess (NaN, infinite, outside the
-    unit interval, or failing a sign test) runs the halving.
+    interval at that same e.  Any other guess (NaN, infinite, or failing a
+    sign test) runs the halving.
     """
     level = 2
     while 2.0 ** -level > tol:
         level += 1
     if math.isfinite(guess):
         num, den = guess.as_integer_ratio()
-        a = (num << level) // den
-        if left << level <= a < (left + 1) << level:
-            a = _interval_of_root(work, a, level, sign_left)
-            if a is not None and (full is work or _brackets(full, a, level)):
-                return _dyadic_midpoint(a, level)
+        a = min(max((num << level) // den, left << level), ((left + 1) << level) - 1)
+        a = _interval_of_root(work, a, level, sign_left)
+        if a is not None and (full is work or _brackets(full, a, level)):
+            return _dyadic_midpoint(a, level)
     a, e = left, 0
     while True:
         mid = 2 * a + 1
@@ -351,35 +351,42 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
 
 
 def _window_guess(n: int, k: int, off_sq: list[float], array: np.ndarray, d: float, tol: float):
-    """A guess at the smallest eigenvalue from a window of rows ending at row min(k, N//2 + 1).
+    """A guess at the smallest eigenvalue from windows of rows around the off-diagonals' peak.
 
-    None for k < 512.  The off-diagonals peak there, so the extreme
-    eigenvector decays fast away from that end; by Cauchy interlacing a
-    window gives an upper bound.  Windows of w = 64, 128, ... rows with
-    8w <= k are solved coarsely until two agree, then one of 4w rows by
-    ``_window_root``, starting 4 coarse tolerances below the w-row value.  If none agree, the widest
-    window, 4w rows for the last w, starts 4 times the gap between the last
-    two coarse values below the last; at its Gershgorin bottom if that is
-    higher, if only one window was solved, or if a Sturm count finds that
-    start not below its smallest eigenvalue.  Each coarse solve is seeded
-    with the last coarse value (the first with inf, which costs no count);
-    ``eigenvalue_k`` returns the same bits for any guess, so the seeds only
-    save sweeps.  ``array`` is ``off_sq`` as a float64 array; each window
-    is the same slice of both.
+    None for k < 512.  The off-diagonals grow up to row N//2 + 1 and shrink
+    past it, so the extreme eigenvector decays fast away from that peak:
+    the windows end at row k when k <= N//2 + 1 and are centred on the peak
+    (clipped to the k rows) past it.  By Cauchy interlacing a window gives
+    an upper bound.  Windows of w = 64, 128, ... rows with 8w <= k are
+    solved coarsely until two agree, then one of 4w rows by
+    ``_window_root``, starting 4 coarse tolerances below the w-row value.
+    If none agree, the widest window, 4w rows for the last w, starts 4
+    times the gap between the last two coarse values below the last; at
+    its Gershgorin bottom if that is higher, if only one window was solved,
+    or if a Sturm count finds that start not below its smallest eigenvalue.
+    Each coarse solve is seeded with the last coarse value (the first with
+    inf, which costs no count); ``eigenvalue_k`` returns the same bits for
+    any guess, so the seeds only save sweeps.  ``array`` is ``off_sq`` as a
+    float64 array; each window is the same slice of both.
     """
     if k < 512:
         return None
-    end = min(k, n // 2 + 1)
+    peak = n // 2 + 1
+
+    def rows_of(w):
+        end = min(k, peak + w // 2) if k > peak else k
+        return slice(end - w, end - 1)
+
     coarse = max(tol, 1e-6 * n)
     w, prev, cur = 64, math.inf, math.inf
     while 8 * w <= k:
-        rows = slice(end - w, end - 1)
+        rows = rows_of(w)
         prev, cur = cur, tridiagonal.eigenvalue_k(off_sq[rows], d, 0, coarse, cur, array=array[rows])[0]
         if abs(prev - cur) <= 2.0 * coarse:
-            rows = slice(end - 4 * w, end - 1)
+            rows = rows_of(4 * w)
             return _window_root(off_sq[rows], array[rows], d, cur - 4.0 * coarse, tol)
         w *= 2
-    rows = slice(end - 4 * (w // 2), end - 1)  # the widest window: 4w rows for the last w solved
+    rows = rows_of(4 * (w // 2))  # the widest window: 4w rows for the last w solved
     window, couplings = off_sq[rows], array[rows]
     gershgorin = d - 2.0 * math.sqrt(couplings.max())
     below = cur - 4.0 * (prev - cur)  # -inf after one window

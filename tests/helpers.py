@@ -1,6 +1,9 @@
 """Shared cached builders so sweeps don't rebuild graphs and spectra."""
 
+import dataclasses
 import functools
+
+import numpy as np
 
 from ballspec.hamming import build_graph, oracle_spectrum
 
@@ -22,3 +25,16 @@ def band_cases(max_n, include_equal=True):
             for r1 in range(r2 + 1):
                 if include_equal or r1 < r2:
                     yield n, r1, r2
+
+
+def neighbour_lists(g):
+    """The rows of the graph's CSR adjacency, as lists of vertex indices."""
+    bounds, indices = g.indptr.tolist(), g.indices.tolist()
+    return [indices[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def with_neighbour_lists(g, lists, edge_count):
+    """The graph with its CSR adjacency rebuilt from per-vertex neighbour lists."""
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in lists])
+    indices = np.array([v for nbrs in lists for v in nbrs], dtype=np.int64)
+    return dataclasses.replace(g, indptr=indptr, indices=indices, edge_count=edge_count)

@@ -177,8 +177,26 @@ def test_synthesize_normalization_and_vanishing():
     assert not fn.values[g.sphere_slice(0)].any()
     assert not fn.values[g.sphere_slice(1)].any()
     # normalized to 1 on supersets of the origin mask
-    idx = [v for v, m in enumerate(g.masks) if m & 0b000011 == 0b000011 and m.bit_count() == 2]
+    idx = [v for v, m in enumerate(g.masks.tolist()) if m & 0b000011 == 0b000011 and m.bit_count() == 2]
     assert fn.values[idx] == pytest.approx([1.0])
+
+
+@pytest.mark.parametrize("n,r1,r2,t,which,y", [
+    (18, 0, 5, 2, 1, 0b100000000000100000),
+    (18, 0, 5, 5, 0, 0b010010000100100001),
+    (18, 0, 5, 0, 5, 0),
+    (10, 2, 5, 3, 2, 0b1000100100),
+    (12, 4, 6, 1, 0, 0b000001000000),
+])
+def test_synthesized_values_are_the_per_vertex_class_lookup(n, r1, r2, t, which, y):
+    # the (weight, overlap) table gives each vertex its class value, and exact zeros below tstar
+    fn = ef.synthesize(n, r1, r2, t, y, which)
+    reference = [
+        fn.class_values[(m.bit_count(), (m & y).bit_count())] if m.bit_count() >= fn.tstar else 0.0
+        for m in cached_graph(n, r1, r2).masks.tolist()
+    ]
+    assert fn.values.tolist() == reference
+    assert [math.copysign(1.0, v) for v in fn.values.tolist()] == [math.copysign(1.0, v) for v in reference]
 
 
 def test_synthesize_invalid_index():
@@ -233,7 +251,7 @@ def test_nonzero_components_do_not_vanish_on_origin_supersets():
     y = 0b000001
     g = cached_graph(n, r1, r2)
     sup_idx = {
-        i: [v for v, m in enumerate(g.masks) if m & y == y and m.bit_count() == i]
+        i: [v for v, m in enumerate(g.masks.tolist()) if m & y == y and m.bit_count() == i]
         for i in range(t, r2 + 1)
     }
     for which in range(3):

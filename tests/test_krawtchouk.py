@@ -209,10 +209,27 @@ def test_roots_up_to_64_keep_their_bits_and_rarely_halve(monkeypatch):
             rl = kw.roots(kw.build(n, k))
             digest.update(repr(([v.hex() for v in rl.values], [r.hex() for r in rl.radius])).encode())
     assert digest.hexdigest() == "20852ba36235897714a71039c39bcbfe177469ce5cc5cfe2fdc839bc1d7bf54a"
-    # a guess is tested only at its final level, so each halving is one test at level 1; measured 566:
-    # 528 end at once on the half-integer root N/2 (odd N, odd k) and 38 have the guess across an
-    # integer from the root
-    assert calls.count(1) == 566
+    # a guess is tested only at its final level, so each halving is one test at level 1; measured 528,
+    # all ending at once on the half-integer root N/2 (odd N, odd k)
+    assert calls.count(1) == 528
+
+
+# brackets whose guess sits in the next unit interval, across the integer nearest the root: 38 of the
+# 44,576 brackets with N <= 64, the first at (50, 50), where the root 2^-41 has a guess just below 0
+@pytest.mark.parametrize("n,k,left", [(50, 50, 0), (54, 54, 53), (58, 58, 1), (61, 61, 2), (63, 63, 62), (64, 63, 63)])
+def test_a_guess_across_an_integer_takes_the_brackets_edge_interval(n, k, left, monkeypatch):
+    work, full, brackets = brackets_of(n, k)
+    integer_roots = [x for x in range(n + 1) if kw._horner(full, x) == 0]
+    i = [x for x, _ in brackets].index(left)
+    # the guess roots() hands this bracket: the Jacobi eigenvalue of the same rank
+    guess = kw._root_guesses(n, k)[i + sum(r <= left for r in integer_roots)]
+    assert not left < guess < left + 1 and abs(guess - round(guess)) < 1e-12
+    sign = brackets[i][1]
+    plain = kw._bisect_bracket(work, full, left, sign, kw.DEFAULT_TOL)  # no guess: the halving
+    calls = counting_signs(monkeypatch)
+    assert kw._bisect_bracket(work, full, left, sign, kw.DEFAULT_TOL, guess) == plain
+    # the edge interval's two tests on work, and two on full when an integer root was deflated from it
+    assert calls == [calls[0]] * (2 if work is full else 4) and calls[0] > 1
 
 
 def test_first_root_examples():
@@ -343,6 +360,16 @@ def test_first_root_sweeps_the_full_matrix_only_a_few_times(monkeypatch):
             assert sweeps.count(max(m for m in sweeps if m < k)) <= 9, (n, k)
 
 
+@pytest.mark.parametrize("n,k", [(1000, 600), (10**4, 5002), (10**5, 60000)])
+def test_first_root_past_the_peak_sweeps_the_full_matrix_only_a_few_times(n, k, monkeypatch):
+    # past row N//2 + 1 the windows are centred on the off-diagonals' peak; ending them there took
+    # 40-43 full sweeps, measured now: 2
+    plain, _ = tridiagonal.eigenvalue_k(*kw._jacobi_matrix(n, k), 0, kw.DEFAULT_TOL)
+    sweeps, _ = count_rows(monkeypatch)
+    assert kw.first_root(n, k) == plain
+    assert sweeps.count(k) <= 4
+
+
 @pytest.mark.parametrize("n,k", [(n, k) for n, ks in BOUNDS_DEGREES.items() for k in ks])
 def test_every_bracket_and_pivot_floor_comes_from_the_array_with_the_list_bits(n, k, monkeypatch):
     # every matrix first_root solves, the full one and each window, takes its Gershgorin bracket and
@@ -440,17 +467,23 @@ def final_window_unseeded(n, k, off_sq, d, tol):
     # the couplings of the window _window_guess refines, found by unseeded coarse solves, or None
     if k < 512:
         return None
-    end = min(k, n // 2 + 1)
+
+    def window(w):
+        # w rows ending at row k, or centred on row N//2 + 1 (clipped to the k rows) when k is past it
+        peak = n // 2 + 1
+        end = k if k <= peak else min(k, peak + w // 2)
+        return off_sq[end - w:end - 1]
+
     coarse = max(tol, 1e-6 * n)
     w, prev = 64, math.inf
     while 8 * w <= k:
-        cur, _ = tridiagonal.eigenvalue_k(off_sq[end - w:end - 1], d, 0, coarse)
+        cur, _ = tridiagonal.eigenvalue_k(window(w), d, 0, coarse)
         if abs(prev - cur) <= 2.0 * coarse:
             break
         prev, w = cur, 2 * w
     else:
         w //= 2  # the widest window
-    return off_sq[end - 4 * w:end - 1]
+    return window(4 * w)
 
 
 @pytest.mark.parametrize("n,k,tol", [
@@ -500,9 +533,8 @@ def test_a_bad_newton_landing_keeps_the_bits(landing, monkeypatch):
         plain, _ = tridiagonal.eigenvalue_k(off_sq, d, 0, tol)
         sweeps.clear()
         assert kw.first_root(n, k, tol) == plain, (n, k, tol)
-        # the bad landing costs window sweeps only; past the off-diagonal peak the window's root is not
-        # the full matrix's, and the full matrix takes 40 sweeps with any landing
-        assert sweeps.count(k) == (2 if k <= n // 2 + 1 else 40), (n, k, tol)
+        # the bad landing costs window sweeps only, past the off-diagonal peak too
+        assert sweeps.count(k) == 2, (n, k, tol)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n, ks in BOUNDS_DEGREES.items() for k in ks] + WINDOWS_NEVER_AGREE)
