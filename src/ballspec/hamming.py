@@ -22,6 +22,9 @@ per block shape (stacked), and the adjacency eigenvalues are +-sigma for
 each singular value of B_S plus abs(rows - columns) structural zeros per
 block (Jordan-Wielandt).  It never holds the V x V adjacency or the whole
 even x odd biadjacency: without eigenvectors it holds only the blocks.
+``oracle_spectra`` does all of this in one pass for a list of graphs, with
+orbits and characters keyed per graph, and every check made per graph;
+``oracle_spectrum`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -236,12 +239,14 @@ class OracleSpectrum:
 
 
 _ONE = np.uint64(1)
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
-    """Bit counts of a 1-D uint64 array (np.bitwise_count needs numpy 2)."""
-    return _BYTE_BITS[np.ascontiguousarray(a).view(np.uint8)].reshape(-1, 8).sum(axis=1)
+    """Bit counts of a uint64 array as int64, by SWAR sums (np.bitwise_count needs numpy 2)."""
+    a = a - ((a >> _ONE) & np.uint64(0x5555555555555555))
+    a = (a & np.uint64(0x3333333333333333)) + ((a >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    a = (a + (a >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((a * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
 
 def _submasks(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,32 +270,46 @@ def _submasks(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, sub
 
 
-def _check_swap_invariance(
-    masks: np.ndarray, mixed: np.ndarray, src: np.ndarray, dst: np.ndarray, pairs: int
-) -> None:
-    """Raise unless every swap of coordinates (2j, 2j+1) maps the edges onto themselves."""
+def _keys(graph: np.ndarray, values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Keys of (graph, value) pairs, in their order; distinct for values in the sorted ``table``."""
+    return graph * (len(table) + 1) + np.searchsorted(table, values)
+
+
+def _check_swap_invariance(graphs, graph, masks, mixed, src, dst) -> None:
+    """Raise unless every swap (2j, 2j+1), j < n // 2, maps each graph's edges onto themselves."""
     v_count = len(masks)
-    order = np.argsort(masks)
-    ordered = masks[order]
+    table = np.sort(masks)
+    keys = _keys(graph, masks, table)
+    order = np.argsort(keys)
+    ordered = keys[order]
     codes = np.sort(src * v_count + dst)
-    for j in range(pairs):
+    for j in range(max(g.n // 2 for g in graphs)):
         bit = np.uint64(1 << 2 * j)
         image = np.where(mixed & bit, masks ^ (bit | bit << _ONE), masks)
-        at = np.minimum(np.searchsorted(ordered, image), v_count - 1)
-        moved = order[at]
-        if not (
-            np.array_equal(ordered[at], image)
-            and np.array_equal(np.sort(moved[src] * v_count + moved[dst]), codes)
-        ):
+        moved = order[np.minimum(np.searchsorted(ordered, _keys(graph, image, table)), v_count - 1)]
+        wrong = np.sort(moved[src] * v_count + moved[dst]) != codes
+        # a graph maps only onto itself or the next, so the first one flagged is at fault
+        bad = (masks[moved] != image) | (graph[moved] != graph)
+        bad = np.r_[graph[bad], graph[codes[wrong] // v_count]]
+        if bad.size:
+            g = graphs[bad.min()]
             raise InvalidParameterError(
-                f"the graph is not invariant under the swap of coordinates {2 * j} and {2 * j + 1}"
+                f"the graph ({g.n},{g.r1},{g.r2}) is not invariant under the swap of coordinates "
+                f"{2 * j} and {2 * j + 1}"
             )
 
 
 def oracle_spectrum(
     g: InducedGraph, want_vectors: bool = False, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> OracleSpectrum:
-    """All eigenvalues (ascending) of the adjacency matrix, with residuals.
+    """All eigenvalues (ascending) of the adjacency, with residuals: ``oracle_spectra`` of [g]."""
+    return oracle_spectra([g], want_vectors, dense_limit)[0]
+
+
+def oracle_spectra(
+    graphs: list[InducedGraph], want_vectors: bool = False, dense_limit: int = DEFAULT_DENSE_LIMIT
+) -> list[OracleSpectrum]:
+    """The oracle spectrum of each graph, from one pass over all of them.
 
     Brute force on the symmetry-adapted blocks of the adjacency A.  The
     coordinate swaps tau_j = (2j, 2j+1), j < n//2, permute the band and
@@ -308,6 +327,9 @@ def oracle_spectrum(
     of the sign of the far end.  Only the characters inside some M(O) are
     visited.
 
+    The graphs are one disjoint union, each vertex with its own graph's pairs;
+    orbits and characters are keyed by graph, so every block, sum and bound is one graph's.
+
     Each B_S = U diag(s) V^T gives the eigenpairs (+-s_i, [u_i; +-v_i]/sqrt(2))
     and (0, [u; 0] or [0; v]) for each extra column of the full U or V;
     blocks of one shape share one stacked SVD.  Eigenvectors are lifted
@@ -319,41 +341,44 @@ def oracle_spectrum(
     documented tolerance is 1e-10 * vertex_count; a residual above it is an
     internal error, not a report.
 
-    Two self-checks keep this a check of the graph itself: every tau_j must
+    Two self-checks keep this a check of each graph itself: every tau_j must
     map the edge set onto itself (else InvalidParameterError), and the
     squared Frobenius norms of the B_S must add up to edge_count, which is
     half of tr A^2, to within 1e-12 * edge_count (else ArithmeticError).
     """
-    v_count = g.vertex_count
-    if v_count > dense_limit:
-        raise BudgetExceededError(
-            f"{v_count} vertices exceed the dense oracle limit {dense_limit}",
-            vertex_count=v_count,
-        )
-    pairs = g.n // 2
-    masks = g.masks
-    low_bits = np.uint64(sum(1 << 2 * j for j in range(pairs)))
-    low, high = masks & low_bits, (masks >> _ONE) & low_bits
+    for g in graphs:
+        if g.vertex_count > dense_limit:
+            raise BudgetExceededError(
+                f"{g.vertex_count} vertices exceed the dense oracle limit {dense_limit}",
+                vertex_count=g.vertex_count,
+            )
+    sizes = [g.vertex_count for g in graphs]
+    first = np.cumsum([0] + sizes)
+    graph = np.repeat(np.arange(len(graphs)), sizes)  # of each vertex
+    masks = np.concatenate([g.masks for g in graphs])
+    low_bits = np.array([sum(1 << 2 * j for j in range(g.n // 2)) for g in graphs], dtype=np.uint64)
+    low, high = masks & low_bits[graph], (masks >> _ONE) & low_bits[graph]
     mixed, flipped = low ^ high, high & ~low  # both on the low bit of each pair
     odd = (_popcount(masks) & 1).astype(bool)
 
     # directed edges out of the even-weight vertices
-    src = np.repeat(np.arange(v_count), np.diff(g.indptr))
-    dst = g.indices
+    src = np.repeat(np.arange(len(masks)), np.concatenate([np.diff(g.indptr) for g in graphs]))
+    dst = np.concatenate([g.indices + start for g, start in zip(graphs, first.tolist())])
     even_src = ~odd[src]
     src, dst = src[even_src], dst[even_src]
 
-    _check_swap_invariance(masks, mixed, src, dst, pairs)
-    reps, orbit = np.unique(masks ^ flipped ^ (flipped << _ONE), return_inverse=True)
+    _check_swap_invariance(graphs, graph, masks, mixed, src, dst)
+    reps = _keys(graph, masks ^ flipped ^ (flipped << _ONE), np.sort(masks))  # swaps keep the masks
+    reps, member, orbit = np.unique(reps, return_index=True, return_inverse=True)
     orbit_count = len(reps)
-    orbit_mixed = np.empty(orbit_count, dtype=np.uint64)
-    orbit_mixed[orbit] = mixed
-    orbit_odd = np.empty(orbit_count, dtype=bool)
-    orbit_odd[orbit] = odd
+    orbit_mixed, orbit_odd, orbit_graph = mixed[member], odd[member], graph[member]
 
     # (orbit, character) pairs: their count is V; place each in its block
     pair_orbit, pair_char = _submasks(orbit_mixed)
-    chars, pair_cid = np.unique(pair_char, return_inverse=True)
+    char_set = np.sort(pair_char)
+    chars, pair_cid = np.unique(
+        _keys(orbit_graph[pair_orbit], pair_char, char_set), return_inverse=True
+    )
     pair_odd = orbit_odd[pair_orbit]
     rows = np.bincount(pair_cid[~pair_odd], minlength=len(chars))
     cols = np.bincount(pair_cid[pair_odd], minlength=len(chars))
@@ -361,6 +386,7 @@ def oracle_spectrum(
     slot = np.empty(len(chars), dtype=np.int64)
     slot[by_shape] = np.arange(len(chars))
     rows, cols = rows[by_shape], cols[by_shape]
+    block_graph = (chars // (len(char_set) + 1))[by_shape]
     pair_keys = np.sort((slot[pair_cid] * 2 + pair_odd) * orbit_count + pair_orbit)
 
     def local(slots: np.ndarray, orbits: np.ndarray) -> np.ndarray:
@@ -373,7 +399,7 @@ def oracle_spectrum(
     x, y = src[from_rep], dst[from_rep]
     edge, char = _submasks(mixed[x] & mixed[y])
     x, y = x[edge], y[edge]
-    edge_slot = slot[np.searchsorted(chars, char)]
+    edge_slot = slot[np.searchsorted(chars, _keys(graph[x], char, char_set))]
     sign = 1.0 - 2.0 * (_popcount(char & flipped[y]) & 1)
     scale = np.exp2((_popcount(mixed[x]) - _popcount(mixed[y])) / 2.0)
     offset = np.cumsum(rows * cols) - rows * cols
@@ -383,16 +409,12 @@ def oracle_spectrum(
         weights=sign * scale,
         minlength=int((rows * cols).sum()),
     )
-    frobenius = float(flat @ flat)
-    if abs(frobenius - g.edge_count) > 1e-12 * g.edge_count:
-        raise ArithmeticError(
-            f"internal-error: block norms add up to {frobenius!r}, not {g.edge_count} edges"
-        )
+    del src, dst, x, y, edge, char, edge_slot, sign, scale  # the blocks hold all they said
 
     shape_change = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(chars)]
     h = math.sqrt(0.5)
-    values, lifts, residual = [], [], 0.0
+    values, lifts, residual, frobenius = [], [], np.zeros(len(graphs)), np.zeros(len(graphs))
     for start, stop in zip(bounds[:-1], bounds[1:]):
         count, r, c = stop - start, int(rows[start]), int(cols[start])
         d, k = r + c, min(r, c)
@@ -401,15 +423,15 @@ def oracle_spectrum(
             lifts.append(np.broadcast_to(np.eye(d), (count, d, d)))
             continue
         b = flat[offset[start] : offset[start] + count * r * c].reshape(count, r, c)
+        np.add.at(frobenius, block_graph[start:stop], np.einsum("kij,kij->k", b, b))
         u, s, vt = np.linalg.svd(b, full_matrices=want_vectors)
         uk, vk = u[:, :, :k], vt[:, :k].transpose(0, 2, 1)
         sk = s[:, None, :]
         parts = [b @ vk - uk * sk, b.transpose(0, 2, 1) @ uk - vk * sk]
         if want_vectors:
             parts += [b.transpose(0, 2, 1) @ u[:, :, k:], b @ vt[:, k:].transpose(0, 2, 1)]
-        residual = max([residual] + [
-            float(np.linalg.norm(part, axis=1).max()) for part in parts if part.size
-        ])
+        norms = [np.linalg.norm(part, axis=1).max(axis=1) for part in parts if part.size]
+        np.maximum.at(residual, block_graph[start:stop], np.max(norms, axis=0))
         values.append(np.concatenate([-s, np.zeros((count, d - 2 * k)), s], axis=1).ravel())
         if want_vectors:
             y_blk = np.zeros((count, d, d))
@@ -419,29 +441,39 @@ def oracle_spectrum(
             y_blk[:, :r, k:r] = u[:, :, k:]
             y_blk[:, r:, r : d - k] = vt[:, k:].transpose(0, 2, 1)
             lifts.append(y_blk)
-    tolerance = 1e-10 * max(1, v_count)
-    if residual > tolerance:
-        raise ArithmeticError(
-            f"internal-error: oracle residual {residual:.3e} above tolerance {tolerance:.3e}"
-        )
+    checked = [(bound, 1e-10 * max(1, size)) for bound, size in zip(residual.tolist(), sizes)]
+    for g, norm, (bound, limit) in zip(graphs, frobenius.tolist(), checked):
+        if abs(norm - g.edge_count) > 1e-12 * g.edge_count:
+            raise ArithmeticError(
+                f"internal-error: block norms add up to {norm!r}, not {g.edge_count} edges"
+            )
+        if bound > limit:
+            raise ArithmeticError(
+                f"internal-error: oracle residual {bound:.3e} above tolerance {limit:.3e}"
+            )
     w = np.concatenate(values)
+    # each graph's columns, in block order: the order of the graph on its own
+    columns = np.split(np.argsort(np.repeat(block_graph, rows + cols), kind="stable"), first[1:-1])
     if not want_vectors:
-        return OracleSpectrum(np.sort(w), None, residual, tolerance)
+        return [OracleSpectrum(np.sort(w[cs]), None, *check) for cs, check in zip(columns, checked)]
 
     # X[x, column] = (-1)^{|S & F(x)|} / sqrt|O(x)| * (block vector)[O(x)]
     vertex, char = _submasks(mixed)
-    vertex_slot = slot[np.searchsorted(chars, char)]
+    vertex_slot = slot[np.searchsorted(chars, _keys(graph[vertex], char, char_set))]
     row = local(vertex_slot, orbit[vertex]) + np.where(odd[vertex], rows[vertex_slot], 0)
     weight = (1.0 - 2.0 * (_popcount(char & flipped[vertex]) & 1)) * np.exp2(
         -_popcount(mixed[vertex]) / 2.0
     )
     column = np.cumsum(rows + cols) - rows - cols
-    x_mat = np.zeros((v_count, v_count))
+    x_mat = np.zeros((len(masks), len(masks)))
     for start, stop, y_blk in zip(bounds[:-1], bounds[1:], lifts):
         hit = (vertex_slot >= start) & (vertex_slot < stop)
         at, span = vertex_slot[hit], np.arange(y_blk.shape[2])
         x_mat[vertex[hit, None], column[at, None] + span] = (
             weight[hit, None] * y_blk[at - start, row[hit]]
         )
-    ascending = np.argsort(w, kind="stable")
-    return OracleSpectrum(w[ascending], x_mat[:, ascending], residual, tolerance)
+    ascending = [cs[np.argsort(w[cs], kind="stable")] for cs in columns]
+    return [
+        OracleSpectrum(w[at], x_mat[lo:hi, at], *check)
+        for at, lo, hi, check in zip(ascending, first, first[1:], checked)
+    ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import krawtchouk, tridiagonal
 from .errors import check_band, check_tol
-from .hamming import DEFAULT_DENSE_LIMIT, build_graph, oracle_spectrum
+from .hamming import DEFAULT_DENSE_LIMIT, build_graph, oracle_spectra
 from .krawtchouk import RootList, TRIDIAGONAL_EIGENSOLVE, binom_int, first_root
 
 MERGE_EPS_SCALE = 1e-9
@@ -174,6 +174,12 @@ def full_spectrum(
     finite and positive), with a warning for gaps in the ambiguous zone just
     above the threshold.
     """
+    return _table(n, r1, r2, merge_eps, {})
+
+
+def _table(n: int, r1: int, r2: int, merge_eps: float | None, blocks: dict) -> SpectrumTable:
+    """``full_spectrum``, sharing solved blocks through ``blocks``: origin t's block and its
+    Krawtchouk cross-check depend only on their key (n - 2t, max(t, r1) - t, r2 - t, r1 == 0)."""
     check_band(n, r1, r2)
     if merge_eps is None:
         merge_eps = MERGE_EPS_SCALE * (n + 1)
@@ -185,8 +191,10 @@ def full_spectrum(
     nonzero: list[tuple[float, int]] = []  # (value, t)
     for t in range(r2 + 1):
         weight = origin_multiplicity(n, t)
-        vals = lambda_set(n, r1, r2, t)
-        for v in vals.values:
+        key = (n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0)
+        if key not in blocks:
+            blocks[key] = lambda_set(n, r1, r2, t)
+        for v in blocks[key].values:
             if v == 0.0:
                 zero_contributors.append(t)
                 zero_mult += weight
@@ -201,7 +209,7 @@ def full_spectrum(
                 f"eigenvalue gap {gap:.3e} between origins {t1} and {t2} lies in "
                 f"the ambiguous merge zone for band ({n},{r1},{r2})",
                 AmbiguousMergeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     lines: list[SpectrumLine] = []
@@ -271,33 +279,38 @@ def verify_against_oracle(
     tol: float = VERIFY_TOL,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> VerifyReport:
-    """Compare the closed-form table with the brute-force eigendecomposition.
+    """Compare the closed-form table with the brute-force eigendecomposition: one band's sweep."""
+    return verify_bands([(n, r1, r2)], tol, dense_limit)[0]
 
-    Predicted and oracle eigenvalues are paired greedily in ascending order;
-    multiplicities are checked per clustered line.
+
+def verify_bands(
+    cases: list[tuple[int, int, int]],
+    tol: float = VERIFY_TOL,
+    dense_limit: int = DEFAULT_DENSE_LIMIT,
+) -> list[VerifyReport]:
+    """One report per band ``(n, r1, r2)`` of ``cases``, in their order.
+
+    Predicted and oracle eigenvalues are paired in ascending order, and a band
+    passes when every pair is within ``tol``.  Consecutive bands form a batch
+    while its vertex count stays within ``dense_limit``; each batch takes one
+    ``oracle_spectra`` call, and the tables of the sweep share their block solves.
     """
     check_tol(tol)
-    table = full_spectrum(n, r1, r2)
-    graph = build_graph(n, r1, r2, max_vertices=dense_limit)
-    oracle = oracle_spectrum(graph, dense_limit=dense_limit)
-
-    predicted = table.expanded()
-    if len(predicted) != graph.vertex_count:
-        return VerifyReport(
-            n, r1, r2, tol, graph.vertex_count, math.inf, False, False,
-            oracle.residual_bound, oracle.tolerance,
-        )
-    max_dev = float(np.abs(predicted - oracle.eigenvalues).max()) if len(predicted) else 0.0
-
-    mult_ok = True
-    pos = 0
-    for line in table.lines:
-        chunk = oracle.eigenvalues[pos : pos + line.multiplicity]
-        pos += line.multiplicity
-        if np.abs(chunk - line.value).max() > tol:
-            mult_ok = False
-    passed = max_dev <= tol and mult_ok
-    return VerifyReport(
-        n, r1, r2, tol, graph.vertex_count, max_dev, mult_ok, passed,
-        oracle.residual_bound, oracle.tolerance,
-    )
+    blocks: dict = {}
+    batches: list[list[SpectrumTable]] = []
+    for n, r1, r2 in cases:
+        table = _table(n, r1, r2, None, blocks)
+        if not batches or sum(t.total_dim for t in batches[-1]) + table.total_dim > dense_limit:
+            batches.append([])
+        batches[-1].append(table)
+    reports = []
+    for batch in batches:
+        graphs = [build_graph(t.n, t.r1, t.r2, max_vertices=dense_limit) for t in batch]
+        for t, oracle in zip(batch, oracle_spectra(graphs, dense_limit=dense_limit)):
+            w, predicted = oracle.eigenvalues, t.expanded()
+            gaps = np.abs(w - predicted) if len(w) == len(predicted) else np.full(1, math.inf)
+            ok = bool(np.all(gaps <= tol))
+            reports.append(VerifyReport(t.n, t.r1, t.r2, tol, len(w), float(gaps.max()), ok, ok,
+                                        oracle.residual_bound, oracle.tolerance))
+        del graphs  # before the next batch's are built
+    return reports

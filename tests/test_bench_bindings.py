@@ -3,7 +3,9 @@
 ``bench/run.py`` counts ``spectrum.AmbiguousMergeWarning``; the tracer in
 ``bench/tracing.py`` wraps each function under every name a module binds it
 to, and the ``InducedGraph`` methods in ``GRAPH_METHODS``; it counts Sturm
-rows as the length of the first argument of ``tridiagonal.count_below``.  A
+rows as the length of the first argument of ``tridiagonal.count_below``, and
+reads the residual ratio off the one ``OracleSpectrum`` that
+``hamming.oracle_spectrum`` returns.  A
 rename here, or a scalar first argument there, would break
 ``bench/run.py --trace 1`` without failing any other test.
 """
@@ -43,6 +45,15 @@ def load_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def test_the_oracle_the_tracer_hooks_returns_one_spectrum_with_its_residual():
+    # the tracer wraps hamming.oracle_spectrum by name and reads the residual ratio from its result
+    assert "hamming.oracle_spectrum" in load_tracing().Tracer()._after_hooks()
+    hamming = importlib.import_module("ballspec.hamming")
+    spec = hamming.oracle_spectrum(hamming.build_graph(6, 0, 3))
+    assert isinstance(spec, hamming.OracleSpectrum)
+    assert 0.0 <= spec.residual_bound <= spec.tolerance == 1e-10 * 42
 
 
 def test_graph_methods_the_tracer_wraps_exist():

@@ -64,8 +64,8 @@ def test_verify_budget_exit(capsys):
 
 def test_verify_all_checks_every_budget_before_solving(capsys, monkeypatch):
     solved = []
-    verify = spectrum.verify_against_oracle
-    monkeypatch.setattr(spectrum, "verify_against_oracle",
+    verify = spectrum.verify_bands
+    monkeypatch.setattr(spectrum, "verify_bands",
                         lambda *args, **kwargs: solved.append(args) or verify(*args, **kwargs))
     # (6,0,2) is the first band over 20 vertices; the 20 bands with n <= 5 fit
     code, out, err = run(capsys, "verify", "--all", "--max-n", "6", "--dense-limit", "20")
@@ -83,6 +83,18 @@ def test_verify_all_csv(capsys):
     # deterministic case ordering
     keys = [tuple(map(int, line.split(",")[:3])) for line in lines[1:]]
     assert keys == sorted(keys)
+
+
+def test_verify_all_is_one_sweep_and_prints_the_same_at_any_dense_limit_that_fits(capsys, monkeypatch):
+    sweeps = []
+    verify = spectrum.verify_bands
+    monkeypatch.setattr(spectrum, "verify_bands",
+                        lambda *args, **kwargs: sweeps.append(args) or verify(*args, **kwargs))
+    code, out, _ = run(capsys, "verify", "--all", "--max-n", "11")
+    # (11, 0, 5) has 1,024 vertices, the largest band here
+    assert (code, len(sweeps)) == (0, 1)
+    assert run(capsys, "verify", "--all", "--max-n", "11", "--dense-limit", "1024") == (0, out, "")
+    assert out.count("\n") == 112 and "false" not in out
 
 
 # A dimension, or a first-root coupling, too large for a float.

@@ -327,6 +327,94 @@ def test_oracle_residual_above_tolerance_raises(monkeypatch):
         hm.oracle_spectrum(cached_graph(6, 0, 3))
 
 
+def _assert_batch_equals_one_at_a_time(graphs):
+    for g, got in zip(graphs, hm.oracle_spectra(graphs)):
+        alone = hm.oracle_spectrum(g)
+        assert np.array_equal(got.eigenvalues, alone.eigenvalues), (g.n, g.r1, g.r2)
+        assert got.residual_bound == alone.residual_bound, (g.n, g.r1, g.r2)
+        assert got.tolerance == alone.tolerance == 1e-10 * g.vertex_count
+
+
+SMALL_BANDS = list(band_cases(11))
+
+
+def test_batched_oracle_equals_one_graph_at_a_time_in_one_batch():
+    _assert_batch_equals_one_at_a_time([cached_graph(*case) for case in SMALL_BANDS])
+
+
+def test_batched_oracle_equals_one_graph_at_a_time_in_batches_of_1024_vertices():
+    batches = [[]]
+    for case in SMALL_BANDS:
+        g = cached_graph(*case)
+        if sum(h.vertex_count for h in batches[-1]) + g.vertex_count > 1024:
+            batches.append([])
+        batches[-1].append(g)
+    assert len(batches) > 1
+    for batch in batches:
+        _assert_batch_equals_one_at_a_time(batch)
+
+
+def test_batched_oracle_equals_one_graph_at_a_time_on_large_and_wide_bands():
+    # (64, 0, 2) uses all 64 mask bits, so a graph's keys cannot be packed next to its masks
+    wide = [cached_graph(*case) for case in [(12, 0, 6), (12, 4, 6), (40, 0, 1), (64, 0, 2)]]
+    _assert_batch_equals_one_at_a_time(wide)
+    _assert_batch_equals_one_at_a_time([cached_graph(3, 0, 1), *wide[2:], cached_graph(5, 1, 2)])
+
+
+def test_batched_oracle_returns_one_spectrum_per_graph_with_its_vectors():
+    graphs = [cached_graph(3, 0, 1), cached_graph(6, 1, 3), cached_graph(7, 0, 3)]
+    for g, got in zip(graphs, hm.oracle_spectra(graphs, want_vectors=True)):
+        alone = hm.oracle_spectrum(g, want_vectors=True)
+        assert np.array_equal(got.eigenvectors, alone.eigenvectors)
+        assert np.array_equal(got.eigenvalues, alone.eigenvalues)
+        assert got.residual_bound == alone.residual_bound
+
+
+def test_batched_oracle_checks_the_edge_count_of_each_graph():
+    g = cached_graph(6, 0, 3)
+    tampered = dataclasses.replace(g, edge_count=g.edge_count + 1)
+    with pytest.raises(ArithmeticError, match="block norms"):
+        hm.oracle_spectra([cached_graph(5, 0, 2), tampered, cached_graph(7, 1, 3)])
+
+
+def test_batched_oracle_checks_the_swap_invariance_of_each_graph():
+    g = cached_graph(4, 0, 2)
+    hub = g.masks.tolist().index(0b0001)
+    adjacency = [
+        nbrs if u == hub else [v for v in nbrs if v == hub]
+        for u, nbrs in enumerate(neighbour_lists(g))
+    ]
+    lopsided = with_neighbour_lists(g, adjacency, len(adjacency[hub]))
+    batch = [cached_graph(5, 0, 2), lopsided, cached_graph(6, 0, 3)]
+    with pytest.raises(InvalidParameterError, match=r"\(4,0,2\) .*coordinates 0 and 1"):
+        hm.oracle_spectra(batch)
+    hm.oracle_spectra([batch[0], batch[2]])  # the untouched graphs pass on their own
+    # a vertex set the swaps do not keep: mask 0b0010 of the star (4, 0, 1) becomes 0b1_0000
+    star = cached_graph(4, 0, 1)
+    moved = dataclasses.replace(star, masks=np.array([0, 1, 16, 4, 8], dtype=np.uint64))
+    with pytest.raises(InvalidParameterError, match=r"\(4,0,1\) .*coordinates 0 and 1"):
+        hm.oracle_spectra([batch[0], moved, batch[2]])
+
+
+def test_batched_oracle_checks_the_dense_limit_of_each_graph():
+    graphs = [cached_graph(4, 0, 1), cached_graph(6, 0, 3)]
+    assert [s.tolerance for s in hm.oracle_spectra(graphs, dense_limit=42)] == [5e-10, 4.2e-9]
+    with pytest.raises(BudgetExceededError):
+        hm.oracle_spectra(graphs, dense_limit=41)
+
+
+def test_popcount_of_every_bit_position():
+    rng = np.random.default_rng(7)
+    masks = np.concatenate([
+        rng.integers(0, 2**63, 1000, dtype=np.uint64) << np.uint64(1),
+        np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)),
+    ])
+    counts = hm._popcount(masks)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [int(m).bit_count() for m in masks.tolist()]
+
+
 def test_adjacent_spheres_spectrum_symmetric():
     for n in range(2, 9):
         for r1 in range(n // 2):

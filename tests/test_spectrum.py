@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +195,91 @@ def test_invalid_parameters(n, r1, r2):
 def test_verify_rejects_bad_tolerance(tol):
     with pytest.raises(InvalidParameterError):
         sp.verify_against_oracle(4, 0, 2, tol=tol)
+
+
+def _tamper_oracle(monkeypatch, index, value):
+    batched = sp.oracle_spectra
+
+    def tampered(graphs, **kwargs):
+        first, *rest = batched(graphs, **kwargs)
+        w = first.eigenvalues.copy()
+        w[index] = value
+        return [dataclasses.replace(first, eigenvalues=w), *rest]
+
+    monkeypatch.setattr(sp, "oracle_spectra", tampered)
+
+
+@pytest.mark.parametrize("value", [math.nan, 1.5])
+def test_verify_reports_a_tampered_oracle_value_as_a_mismatch(monkeypatch, value):
+    # (6, 1, 3) has 41 vertices; eigenvalue 20 is the middle one of its 11 zeros
+    _tamper_oracle(monkeypatch, 20, value)
+    rep = sp.verify_against_oracle(6, 1, 3)
+    assert not rep.multiplicities_ok and not rep.passed
+    assert rep.summary().endswith("multiplicities=MISMATCH FAIL")
+
+
+SWEEP = sorted(band_cases(11))  # (n, r1, r2) order, as verify --all runs it
+
+
+def test_sweep_reports_equal_the_single_band_reports():
+    reports = sp.verify_bands(SWEEP)
+    assert [(rep.n, rep.r1, rep.r2) for rep in reports] == SWEEP
+    for rep in reports:
+        assert rep == sp.verify_against_oracle(rep.n, rep.r1, rep.r2)
+
+
+def test_sweep_runs_one_oracle_call_per_batch_within_the_dense_limit(monkeypatch):
+    batched = sp.oracle_spectra
+    batches = []
+
+    def recorded(graphs, **kwargs):
+        batches.append([g.vertex_count for g in graphs])
+        return batched(graphs, **kwargs)
+
+    monkeypatch.setattr(sp, "oracle_spectra", recorded)
+    for limit, count in [(5000, 4), (1024, 22)]:
+        batches.clear()
+        sp.verify_bands(SWEEP, dense_limit=limit)
+        assert len(batches) == count
+        assert [v for batch in batches for v in batch] == [
+            sum(math.comb(n, i) for i in range(r1, r2 + 1)) for n, r1, r2 in SWEEP
+        ]
+        assert all(sum(batch) <= limit for batch in batches)
+        # consecutive bands: a batch closes only when the next band does not fit
+        assert all(sum(a) + b[0] > limit for a, b in zip(batches, batches[1:]))
+
+
+def test_sweep_solves_each_distinct_block_once(monkeypatch):
+    solved, crosschecked = [], []
+    lambda_set, roots = sp.lambda_set, sp.krawtchouk.roots
+    monkeypatch.setattr(sp, "lambda_set", lambda n, r1, r2, t: solved.append(
+        (n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0)) or lambda_set(n, r1, r2, t))
+    monkeypatch.setattr(sp.krawtchouk, "roots", lambda *a: crosschecked.append(a) or roots(*a))
+    sp.verify_bands(SWEEP)
+    keys = {(n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0) for n, r1, r2 in SWEEP for t in range(r2 + 1)}
+    assert sorted(solved) == sorted(keys)
+    assert len(keys) == 142 < sum(r2 + 1 for _, _, r2 in SWEEP) == 391
+    # every r1 = 0 block keeps its Krawtchouk cross-check
+    assert len(crosschecked) == sum(1 for key in keys if key[3] and key[0] >= 1)
+
+
+def test_shared_blocks_give_the_tables_of_one_band_at_a_time():
+    blocks = {}
+    for n, r1, r2 in SWEEP:
+        assert sp._table(n, r1, r2, None, blocks) == sp.full_spectrum(n, r1, r2)
+
+
+def test_sweep_memory_peak_is_no_higher_than_one_large_band():
+    def peak(run):
+        run()  # warm every cache first
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: sp.verify_bands(SWEEP)) <= peak(lambda: sp.verify_against_oracle(12, 0, 6))
 
 
 def test_spectrum_table_serialization():
