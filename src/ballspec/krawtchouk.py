@@ -5,15 +5,12 @@ The degree-k Krawtchouk polynomial over {0..N} is
     K_k(x) = sum_{l=0}^{k} (-1)^l C(x,l) C(N-x, k-l),
 
 an integer-valued degree-k polynomial whose k! multiple has integer
-coefficients; that scaled form is what gets stored.  Roots are isolated by
-exact sign evaluation on the integer grid (each open unit interval holds at
-most one root, integer roots are detected exactly and deflated) and then
-certified by dyadic bisection with exact integer sign tests.  The bisection
-is seeded from a floating-point eigensolve of the Jacobi matrix, whose
-eigenvalues are the roots: the dyadic interval of the final width that
-holds the guess is taken when exact sign tests show a root strictly inside
-it, which is the interval the bisection would end on, so the seed changes
-no bit of the result.
+coefficients; that scaled form is what gets stored and evaluated.  Its
+roots are the eigenvalues of the Jacobi matrix J, whose double 2J is an
+integer matrix, so exact Sturm counts of 2J (``tridiagonal.exact_count``)
+place each root on a dyadic grid and prove its rank.  The search is seeded
+from a floating-point eigensolve of J; the counts decide every step, so the
+seed changes no bit of the result.
 """
 
 from __future__ import annotations
@@ -33,8 +30,9 @@ from .tridiagonal import DEFAULT_TOL
 POLYNOMIAL_BISECTION = "polynomial-bisection"
 TRIDIAGONAL_EIGENSOLVE = "tridiagonal-eigensolve"
 
-# Above this ambient dimension first_root skips exact coefficients and goes
-# straight to the Jacobi-matrix eigensolve.
+# Up to this ambient dimension first_root takes the smallest of the roots
+# certified by exact counts (``roots``); above it, the floating-point
+# bisection of the Jacobi matrix.
 EXACT_COEFF_LIMIT = 64
 
 
@@ -126,106 +124,6 @@ def _horner(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def _sign_at_dyadic(coeffs: list[int], num: int, e: int) -> int:
-    """Sign of p(num / 2^e), computed exactly in integers."""
-    acc = coeffs[-1]
-    pw = 1
-    for c in reversed(coeffs[:-1]):
-        pw <<= e
-        acc = acc * num + c * pw
-    return (acc > 0) - (acc < 0)
-
-
-def _deflate(coeffs: list[int], root: int) -> list[int]:
-    """Divide exactly by (x - root); the remainder must vanish."""
-    out = [0] * (len(coeffs) - 1)
-    acc = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[i]
-        out[i - 1] = acc
-    if acc * root + coeffs[0] != 0:
-        raise ArithmeticError("internal-error: deflation by a non-root")
-    return out
-
-
-def _bisect_bracket(
-    work: list[int],
-    full: list[int],
-    left: int,
-    sign_left: int,
-    tol: float,
-    guess: float = math.nan,
-) -> tuple[float, float]:
-    """Certify the single root of ``work`` inside the open interval (left, left+1).
-
-    Maintains a dyadic interval (a/2^e, (a+1)/2^e) and halves with exact
-    integer sign tests until the width drops below ``tol`` *and* the original
-    polynomial ``full`` has nonzero opposite signs at both endpoints (an
-    endpoint can transiently sit on a deflated integer root of ``full``).
-    ``full is work`` when no integer root was deflated; the halving keeps
-    ``work``'s signs opposite and nonzero, so ``full`` is then not tested.
-
-    A ``guess`` skips the halving: the level-e interval holding it, for the
-    first level e >= 2 with 2^-e <= tol (the unit interval's first or last
-    one for a guess below or above it), or the neighbour its signs point
-    to (``_interval_of_root``), is returned when ``work`` and ``full`` both
-    have nonzero opposite signs at its ends.  Then the root of ``work`` is
-    strictly inside, so it is no dyadic of level <= e, no midpoint the
-    halving tests is a root, and the halving would end on that same
-    interval at that same e.  Any other guess (NaN, infinite, or failing a
-    sign test) runs the halving.
-    """
-    level = 2
-    while 2.0 ** -level > tol:
-        level += 1
-    if math.isfinite(guess):
-        num, den = guess.as_integer_ratio()
-        a = min(max((num << level) // den, left << level), ((left + 1) << level) - 1)
-        a = _interval_of_root(work, a, level, sign_left)
-        if a is not None and (full is work or _brackets(full, a, level)):
-            return _dyadic_midpoint(a, level)
-    a, e = left, 0
-    while True:
-        mid = 2 * a + 1
-        s_mid = _sign_at_dyadic(work, mid, e + 1)
-        if s_mid == 0:
-            # exact dyadic root (e.g. half-integer roots of odd symmetry)
-            value = float(Fraction(mid, 1 << (e + 1)))
-            return value, math.ulp(max(1.0, abs(value)))
-        if s_mid == sign_left:
-            a = mid
-        else:
-            a = 2 * a
-        e += 1
-        if e >= level and (full is work or _brackets(full, a, e)):
-            return _dyadic_midpoint(a, e)
-
-
-def _interval_of_root(work: list[int], a: int, e: int, sign_left: int) -> int | None:
-    """a, or the neighbour a -+ 1, if ``work`` has nonzero opposite signs at the ends of that
-    level-e interval of the unit interval whose left end has sign ``sign_left``; else None.
-
-    ``work`` has one simple root in the unit interval: its sign is
-    ``sign_left`` below the root and the opposite above.  So when both ends
-    of interval a have the same nonzero sign, that sign says on which side
-    the root is, and one more test, at the neighbour's far end, decides the
-    neighbour.  That neighbour lies inside the unit interval, whose ends
-    have opposite signs.
-    """
-    s_a, s_b = _sign_at_dyadic(work, a, e), _sign_at_dyadic(work, a + 1, e)
-    if s_a * s_b < 0:
-        return a
-    if s_a != s_b or s_a == 0:
-        return None
-    near, far = (a + 1, a + 2) if s_a == sign_left else (a - 1, a - 1)
-    return near if _sign_at_dyadic(work, far, e) == -s_a else None
-
-
-def _brackets(coeffs: list[int], a: int, e: int) -> bool:
-    """Whether the polynomial has nonzero, opposite signs at a/2^e and (a+1)/2^e."""
-    return _sign_at_dyadic(coeffs, a, e) * _sign_at_dyadic(coeffs, a + 1, e) < 0
-
-
 def _dyadic_midpoint(a: int, e: int) -> tuple[float, float]:
     """Midpoint and certified half-width of the dyadic interval (a/2^e, (a+1)/2^e)."""
     value = float(Fraction(2 * a + 1, 1 << (e + 1)))
@@ -233,62 +131,70 @@ def _dyadic_midpoint(a: int, e: int) -> tuple[float, float]:
 
 
 def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
-    """All k roots of the polynomial, certified to half-width <= tol.
+    """All k roots of the polynomial, certified to half-width <= tol, by exact Sturm counts.
 
-    Integer roots come out exact (half-width one ulp); the rest are bracketed
-    by the sign pattern on the integer grid -- orthogonality w.r.t. the
-    binomial measure puts at most one root in each open unit interval -- and
-    bisected with exact sign confirmation.  Each bisection is seeded with
-    the eigenvalue of the Jacobi matrix (``_root_guesses``) that has
-    the same rank among the roots as its bracket; ``_bisect_bracket``
-    certifies the guess with two exact sign tests (four when an integer
-    root was deflated) or ignores it, so the roots are the unseeded ones,
-    bit for bit.
+    Root i is found on the grid of multiples of 2^-e, for the first e >= 2
+    with 2^-e <= tol, by ``_root_of_rank``, seeded with the eigenvalue of the
+    same rank from a floating-point eigensolve (``_root_guesses``).  The
+    counts prove each root's rank whatever the guess, so the guess changes
+    no bit of the result, only the number of counts.
     """
     if p.degree < 1:
         raise InvalidDegreeError("roots requires degree >= 1")
     check_tol(tol)
     tol = min(tol, 0.25)
-    full = list(p.coeffs)
-    grid = [p.eval_scaled(x) for x in range(p.ambient_dim + 1)]
-    int_roots = [x for x, v in enumerate(grid) if v == 0]
+    level = 2
+    while 2.0 ** -level > tol:
+        level += 1
+    n, k = p.ambient_dim, p.degree
+    couplings = jacobi_couplings(n, 0, k - 1).tolist()
+    guesses = _root_guesses(n, k)
+    values, radii = zip(*(_root_of_rank(couplings, n, i, level, g) for i, g in enumerate(guesses)))
+    return RootList(values, radii, POLYNOMIAL_BISECTION)
 
-    work = full
-    for r in int_roots:
-        work = _deflate(work, r)
 
-    brackets: list[tuple[int, int]] = []
-    if len(work) > 1:
-        dgrid = [_horner(work, x) for x in range(p.ambient_dim + 1)]
-        if any(v == 0 for v in dgrid):
-            raise ArithmeticError("internal-error: repeated integer root")
-        signs = [(v > 0) - (v < 0) for v in dgrid]
-        brackets = [(x, signs[x]) for x in range(p.ambient_dim) if signs[x] != signs[x + 1]]
-    if len(int_roots) + len(brackets) != p.degree:
-        raise ArithmeticError(
-            f"internal-error: isolated {len(int_roots) + len(brackets)} roots, expected {p.degree}"
-        )
-    found = [(float(r), math.ulp(max(1.0, float(r)))) for r in int_roots]
-    if brackets:
-        guesses = _root_guesses(p.ambient_dim, p.degree)
-        # the roots below bracket i: the i brackets before it and the integer roots <= its left end
-        below = 0
-        for i, (x, sign) in enumerate(brackets):
-            while below < len(int_roots) and int_roots[below] <= x:
-                below += 1
-            found.append(_bisect_bracket(work, full, x, sign, tol, guesses[i + below]))
-    found.sort()
-    return RootList(
-        tuple(v for v, _ in found),
-        tuple(r for _, r in found),
-        POLYNOMIAL_BISECTION,
-    )
+def _root_of_rank(couplings: list[int], n: int, i: int, e: int, guess: float) -> tuple[float, float]:
+    """Root i (0-based, ascending) of K_k over {0..N}, by exact counts on the level-e grid.
+
+    The roots are the eigenvalues of the Jacobi matrix J, and 2J is the
+    integer matrix with diagonal N and squared off-diagonals ``couplings``,
+    so its exact count at 2x = a / 2^(e-1) gives the roots below x = a / 2^e
+    and whether x is one.  The bracket (lo, hi) of grid points keeps at most
+    i roots <= lo and more than i below hi.  It starts at (0, N), as the
+    roots of an orthogonal polynomial lie inside the hull of the support of
+    its measure.  A finite ``guess`` is tried first: the ends of its
+    interval, then the far end of the neighbour they point to; then the
+    bracket is bisected.  A grid point that is root i comes out exact, with
+    half-width one ulp.  At hi = lo + 1 the interval is returned when its
+    ends count i and i + 1 roots and neither is a root; while an end is
+    another root, the grid is refined by halves.
+    """
+    lo, at_lo, hi, at_hi = 0, (0, False), n << e, (len(couplings) + 1, False)
+    probes = []
+    if math.isfinite(guess):
+        num, den = guess.as_integer_ratio()
+        a = min(max((num << e) // den, 0), hi - 1)
+        probes = [a, a + 1, a + 2, a - 1]
+    while True:
+        while hi - lo > 1:
+            x = next((x for x in probes if lo < x < hi), (lo + hi) // 2)
+            at_x = tridiagonal.exact_count(couplings, n, x, e - 1)
+            if at_x == (i, True):
+                value = float(Fraction(x, 1 << e))
+                return value, math.ulp(max(1.0, value))
+            if at_x[0] > i:
+                hi, at_hi = x, at_x
+            else:
+                lo, at_lo = x, at_x
+        if at_lo == (i, False) and at_hi == (i + 1, False):
+            return _dyadic_midpoint(lo, e)
+        lo, hi, e, probes = 2 * lo, 2 * hi, e + 1, []
 
 
 def _root_guesses(ambient_dim: int, degree: int) -> list[float]:
     """Eigenvalues of the Jacobi matrix of K_k, ascending, by a dense floating-point eigensolve.
 
-    Uncertified: only guesses for ``_bisect_bracket``.
+    Uncertified: only guesses for ``_root_of_rank``.
     """
     return np.linalg.eigvalsh(tridiagonal.dense(*_jacobi_matrix(ambient_dim, degree))).tolist()
 
@@ -330,8 +236,8 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
 
     N = 0 with k = 1 returns 0.0 by convention (the degenerate reduced
     dimension, where the corresponding 1x1 coupling block is the zero
-    matrix); any other k needs 1 <= k <= N.  Large N skips exact
-    coefficients and bisects the Jacobi matrix, seeded for k >= 512 from
+    matrix); any other k needs 1 <= k <= N.  Large N skips the exact
+    counts and bisects the Jacobi matrix in floats, seeded for k >= 512 from
     the smallest eigenvalue of a window of it (``_window_guess``): the same
     bits, in 2 full sweeps instead of ~55 when the guess is right.  The
     couplings are built once, as a float64 array and its list: every matrix

@@ -97,7 +97,8 @@ def lambda_set(n: int, r1: int, r2: int, t: int) -> RootList:
 
     For r1 = 0 the same set must equal 2*R - (n-2t) where R are the roots of
     the degree r2-t+1 Krawtchouk polynomial over {0..n-2t}; when the exact
-    coefficient path is available the two routes are cross-checked here.
+    coefficient path is available the two routes are cross-checked here: each
+    eigenvalue's certified interval must meet the affine image of its root's.
     """
     block = coupling_matrix(n, r1, r2, t)
     out = block.eigenvalues()
@@ -106,7 +107,7 @@ def lambda_set(n: int, r1: int, r2: int, t: int) -> RootList:
         kr = krawtchouk.roots(krawtchouk.build(reduced, r2 - t + 1))
         for v, rad, x, xrad in zip(out.values, out.radius, kr.values, kr.radius):
             affine = 2.0 * x - reduced
-            if abs(v - affine) > rad + 2.0 * xrad + 1e-10:
+            if abs(v - affine) > rad + 2.0 * xrad:
                 raise ArithmeticError(
                     f"internal-error: eigensolve/root paths disagree at t={t}: "
                     f"{v!r} vs {affine!r}"

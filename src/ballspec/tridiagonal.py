@@ -4,6 +4,8 @@ All routines take the *squared* off-diagonal entries ``off_sq`` and the
 constant diagonal ``d`` (0 for the origin blocks, N/2 for the Jacobi matrix)
 of a matrix of ``len(off_sq) + 1`` rows.  The squares are exact (integers,
 or integers over 4), so only the Gershgorin bracket and ``dense`` take roots.
+``exact_count`` is the one exact Sturm count: integer squares and diagonal,
+at a dyadic point, in Python integers.
 """
 
 from __future__ import annotations
@@ -51,6 +53,27 @@ def count_below(off_sq: Sequence[float], d: float, x: float, *, pivmin: float | 
             q = floor
             count += 1
     return count
+
+
+def exact_count(couplings: Sequence[int], d: int, num: int, e: int) -> tuple[int, bool]:
+    """(eigenvalues strictly below x, whether x is one) at x = num / 2^e, in integers.
+
+    ``couplings`` are the squared off-diagonals and ``d`` the constant
+    diagonal, all Python ints.  The leading minors D_j = 2^(e j) det(T_j - x)
+    obey D_j = (d 2^e - num) D_(j-1) - c_j 4^e D_(j-2) from D_0 = 1, and the
+    count is the number of sign changes in D_0 .. D_m with zeros dropped
+    (Sturm): with every c_j > 0 no two zeros follow each other, and a zero
+    D_j (j < m) has neighbours of opposite signs.  D_m = 0 says x is an
+    eigenvalue.
+    """
+    b, shift = (d << e) - num, 2 * e  # the factor 4^e as a shift
+    prev, cur, positive, count = 0, 1, True, 0
+    for c in chain((0,), couplings):
+        prev, cur = cur, b * cur - ((c * prev) << shift)
+        if cur:
+            count += (cur > 0) != positive
+            positive = cur > 0
+    return count, cur == 0
 
 
 def _pivot_floor(off_sq: Sequence[float] | np.ndarray) -> float:

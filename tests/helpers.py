@@ -6,6 +6,7 @@ import functools
 import numpy as np
 
 from ballspec.hamming import build_graph, oracle_spectrum
+from ballspec.tridiagonal import exact_count
 
 
 @functools.lru_cache(maxsize=None)
@@ -38,3 +39,9 @@ def with_neighbour_lists(g, lists, edge_count):
     indptr = np.cumsum([0] + [len(nbrs) for nbrs in lists])
     indices = np.array([v for nbrs in lists for v in nbrs], dtype=np.int64)
     return dataclasses.replace(g, indptr=indptr, indices=indices, edge_count=edge_count)
+
+
+def exact_count_at(couplings, d, x):
+    """``tridiagonal.exact_count`` at a dyadic float or Fraction x = num / 2^e."""
+    num, den = x.as_integer_ratio()
+    return exact_count(couplings, d, num, den.bit_length() - 1)

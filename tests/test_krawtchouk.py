@@ -108,85 +108,87 @@ def test_roots_count_and_interval():
             assert 0.0 < rl.values[0] and rl.values[-1] < n
 
 
-def brackets_of(n, k):
-    # work (full deflated by its integer roots), full, and (left, sign of work at left) per sign change
-    full = list(kw.build(n, k).coeffs)
-    work = full
-    for x in range(n + 1):
-        if kw._horner(full, x) == 0:
-            work = kw._deflate(work, x)
-    signs = [(v > 0) - (v < 0) for v in (kw._horner(work, x) for x in range(n + 1))]
-    return work, full, [(x, signs[x]) for x in range(n) if signs[x] != signs[x + 1]]
-
-
-def counting_signs(monkeypatch):
-    # patch the exact sign test to count its calls
+def counting_counts(monkeypatch):
+    # patch the exact Sturm count to record the grid level of each call
     calls = []
-    sign_at_dyadic = kw._sign_at_dyadic
+    exact_count = tridiagonal.exact_count
 
-    def counting(coeffs, num, e):
+    def counting(couplings, d, num, e):
         calls.append(e)
-        return sign_at_dyadic(coeffs, num, e)
+        return exact_count(couplings, d, num, e)
 
-    monkeypatch.setattr(kw, "_sign_at_dyadic", counting)
+    monkeypatch.setattr(tridiagonal, "exact_count", counting)
     return calls
 
 
-# (N, k) with an integer root of full (even N, odd k: N/2), a half-integer root (odd N, odd k: N/2), both
-# kinds of symmetry, and degrees with only inexact roots
+def guessing(monkeypatch, guesses):
+    # hand roots() these guesses, one per rank, in place of the Jacobi eigenvalues
+    monkeypatch.setattr(kw, "_root_guesses", lambda n, k: list(guesses))
+
+
+# (N, k) with an integer root (even N, odd k: N/2), a half-integer root (odd N, odd k: N/2), both kinds
+# of symmetry, and degrees with only inexact roots
 BISECT_CASES = [(4, 3), (9, 3), (12, 5), (13, 7), (16, 5), (21, 10), (40, 13), (64, 33)]
 
 
 @pytest.mark.parametrize("n,k", BISECT_CASES)
 @pytest.mark.parametrize("tol", [kw.DEFAULT_TOL, 1e-5, 0.25])
 def test_bisect_bracket_keeps_the_bits_for_any_guess(n, k, tol, monkeypatch):
-    work, full, brackets = brackets_of(n, k)
-    integer_roots = [float(x) for x in range(n + 1) if kw._horner(full, x) == 0]
+    # each root's search on the dyadic grid ends on the same bits whatever guess it starts from
+    plain = kw.roots(kw.build(n, k), tol)
     level = max(2, math.ceil(-math.log2(tol)))
-    assert brackets and (integer_roots or n % 2)
-    calls = counting_signs(monkeypatch)
-    for x, sign in brackets:
-        plain = kw._bisect_bracket(work, full, x, sign, tol)  # no guess: the halving
-        value, radius = plain
-        unit = 2.0 ** -level
-        guesses = {
-            "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-            "left end": float(x), "right end": float(x + 1), "left of the bracket": x - 0.5,
-            "right of the bracket": x + 1.5, "far": 1e300, "N/2": n / 2,
-            "next dyadic interval up": value + unit, "next dyadic interval down": value - unit,
-            **{f"integer root {r}": r for r in integer_roots},
-        }
-        for name, guess in guesses.items():
-            assert kw._bisect_bracket(work, full, x, sign, tol, guess) == plain, (n, k, x, name)
-        calls.clear()
-        assert kw._bisect_bracket(work, full, x, sign, tol, value) == plain, (n, k, x)
-        if radius > math.ulp(value):  # not an exact dyadic root: the guess is taken with
-            # two sign tests on work, and two on full when an integer root was deflated from it
-            assert calls == [level] * (2 if work is full else 4), (n, k, x)
-            # a guess one interval off costs one more test on work, at the far end of the neighbour
-            for guess in (value - unit, value + unit):
-                if x < guess < x + 1:
-                    calls.clear()
-                    assert kw._bisect_bracket(work, full, x, sign, tol, guess) == plain, (n, k, x)
-                    assert calls == [level] * (3 if work is full else 5), (n, k, x, guess)
+    unit = 2.0 ** -level
+    exact = [v for v, r in zip(plain.values, plain.radius) if r == math.ulp(max(1.0, v))]
+    integer_roots = [v for v in exact if v == int(v)]
+    assert integer_roots or n % 2
+    guesses = {
+        "nan": [math.nan] * k, "inf": [math.inf] * k, "-inf": [-math.inf] * k, "far": [1e300] * k,
+        "unit interval's left end": [float(math.floor(v)) for v in plain.values],
+        "unit interval's right end": [float(math.floor(v) + 1) for v in plain.values],
+        "unit interval below": [math.floor(v) - 0.5 for v in plain.values],
+        "unit interval above": [math.floor(v) + 1.5 for v in plain.values],
+        "next dyadic interval up": [v + unit for v in plain.values],
+        "next dyadic interval down": [v - unit for v in plain.values],
+        "N/2": [n / 2] * k, **{f"integer root {r}": [r] * k for r in integer_roots},
+    }
+    calls = counting_counts(monkeypatch)
+    for name, guess in guesses.items():
+        guessing(monkeypatch, guess)
+        assert kw.roots(kw.build(n, k), tol) == plain, (n, k, name)
+    # a right guess costs two counts at the final level, the ends of its interval; one for an exact root
+    guessing(monkeypatch, plain.values)
+    calls.clear()
+    assert kw.roots(kw.build(n, k), tol) == plain
+    assert calls == [level - 1] * (2 * k - len(exact)), (n, k)
+    # a guess one interval up finds the root's interval below its own in two counts; one down takes three
+    # for an inexact root (fewer when the root's interval starts at 0) and two for an exact one
+    guessing(monkeypatch, guesses["next dyadic interval up"])
+    calls.clear()
+    assert kw.roots(kw.build(n, k), tol) == plain
+    assert len(calls) == 2 * k, (n, k)
+    guessing(monkeypatch, guesses["next dyadic interval down"])
+    calls.clear()
+    assert kw.roots(kw.build(n, k), tol) == plain
+    assert len(calls) <= 3 * k - len(exact), (n, k)
 
 
 @pytest.mark.parametrize("n,k", [(9, 3), (13, 7), (21, 5), (63, 31)])
-def test_bisect_bracket_on_the_half_integer_root(n, k):
-    # for odd N and odd k, N/2 is a root; the halving finds it exactly at its first midpoint, and a guess
-    # there, which sits on an end of its dyadic intervals, is ignored
-    work, full, brackets = brackets_of(n, k)
-    (x, sign), = [(x, sign) for x, sign in brackets if x < n / 2 < x + 1]
+def test_bisect_bracket_on_the_half_integer_root(n, k, monkeypatch):
+    # for odd N and odd k, N/2 is the middle root; it comes out exact, with a one-ulp radius, for the
+    # Jacobi guess, a guess on it and a guess just below it
+    i = k // 2
     for tol in (kw.DEFAULT_TOL, 0.25):
-        plain = kw._bisect_bracket(work, full, x, sign, tol)
-        assert plain == (n / 2, math.ulp(n / 2))
-        assert kw._bisect_bracket(work, full, x, sign, tol, n / 2) == plain
-        assert kw._bisect_bracket(work, full, x, sign, tol, math.nextafter(n / 2, 0.0)) == plain
+        plain = kw.roots(kw.build(n, k), tol)
+        assert (plain.values[i], plain.radius[i]) == (n / 2, math.ulp(n / 2))
+        for guess in (n / 2, math.nextafter(n / 2, 0.0)):
+            guessing(monkeypatch, [*plain.values[:i], guess, *plain.values[i + 1:]])
+            assert kw.roots(kw.build(n, k), tol) == plain, (n, k, tol, guess)
+        monkeypatch.undo()
 
 
 def test_roots_are_the_unseeded_roots_bit_for_bit(monkeypatch):
     seeded = {(n, k): kw.roots(kw.build(n, k)) for n in range(1, 31) for k in range(1, n + 1)}
-    calls = counting_signs(monkeypatch)
+    calls = counting_counts(monkeypatch)
     for n in range(1, 31):
         for k in range(1, n + 1):
             kw.roots(kw.build(n, k))
@@ -195,41 +197,60 @@ def test_roots_are_the_unseeded_roots_bit_for_bit(monkeypatch):
     calls.clear()
     for (n, k), rl in seeded.items():
         assert kw.roots(kw.build(n, k)) == rl, (n, k)
-    # the guesses save most of the exact sign tests (measured: 12,656 against 184,632)
-    assert seeded_calls < len(calls) / 5
+    # the guesses save most of the exact counts (measured: 9,629 against 208,940)
+    assert seeded_calls <= 9629 and len(calls) <= 208940
+    assert seeded_calls < len(calls) / 20
 
 
 def test_roots_up_to_64_keep_their_bits_and_rarely_halve(monkeypatch):
-    # all 2,080 RootLists with N <= 64, by float.hex: the digest of the roots with every guess NaN,
-    # the halving alone (36 s to recompute, so pinned)
-    calls = counting_signs(monkeypatch)
+    # all 2,080 RootLists with N <= 64, by float.hex: the pinned digest of the roots of the exact polynomial
+    # sign bisection that the exact counts replaced
+    calls = counting_counts(monkeypatch)
     digest = hashlib.sha256()
+    roots = 0
     for n in range(1, 65):
         for k in range(1, n + 1):
             rl = kw.roots(kw.build(n, k))
+            roots += len(rl)
             digest.update(repr(([v.hex() for v in rl.values], [r.hex() for r in rl.radius])).encode())
     assert digest.hexdigest() == "20852ba36235897714a71039c39bcbfe177469ce5cc5cfe2fdc839bc1d7bf54a"
-    # a guess is tested only at its final level, so each halving is one test at level 1; measured 528,
-    # all ending at once on the half-integer root N/2 (odd N, odd k)
-    assert calls.count(1) == 528
+    # measured: 90,401 exact counts for the 45,760 roots, under 2 per root, as few guesses miss
+    assert roots == 45760 and len(calls) <= 90401
 
 
-# brackets whose guess sits in the next unit interval, across the integer nearest the root: 38 of the
-# 44,576 brackets with N <= 64, the first at (50, 50), where the root 2^-41 has a guess just below 0
-@pytest.mark.parametrize("n,k,left", [(50, 50, 0), (54, 54, 53), (58, 58, 1), (61, 61, 2), (63, 63, 62), (64, 63, 63)])
+# roots whose guess sits in the next unit interval, across the integer nearest the root, as 38 of the
+# 44,576 inexact roots with N <= 64 do; the first is at (50, 50), where the root 2^-41 has a guess
+# just below 0; each with the measured exact counts of its whole RootList as a budget
+EDGE_CASES = {(50, 50, 0): 98, (54, 54, 53): 106, (58, 58, 1): 115, (61, 61, 2): 120, (63, 63, 62): 125,
+              (64, 63, 63): 123}
+
+
+@pytest.mark.parametrize("n,k,left", EDGE_CASES)
 def test_a_guess_across_an_integer_takes_the_brackets_edge_interval(n, k, left, monkeypatch):
-    work, full, brackets = brackets_of(n, k)
-    integer_roots = [x for x in range(n + 1) if kw._horner(full, x) == 0]
-    i = [x for x, _ in brackets].index(left)
-    # the guess roots() hands this bracket: the Jacobi eigenvalue of the same rank
-    guess = kw._root_guesses(n, k)[i + sum(r <= left for r in integer_roots)]
+    plain = kw.roots(kw.build(n, k))
+    (i,) = [i for i, v in enumerate(plain.values) if left < v < left + 1]
+    guess = kw._root_guesses(n, k)[i]
     assert not left < guess < left + 1 and abs(guess - round(guess)) < 1e-12
-    sign = brackets[i][1]
-    plain = kw._bisect_bracket(work, full, left, sign, kw.DEFAULT_TOL)  # no guess: the halving
-    calls = counting_signs(monkeypatch)
-    assert kw._bisect_bracket(work, full, left, sign, kw.DEFAULT_TOL, guess) == plain
-    # the edge interval's two tests on work, and two on full when an integer root was deflated from it
-    assert calls == [calls[0]] * (2 if work is full else 4) and calls[0] > 1
+    # the root's search lands in the edge interval of its unit interval within three counts: the ends of
+    # the guess's own interval, clipped to the roots' range (0, N), and the far end of the neighbour
+    guessing(monkeypatch, [math.nan] * k)
+    assert kw.roots(kw.build(n, k)) == plain  # the bits of the unseeded search
+    monkeypatch.undo()
+    calls = counting_counts(monkeypatch)
+    search = kw._root_of_rank
+    per_rank = {}
+
+    def recording(couplings, n, rank, *args):
+        before = len(calls)
+        found = search(couplings, n, rank, *args)
+        per_rank[rank] = len(calls) - before
+        return found
+
+    monkeypatch.setattr(kw, "_root_of_rank", recording)
+    assert kw.roots(kw.build(n, k)) == plain
+    assert per_rank[i] <= 3 and len(calls) <= EDGE_CASES[n, k, left], (per_rank[i], len(calls))
+    level = 40  # the first e >= 2 with 2^-e <= DEFAULT_TOL
+    assert math.floor(plain.values[i] * 2**level) in (left << level, ((left + 1) << level) - 1)
 
 
 def test_first_root_examples():

@@ -1,13 +1,15 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ballspec import spectrum as sp
 from ballspec.errors import InvalidParameterError
-from helpers import band_cases, cached_oracle
+from helpers import band_cases, cached_oracle, exact_count_at
 
 
 def test_lambda_set_ball_4_0_2():
@@ -157,6 +159,68 @@ def test_two_lambda_routes_agree():
         for r in range(n // 2 + 1):
             for t in range(r + 1):
                 sp.lambda_set(n, 0, r, t)
+
+
+@functools.lru_cache(maxsize=None)
+def ball_block(n, m):
+    # origin 0 of the ball (n, 0, m): origin t of a ball (n, 0, r) has the same block and cross-check
+    # as ball_block(n - 2t, r - t); cached, as the two tests below meet the same blocks
+    return sp.lambda_set(n, 0, m, 0)
+
+
+def test_the_two_routes_meet_with_no_slack_on_every_block_the_cross_check_sees():
+    # the cross-check runs for r1 = 0 and 1 <= n - 2t <= 64: on 1,088 distinct blocks with 12,528
+    # eigenvalue and root pairs
+    blocks = [(n, m) for n in range(1, 65) for m in range(n // 2 + 1)]
+    assert len(blocks) == 1088
+    assert sum(len(ball_block(n, m)) for n, m in blocks) == 12528
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_a_root_three_radii_off_fails_the_cross_check(i, monkeypatch):
+    # moving root i of K_3 over {0..6} by 1.5 times the two intervals' reach moves its image 2x - N three
+    # reaches off the eigenvalue of block (6, 0, 2, 0); that is far inside the old slack of 1e-10
+    kw = sp.krawtchouk
+    block = sp.coupling_matrix(6, 0, 2, 0).eigenvalues()
+    roots = kw.roots(kw.build(6, 3))
+    reach = block.radius[i] + 2.0 * roots.radius[i]
+    values = list(roots.values)
+    values[i] += 1.5 * reach
+    moved = kw.RootList(tuple(values), roots.radius, roots.source)
+    monkeypatch.setattr(kw, "roots", lambda p, tol=kw.DEFAULT_TOL: moved)
+    with pytest.raises(ArithmeticError, match="disagree"):
+        sp.lambda_set(6, 0, 2, 0)
+    assert 3.0 * reach < 1e-10
+
+
+def assert_intervals_proven(solved):
+    # every certified interval [v - r, v + r] of lambda_set holds its eigenvalue i, by exact counts;
+    # a radius-0 value is eigenvalue i.  ``solved`` maps (n, r1, r2, t) to lambda_set's RootList.
+    intervals = 0
+    for (n, r1, r2, t), out in solved.items():
+        couplings = list(sp.coupling_matrix(n, r1, r2, t).offdiag_sq)
+        for i, (v, rad) in enumerate(zip(out.values, out.radius)):
+            where = (n, r1, r2, t, i)
+            if rad == 0.0:
+                assert exact_count_at(couplings, 0, Fraction(v)) == (i, True), where
+            else:
+                assert exact_count_at(couplings, 0, Fraction(v) - Fraction(rad)) == (i, False), where
+                assert exact_count_at(couplings, 0, Fraction(v) + Fraction(rad)) == (i + 1, False), where
+        intervals += len(out)
+    return intervals
+
+
+def test_every_printed_ball_interval_is_proven_by_exact_counts():
+    # the distinct blocks of the balls with n <= 60
+    solved = {(n, 0, m, 0): ball_block(n, m) for n in range(61) for m in range(n // 2 + 1)}
+    assert assert_intervals_proven(solved) == 10416
+
+
+def test_every_printed_band_interval_is_proven_by_exact_counts():
+    # one (n, r1, r2, t) per distinct block: rows max(t, r1) - t .. r2 - t of the Jacobi matrix over n - 2t
+    blocks = {(n - 2 * t, max(t, r1) - t, r2 - t): (n, r1, r2, t) for n, r1, r2 in band_cases(20)
+              for t in range(r2 + 1)}
+    assert assert_intervals_proven({key: sp.lambda_set(*key) for key in blocks.values()}) == 1716
 
 
 def test_merge_warning_in_ambiguous_zone():

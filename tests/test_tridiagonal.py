@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import paper_checks as pc
 from ballspec import tridiagonal as td
-from ballspec.krawtchouk import _jacobi_matrix
+from ballspec.krawtchouk import _jacobi_matrix, jacobi_couplings
 from ballspec.spectrum import coupling_matrix
+from helpers import band_cases, exact_count_at
 
 
 # A case lists its whole diagonal, as the row-loop references below read it; the routines
@@ -350,3 +352,54 @@ def test_eigenvalues_all_is_eigenvalue_k_on_every_coupling_block():
 ])
 def test_eigenvalues_all_is_eigenvalue_k_at_every_index(diag, off_sq):
     assert_all_is_each(off_sq, constant(diag))
+
+
+# (N, k) of Krawtchouk Jacobi matrices, with the ranks of the roots probed within 60 ulps of them (all
+# for the small ones); (2^33, 5) has couplings past int64
+KERNEL_CASES = [(1, 1, None), (7, 3, None), (20, 7, None), (64, 33, None), (1000, 781, (0, 389, 780)),
+                (10**4, 1100, (0, 1099)), (2**33, 5, None)]
+
+
+@pytest.mark.parametrize("n,k,ranks", KERNEL_CASES)
+def test_exact_count_is_the_independent_integer_count_on_jacobi_matrices(n, k, ranks):
+    # the kernel on 2J (diagonal N, squared couplings (j-1)(N-j+2)) at 2x against paper_checks'
+    # count of J at x, at random floats and within 60 ulps of roots; the rational roots, whose double
+    # is an integer, are left to the next test
+    couplings = jacobi_couplings(n, 0, k - 1).tolist()
+    roots = np.linalg.eigvalsh(td.dense(*_jacobi_matrix(n, k))).tolist()
+    rng = np.random.default_rng(k)
+    points = rng.uniform(-1.0, n + 1.0, size=8).tolist()
+    for i in range(k) if ranks is None else ranks:
+        unit = math.ulp(max(1.0, abs(roots[i])))  # the smallest roots of (1000, 781) are below 1e-30
+        points += [roots[i] + j * unit for j in (-60, -20, -3, -1, 0, 1, 3, 20, 60)]
+    for x in points:
+        if not (2 * x).is_integer():
+            assert exact_count_at(couplings, n, 2 * x) == (pc.exact_count_below(n, k, x), False), (n, k, x)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (7, 3), (64, 33), (1000, 781), (2**33, 5)])
+def test_exact_count_flags_the_half_integer_root_of_odd_degree(n, k):
+    # N/2 is the middle root of K_k for odd k: 2J has the eigenvalue N, with k // 2 below it
+    couplings = jacobi_couplings(n, 0, k - 1).tolist()
+    assert td.exact_count(couplings, n, n, 0) == (k // 2, True)
+    assert td.exact_count(couplings, n, 2 * n - 1, 1) == (k // 2, False)  # N - 1/2
+    assert td.exact_count(couplings, n, 2 * n + 1, 1) == (k // 2 + 1, False)
+
+
+def test_exact_count_is_the_dense_count_on_every_small_coupling_block():
+    # zero-diagonal blocks, m = 1 and m = 2 among them: the dense count away from the eigenvalues, and
+    # 0 flagged as the middle eigenvalue of an odd-size block
+    dims = set()
+    for n, r1, r2 in band_cases(12):
+        for t in range(r2 + 1):
+            block = coupling_matrix(n, r1, r2, t)
+            couplings, m = list(block.offdiag_sq), block.dim
+            dims.add(m)
+            values = np.linalg.eigvalsh(td.dense(couplings, 0.0))
+            gaps = [0.5 * (a + b) for a, b in zip(values, values[1:])]
+            for x in [values[0] - 1.0, *gaps, values[-1] + 0.5]:
+                if x != 0.0:
+                    assert exact_count_at(couplings, 0, x) == (int((values < x).sum()), False), (n, r1, r2, t, x)
+            if m % 2:
+                assert td.exact_count(couplings, 0, 0, 0) == (m // 2, True), (n, r1, r2, t)
+    assert {1, 2} <= dims
