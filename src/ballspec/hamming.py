@@ -10,7 +10,9 @@ adjacency in CSR form (``indptr``, ``indices``, each row ascending).
 ``build_graph`` makes each sphere's masks in ascending order by a
 recurrence on the bit count and fills the rows a chunk of vertices at a
 time, flipping each bit and binary-searching the adjacent sphere, so no
-temporary of V x n entries is held for the whole graph.
+temporary of V x n entries is held for the whole graph.  ``InducedGraph.band``
+cuts the graph of a sub-band out of a built one by slicing, with no search:
+a sweep over many bands of one dimension builds one graph.
 
 Every edge joins weights of opposite parity, so every band graph is
 bipartite, and every permutation of the coordinates maps it onto itself.
@@ -24,7 +26,10 @@ block (Jordan-Wielandt).  It never holds the V x V adjacency or the whole
 even x odd biadjacency: without eigenvectors it holds only the blocks.
 ``oracle_spectra`` does all of this in one pass for a list of graphs, with
 orbits and characters keyed per graph, and every check made per graph;
-``oracle_spectrum`` is its batch of one.
+``oracle_spectrum`` is its batch of one.  The (orbit, character) pairs are
+indexed directly, by the orbit's first pair plus the character's rank
+among the submasks of the orbit's mixed pairs, so an edge finds its block
+entry by arithmetic, not by a search.
 """
 
 from __future__ import annotations
@@ -93,6 +98,34 @@ class InducedGraph:
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
+    def band(self, r1: int, r2: int) -> InducedGraph:
+        """The induced subgraph on the sub-band [r1, r2], equal to ``build_graph(n, r1, r2)``.
+
+        Its arrays are new and read-only; the graph itself is returned when
+        the band is all of it.  A row of sphere i lists its neighbours below,
+        then those above, each ascending, so a sphere's rows are one
+        (size, degree) array: the sub-band drops the columns below in sphere
+        r1 and above in sphere r2, and shifts the rest by its first index.
+        """
+        if not self.r1 <= r1 <= r2 <= self.r2:
+            raise InvalidParameterError(
+                f"band [{r1}, {r2}] outside the graph's band [{self.r1}, {self.r2}]"
+            )
+        if (r1, r2) == (self.r1, self.r2):
+            return self
+        spheres = [self.sphere_slice(i) for i in range(r1, r2 + 1)]
+        sphere_start, indptr = _layout(self.n, r1, r2, [s.stop - s.start for s in spheres])
+        base = spheres[0].start
+        rows = []
+        for i, s in zip(range(r1, r2 + 1), spheres):
+            below = i if i > self.r1 else 0  # the row's columns below; the rest are above
+            block = self.indices[self.indptr[s.start] : self.indptr[s.stop]]
+            block = block.reshape(s.stop - s.start, -1)
+            rows.append(block[:, below if i == r1 else 0 : below if i == r2 else None].ravel())
+        indices = np.concatenate(rows) - base
+        masks = self.masks[base : spheres[-1].stop].copy()
+        return _frozen(self.n, r1, r2, masks, indptr, indices, sphere_start)
+
     def dense_adjacency(self) -> np.ndarray:
         a = np.zeros((self.vertex_count, self.vertex_count))
         a[np.repeat(np.arange(self.vertex_count), np.diff(self.indptr)), self.indices] = 1.0
@@ -153,23 +186,17 @@ def build_graph(
 ) -> InducedGraph:
     """Build the induced subgraph on the weight band [r1, r2].
 
-    Every vertex of sphere i has i neighbours below (if i > r1) and n - i
-    above (if i < r2), so ``indptr`` follows from the sphere sizes.  The
-    rows are filled a chunk of ``_CHUNK_ROWS`` vertices at a time: flipping
-    each bit gives the neighbours' masks, and a binary search in the
-    adjacent sphere their indices.  Clearing bit b lowers a mask by 2^b, so
-    the neighbours below, taken from the highest bit down, ascend, and so do
-    the ones above, taken from the lowest bit up; the sphere below comes
-    first in the vertex order, so every row ascends without a sort.
+    ``indptr`` follows from the sphere sizes (``_layout``).  The rows are
+    filled a chunk of ``_CHUNK_ROWS`` vertices at a time: flipping each bit
+    gives the neighbours' masks, and a binary search in the adjacent sphere
+    their indices.  Clearing bit b lowers a mask by 2^b, so the neighbours
+    below, taken from the highest bit down, ascend, and so do the ones
+    above, taken from the lowest bit up; the sphere below comes first in the
+    vertex order, so every row ascends without a sort.
     """
     check_vertex_budget(n, r1, r2, max_vertices)
     spheres = _spheres(n, r2)
-    sizes = [len(spheres[i]) for i in range(r1, r2 + 1)]
-    starts = np.cumsum([0] + sizes).tolist()
-    sphere_start = dict(zip(range(r1, r2 + 1), starts))
-    degrees = [(i if i > r1 else 0) + (n - i if i < r2 else 0) for i in range(r1, r2 + 1)]
-    indptr = np.zeros(starts[-1] + 1, dtype=np.int64)
-    np.cumsum(np.repeat(degrees, sizes), out=indptr[1:])
+    sphere_start, indptr = _layout(n, r1, r2, [len(spheres[i]) for i in range(r1, r2 + 1)])
     indices = np.empty(int(indptr[-1]), dtype=np.int64)
     bits = np.left_shift(_ONE, np.arange(n, dtype=np.uint64))
     for i in range(r1, r2 + 1):
@@ -187,19 +214,31 @@ def build_graph(
             if parts:
                 first = sphere_start[i] + lo
                 indices[indptr[first] : indptr[first + len(rows)]] = np.hstack(parts).ravel()
-    masks = np.concatenate(spheres[r1 : r2 + 1])
+    return _frozen(n, r1, r2, np.concatenate(spheres[r1 : r2 + 1]), indptr, indices, sphere_start)
+
+
+def _layout(n: int, r1: int, r2: int, sizes: list[int]) -> tuple[dict[int, int], np.ndarray]:
+    """Sphere starts and CSR row pointers of the band [r1, r2] with these sphere sizes.
+
+    Every vertex of sphere i has i neighbours below (if i > r1) and n - i
+    above (if i < r2).
+    """
+    starts = np.cumsum([0] + sizes).tolist()
+    degrees = [(i if i > r1 else 0) + (n - i if i < r2 else 0) for i in range(r1, r2 + 1)]
+    indptr = np.zeros(starts[-1] + 1, dtype=np.int64)
+    np.cumsum(np.repeat(degrees, sizes), out=indptr[1:])
+    return dict(zip(range(r1, r2 + 1), starts)), indptr
+
+
+def _frozen(
+    n: int, r1: int, r2: int, masks: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+    sphere_start: dict[int, int],
+) -> InducedGraph:
+    """The graph of these arrays, made read-only, with its edge count from the sphere sizes."""
     for array in (masks, indptr, indices):
         array.setflags(write=False)
-    return InducedGraph(
-        n=n,
-        r1=r1,
-        r2=r2,
-        masks=masks,
-        indptr=indptr,
-        indices=indices,
-        sphere_start=sphere_start,
-        edge_count=sum(math.comb(n, i) * i for i in range(r1 + 1, r2 + 1)),
-    )
+    edge_count = sum(math.comb(n, i) * i for i in range(r1 + 1, r2 + 1))
+    return InducedGraph(n, r1, r2, masks, indptr, indices, sphere_start, edge_count)
 
 
 def incidence_matrix(n: int, r: int) -> np.ndarray:
@@ -270,6 +309,30 @@ def _submasks(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, sub
 
 
+def _submask_rank(sets: np.ndarray, subs: np.ndarray) -> np.ndarray:
+    """The k under which ``_submasks`` lists subs[i] among the submasks of sets[i].
+
+    Bit j of k is the bit of subs[i] at the j-th lowest set bit of sets[i].
+    """
+    rank = np.zeros(len(sets), dtype=np.int64)
+    rest, j = sets.copy(), 0
+    while rest.any():
+        low = rest & (~rest + _ONE)
+        rank |= ((subs & low) != 0).astype(np.int64) << j
+        rest ^= low
+        j += 1
+    return rank
+
+
+def _rank_in_group(groups: np.ndarray) -> np.ndarray:
+    """Position of each entry among the entries of the same group, in array order."""
+    order = np.argsort(groups, kind="stable")
+    rank = np.empty(len(groups), dtype=np.int64)
+    rank[order] = np.arange(len(groups))
+    sizes = np.bincount(groups)
+    return rank - (np.cumsum(sizes) - sizes)[groups]
+
+
 def _keys(graph: np.ndarray, values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Keys of (graph, value) pairs, in their order; distinct for values in the sorted ``table``."""
     return graph * (len(table) + 1) + np.searchsorted(table, values)
@@ -330,6 +393,13 @@ def oracle_spectra(
     The graphs are one disjoint union, each vertex with its own graph's pairs;
     orbits and characters are keyed by graph, so every block, sum and bound is one graph's.
 
+    The V (orbit, character) pairs are listed orbit by orbit, the characters
+    of O in ``_submasks``' order, so the pair (O, S) is O's first pair plus
+    the rank of S among the submasks of M(O) (``_submask_rank``, at most
+    n // 2 bit steps).  Each pair's block, and its row or column there, is
+    worked out once; the (edge, character) pairs and the rows of the
+    eigenvector lift then find their block entries with no search.
+
     Each B_S = U diag(s) V^T gives the eigenpairs (+-s_i, [u_i; +-v_i]/sqrt(2))
     and (0, [u; 0] or [0; v]) for each extra column of the full U or V;
     blocks of one shape share one stacked SVD.  Eigenvectors are lifted
@@ -387,29 +457,32 @@ def oracle_spectra(
     slot[by_shape] = np.arange(len(chars))
     rows, cols = rows[by_shape], cols[by_shape]
     block_graph = (chars // (len(char_set) + 1))[by_shape]
-    pair_keys = np.sort((slot[pair_cid] * 2 + pair_odd) * orbit_count + pair_orbit)
+    # each pair's block, and its row (even orbit) or column (odd orbit) there: the pairs come in
+    # orbit order, so that is its rank among the pairs of its block and side
+    pair_slot = slot[pair_cid]
+    pair_local = _rank_in_group(pair_slot * 2 + pair_odd)
+    counts = np.left_shift(1, _popcount(orbit_mixed))
+    pair_start = np.cumsum(counts) - counts
 
-    def local(slots: np.ndarray, orbits: np.ndarray) -> np.ndarray:
-        """Row (even orbit) or column (odd orbit) of each orbit in its block."""
-        side = (slots * 2 + orbit_odd[orbits]) * orbit_count
-        return np.searchsorted(pair_keys, side + orbits) - np.searchsorted(pair_keys, side)
+    def pair_of(orbits: np.ndarray, characters: np.ndarray) -> np.ndarray:
+        """Index of each pair (orbit, character): the orbit's first pair plus the character's rank."""
+        return pair_start[orbits] + _submask_rank(orbit_mixed[orbits], characters)
 
     # (edge, character) pairs from the representatives of the even orbits
     from_rep = flipped[src] == 0
     x, y = src[from_rep], dst[from_rep]
     edge, char = _submasks(mixed[x] & mixed[y])
     x, y = x[edge], y[edge]
-    edge_slot = slot[np.searchsorted(chars, _keys(graph[x], char, char_set))]
     sign = 1.0 - 2.0 * (_popcount(char & flipped[y]) & 1)
-    scale = np.exp2((_popcount(mixed[x]) - _popcount(mixed[y])) / 2.0)
+    weight = sign * np.exp2((_popcount(mixed[x]) - _popcount(mixed[y])) / 2.0)
+    at_x, at_y = pair_of(orbit[x], char), pair_of(orbit[y], char)
+    del src, dst, x, y, edge, char, sign  # each edge array lives only until its last use
+    edge_slot = pair_slot[at_x]
     offset = np.cumsum(rows * cols) - rows * cols
-    flat = np.bincount(
-        offset[edge_slot] + local(edge_slot, orbit[x]) * cols[edge_slot]
-        + local(edge_slot, orbit[y]),
-        weights=sign * scale,
-        minlength=int((rows * cols).sum()),
-    )
-    del src, dst, x, y, edge, char, edge_slot, sign, scale  # the blocks hold all they said
+    cell = offset[edge_slot] + pair_local[at_x] * cols[edge_slot] + pair_local[at_y]
+    del at_x, at_y, edge_slot
+    flat = np.bincount(cell, weights=weight, minlength=int((rows * cols).sum()))
+    del cell, weight  # the blocks hold all they said
 
     shape_change = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(chars)]
@@ -459,8 +532,9 @@ def oracle_spectra(
 
     # X[x, column] = (-1)^{|S & F(x)|} / sqrt|O(x)| * (block vector)[O(x)]
     vertex, char = _submasks(mixed)
-    vertex_slot = slot[np.searchsorted(chars, _keys(graph[vertex], char, char_set))]
-    row = local(vertex_slot, orbit[vertex]) + np.where(odd[vertex], rows[vertex_slot], 0)
+    at = pair_of(orbit[vertex], char)
+    vertex_slot = pair_slot[at]
+    row = pair_local[at] + np.where(odd[vertex], rows[vertex_slot], 0)
     weight = (1.0 - 2.0 * (_popcount(char & flipped[vertex]) & 1)) * np.exp2(
         -_popcount(mixed[vertex]) / 2.0
     )

@@ -30,8 +30,8 @@ from .tridiagonal import DEFAULT_TOL
 POLYNOMIAL_BISECTION = "polynomial-bisection"
 TRIDIAGONAL_EIGENSOLVE = "tridiagonal-eigensolve"
 
-# Up to this ambient dimension first_root takes the smallest of the roots
-# certified by exact counts (``roots``); above it, the floating-point
+# Up to this ambient dimension first_root certifies the smallest root by
+# exact counts (the rank-0 search of ``roots``); above it, the floating-point
 # bisection of the Jacobi matrix.
 EXACT_COEFF_LIMIT = 64
 
@@ -141,14 +141,22 @@ def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
     """
     if p.degree < 1:
         raise InvalidDegreeError("roots requires degree >= 1")
+    return _roots(p.ambient_dim, p.degree, tol)
+
+
+def _roots(n: int, k: int, tol: float = DEFAULT_TOL, count: int | None = None) -> RootList:
+    """The ``count`` smallest roots of K_k over {0..N} (all k by default), as ``roots`` finds them.
+
+    Needs only N and k, not the coefficients.  Each rank is searched on its
+    own, so a root has the same bits whatever ``count`` is.
+    """
     check_tol(tol)
     tol = min(tol, 0.25)
     level = 2
     while 2.0 ** -level > tol:
         level += 1
-    n, k = p.ambient_dim, p.degree
+    guesses = _root_guesses(n, k)[:count]  # checks 1 <= k <= N
     couplings = jacobi_couplings(n, 0, k - 1).tolist()
-    guesses = _root_guesses(n, k)
     values, radii = zip(*(_root_of_rank(couplings, n, i, level, g) for i, g in enumerate(guesses)))
     return RootList(values, radii, POLYNOMIAL_BISECTION)
 
@@ -250,7 +258,7 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
         return 0.0
     array = _jacobi_off_sq(n, k)  # checks 1 <= k <= N for both paths
     if n <= EXACT_COEFF_LIMIT:
-        return roots(build(n, k), tol).values[0]
+        return _roots(n, k, tol, 1).values[0]
     off_sq, d = array.tolist(), n / 2.0
     guess = _window_guess(n, k, off_sq, array, d, tol)
     return tridiagonal.eigenvalue_k(off_sq, d, 0, tol, guess, array=array)[0]

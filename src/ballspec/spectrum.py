@@ -19,7 +19,7 @@ import numpy as np
 
 from . import krawtchouk, tridiagonal
 from .errors import check_band, check_tol
-from .hamming import DEFAULT_DENSE_LIMIT, build_graph, oracle_spectra
+from .hamming import DEFAULT_DENSE_LIMIT, InducedGraph, build_graph, oracle_spectra
 from .krawtchouk import RootList, TRIDIAGONAL_EIGENSOLVE, binom_int, first_root
 
 MERGE_EPS_SCALE = 1e-9
@@ -96,15 +96,16 @@ def lambda_set(n: int, r1: int, r2: int, t: int) -> RootList:
     """Eigenvalues contributed by origin weight t, ascending and certified.
 
     For r1 = 0 the same set must equal 2*R - (n-2t) where R are the roots of
-    the degree r2-t+1 Krawtchouk polynomial over {0..n-2t}; when the exact
-    coefficient path is available the two routes are cross-checked here: each
-    eigenvalue's certified interval must meet the affine image of its root's.
+    the degree r2-t+1 Krawtchouk polynomial over {0..n-2t}; for
+    1 <= n-2t <= EXACT_COEFF_LIMIT the two routes are cross-checked here, the
+    roots certified by exact counts: each eigenvalue's certified interval
+    must meet the affine image of its root's.
     """
     block = coupling_matrix(n, r1, r2, t)
     out = block.eigenvalues()
     reduced = n - 2 * t
     if r1 == 0 and 1 <= reduced <= krawtchouk.EXACT_COEFF_LIMIT:
-        kr = krawtchouk.roots(krawtchouk.build(reduced, r2 - t + 1))
+        kr = krawtchouk._roots(reduced, r2 - t + 1)
         for v, rad, x, xrad in zip(out.values, out.radius, kr.values, kr.radius):
             affine = 2.0 * x - reduced
             if abs(v - affine) > rad + 2.0 * xrad:
@@ -295,6 +296,7 @@ def verify_bands(
     passes when every pair is within ``tol``.  Consecutive bands form a batch
     while its vertex count stays within ``dense_limit``; each batch takes one
     ``oracle_spectra`` call, and the tables of the sweep share their block solves.
+    A batch builds one graph per run of its bands (``_graphs``).
     """
     check_tol(tol)
     blocks: dict = {}
@@ -306,7 +308,7 @@ def verify_bands(
         batches[-1].append(table)
     reports = []
     for batch in batches:
-        graphs = [build_graph(t.n, t.r1, t.r2, max_vertices=dense_limit) for t in batch]
+        graphs = _graphs(batch, dense_limit)
         for t, oracle in zip(batch, oracle_spectra(graphs, dense_limit=dense_limit)):
             w, predicted = oracle.eigenvalues, t.expanded()
             gaps = np.abs(w - predicted) if len(w) == len(predicted) else np.full(1, math.inf)
@@ -315,3 +317,28 @@ def verify_bands(
                                         oracle.residual_bound, oracle.tolerance))
         del graphs  # before the next batch's are built
     return reports
+
+
+def _graphs(batch: list[SpectrumTable], dense_limit: int) -> list[InducedGraph]:
+    """The graph of each band of the batch, from one ``build_graph`` per run of bands.
+
+    A run is consecutive bands of one n, and its graph is their hull, from
+    the least r1 to the greatest r2; each band's graph is
+    ``InducedGraph.band`` of it.  A run ends before a band that would take
+    its hull past ``dense_limit`` vertices, so a band that fits on its own is
+    its own hull at worst.
+    """
+    runs: list[tuple[int, int, int, list[SpectrumTable]]] = []  # (n, lo, hi, tables)
+    for t in batch:
+        if runs and runs[-1][0] == t.n:
+            n, lo, hi, run = runs[-1]
+            lo, hi = min(lo, t.r1), max(hi, t.r2)
+            if sum(binom_int(n, i) for i in range(lo, hi + 1)) <= dense_limit:
+                runs[-1] = (n, lo, hi, run + [t])
+                continue
+        runs.append((t.n, t.r1, t.r2, [t]))
+    graphs = []
+    for n, lo, hi, run in runs:
+        hull = build_graph(n, lo, hi, max_vertices=dense_limit)
+        graphs += [hull.band(t.r1, t.r2) for t in run]
+    return graphs

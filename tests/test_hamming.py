@@ -127,6 +127,34 @@ def test_invalid_band(n, r1, r2):
         hm.build_graph(n, r1, r2)
 
 
+def sub_bands(r1, r2):
+    return [(a, b) for a in range(r1, r2 + 1) for b in range(a, r2 + 1)]
+
+
+@pytest.mark.parametrize("n,r1,r2", [*((n, 0, n // 2) for n in range(13)), (20, 2, 6), (64, 0, 2)])
+def test_band_of_a_graph_is_the_built_graph_of_every_sub_band(n, r1, r2):
+    # (64, 0, 2) has masks that use all 64 bits
+    g = hm.build_graph(n, r1, r2)
+    assert g.band(r1, r2) is g
+    for a, b in sub_bands(r1, r2):
+        sub, built = g.band(a, b), hm.build_graph(n, a, b)
+        assert (sub.n, sub.r1, sub.r2) == (n, a, b)
+        for name in ("masks", "indptr", "indices"):
+            got, want = getattr(sub, name), getattr(built, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (a, b, name)
+            assert not got.flags.writeable, (a, b, name)
+        assert sub.sphere_start == built.sphere_start and sub.edge_count == built.edge_count
+        if (a, b) != (r1, r2):  # new arrays, not views of the graph's
+            assert not np.shares_memory(sub.indices, g.indices)
+            assert not np.shares_memory(sub.masks, g.masks)
+
+
+@pytest.mark.parametrize("r1,r2", [(1, 4), (0, 3), (5, 6), (4, 3), (-1, 2)])
+def test_band_outside_the_graph_is_rejected(r1, r2):
+    with pytest.raises(InvalidParameterError, match="outside"):
+        hm.build_graph(10, 1, 3).band(r1, r2)
+
+
 def test_incidence_4_1_is_all_ones_row():
     mat = hm.incidence_matrix(4, 1)
     assert mat.shape == (1, 4)

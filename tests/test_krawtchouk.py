@@ -8,6 +8,7 @@ import pytest
 
 import paper_checks as pc
 from ballspec import krawtchouk as kw
+from ballspec import spectrum as sp
 from ballspec import tridiagonal
 from ballspec.errors import InvalidDegreeError, InvalidParameterError
 
@@ -251,6 +252,21 @@ def test_a_guess_across_an_integer_takes_the_brackets_edge_interval(n, k, left, 
     assert per_rank[i] <= 3 and len(calls) <= EDGE_CASES[n, k, left], (per_rank[i], len(calls))
     level = 40  # the first e >= 2 with 2^-e <= DEFAULT_TOL
     assert math.floor(plain.values[i] * 2**level) in (left << level, ((left + 1) << level) - 1)
+
+
+@pytest.mark.parametrize("tol", [kw.DEFAULT_TOL, 1e-5])
+def test_first_root_up_to_64_is_the_smallest_certified_root(tol):
+    # first_root searches rank 0 alone; each rank is searched on its own, so it has the same bits
+    for n in range(1, kw.EXACT_COEFF_LIMIT + 1):
+        for k in range(1, n + 1):
+            assert kw.first_root(n, k, tol) == kw.roots(kw.build(n, k), tol).values[0], (n, k)
+
+
+def test_certified_roots_need_no_coefficients(monkeypatch):
+    # first_root, and lambda_set's cross-check, read only N and k
+    expected = (kw.first_root(20, 7), sp.lambda_set(12, 0, 5, 1))
+    monkeypatch.setattr(kw, "build", lambda *a: pytest.fail("built the coefficients"))
+    assert (kw.first_root(20, 7), sp.lambda_set(12, 0, 5, 1)) == expected
 
 
 def test_first_root_examples():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ballspec import hamming as hm
 from ballspec import spectrum as sp
 from ballspec.errors import InvalidParameterError
 from helpers import band_cases, cached_oracle, exact_count_at
@@ -187,7 +189,7 @@ def test_a_root_three_radii_off_fails_the_cross_check(i, monkeypatch):
     values = list(roots.values)
     values[i] += 1.5 * reach
     moved = kw.RootList(tuple(values), roots.radius, roots.source)
-    monkeypatch.setattr(kw, "roots", lambda p, tol=kw.DEFAULT_TOL: moved)
+    monkeypatch.setattr(kw, "_roots", lambda n, k, tol=kw.DEFAULT_TOL, count=None: moved)
     with pytest.raises(ArithmeticError, match="disagree"):
         sp.lambda_set(6, 0, 2, 0)
     assert 3.0 * reach < 1e-10
@@ -313,12 +315,57 @@ def test_sweep_runs_one_oracle_call_per_batch_within_the_dense_limit(monkeypatch
         assert all(sum(a) + b[0] > limit for a, b in zip(batches, batches[1:]))
 
 
+def test_sweep_oracle_keeps_its_bits(monkeypatch):
+    # SHA-256 over float.hex of every oracle eigenvalue and residual bound of the --max-n 11 sweep, then the
+    # eigenpairs of three bands; pinned from the sweep that built every band's graph on its own and found
+    # each block pair by binary searches
+    seen = []
+    batched = sp.oracle_spectra
+    monkeypatch.setattr(sp, "oracle_spectra", lambda graphs, **kw: seen.extend(batched(graphs, **kw)) or seen[-len(graphs):])
+    sp.verify_bands(SWEEP)
+    assert len(seen) == len(SWEEP)
+    digest = hashlib.sha256()
+    for oracle in seen:
+        digest.update(" ".join(map(float.hex, oracle.eigenvalues.tolist())).encode())
+        digest.update(float.hex(oracle.residual_bound).encode())
+    for band in [(6, 0, 3), (7, 1, 3), (8, 2, 4)]:
+        oracle = hm.oracle_spectrum(hm.build_graph(*band), want_vectors=True)
+        digest.update(" ".join(map(float.hex, oracle.eigenvalues.tolist())).encode())
+        digest.update(" ".join(map(float.hex, oracle.eigenvectors.ravel().tolist())).encode())
+        digest.update(float.hex(oracle.residual_bound).encode())
+    assert digest.hexdigest() == "b22c343e520a6d14f28d8e391964a514b9a767ef2a1d6d4ab4de54e159c09937"
+
+
+@pytest.mark.parametrize("limit,builds", [(5000, 14), (1024, 32)])
+def test_sweep_builds_one_graph_per_run_of_bands(monkeypatch, limit, builds):
+    # measured: 14 and 32 graphs for the 111 bands, one per run of consecutive bands of one n within a
+    # batch whose hull fits the dense limit
+    built, batches = [], []
+    build_graph, batched = sp.build_graph, sp.oracle_spectra
+    monkeypatch.setattr(sp, "build_graph", lambda *a, **kw: built.append(build_graph(*a, **kw)) or built[-1])
+    monkeypatch.setattr(sp, "oracle_spectra", lambda graphs, **kw: batches.append(graphs) or batched(graphs, **kw))
+    sp.verify_bands(SWEEP, dense_limit=limit)
+    assert len(built) == builds
+    assert all(hull.vertex_count <= limit for hull in built)
+    graphs = [g for batch in batches for g in batch]
+    assert [(g.n, g.r1, g.r2) for g in graphs] == SWEEP
+    # each band's graph is its run's hull, or new arrays cut from it; runs do not cross batches
+    hulls, hull = iter(built), None
+    for batch in batches:
+        for i, g in enumerate(batch):
+            if not (i and g.n == hull.n and hull.r1 <= g.r1 and g.r2 <= hull.r2):
+                hull = next(hulls)
+            assert g.n == hull.n and hull.r1 <= g.r1 and g.r2 <= hull.r2
+            assert g is hull or not any(np.shares_memory(g.indices, h.indices) for h in built)
+    assert next(hulls, None) is None
+
+
 def test_sweep_solves_each_distinct_block_once(monkeypatch):
     solved, crosschecked = [], []
-    lambda_set, roots = sp.lambda_set, sp.krawtchouk.roots
+    lambda_set, roots = sp.lambda_set, sp.krawtchouk._roots
     monkeypatch.setattr(sp, "lambda_set", lambda n, r1, r2, t: solved.append(
         (n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0)) or lambda_set(n, r1, r2, t))
-    monkeypatch.setattr(sp.krawtchouk, "roots", lambda *a: crosschecked.append(a) or roots(*a))
+    monkeypatch.setattr(sp.krawtchouk, "_roots", lambda *a: crosschecked.append(a) or roots(*a))
     sp.verify_bands(SWEEP)
     keys = {(n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0) for n, r1, r2 in SWEEP for t in range(r2 + 1)}
     assert sorted(solved) == sorted(keys)
