@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import bounds as bounds_mod
 from . import eigenfunctions, krawtchouk, spectrum
-from .errors import BudgetExceededError, InvalidParameterError, check_tol
+from .errors import BudgetExceededError, InvalidParameterError
 from .hamming import DEFAULT_DENSE_LIMIT, build_graph, check_vertex_budget, incidence_matrix
 
 EXIT_OK = 0
@@ -53,13 +52,7 @@ def _emit_table(table: spectrum.SpectrumTable, fmt: str) -> None:
 
 def cmd_spectrum(args) -> int:
     r1, r2 = _radii(args)
-    check_tol(args.merge_eps_scale, "--merge-eps-scale")
-    merge_eps = args.merge_eps_scale * (args.n + 1)
-    if math.isinf(merge_eps):
-        raise InvalidParameterError(
-            f"--merge-eps-scale {args.merge_eps_scale!r} times n + 1 = {args.n + 1} overflows"
-        )
-    _emit_table(spectrum.full_spectrum(args.n, r1, r2, merge_eps=merge_eps), args.format)
+    _emit_table(spectrum.full_spectrum(args.n, r1, r2), args.format)
     return EXIT_OK
 
 
@@ -198,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
     add_band(p)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--merge-eps-scale", type=float, default=spectrum.MERGE_EPS_SCALE,
-                   help="coincidence threshold is this times (n+1); finite and positive")
 
     p = sub.add_parser("verify", help="cross-check the table against the dense oracle")
     p.set_defaults(func=cmd_verify)

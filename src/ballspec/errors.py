@@ -35,10 +35,7 @@ def check_band(n: int, r1: int, r2: int, t: int | None = None) -> None:
         raise InvalidParameterError(f"need 0 <= t <= r2, got t={t}, r2={r2}")
 
 
-def check_tol(tol: float, name: str = "tolerance") -> None:
-    """Reject a tolerance that is not finite and positive (a NaN never ends a bisection).
-
-    ``name`` is what the message calls the value, e.g. the option a user typed.
-    """
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is not finite and positive (a NaN never ends a bisection)."""
     if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidParameterError(f"{name} must be finite and positive, got {tol!r}")
+        raise InvalidParameterError(f"tolerance must be finite and positive, got {tol!r}")

@@ -338,18 +338,17 @@ def _keys(graph: np.ndarray, values: np.ndarray, table: np.ndarray) -> np.ndarra
     return graph * (len(table) + 1) + np.searchsorted(table, values)
 
 
-def _check_swap_invariance(graphs, graph, masks, mixed, src, dst) -> None:
+def _check_swap_invariance(graphs, graph, masks, sorted_masks, mixed, src, dst) -> None:
     """Raise unless every swap (2j, 2j+1), j < n // 2, maps each graph's edges onto themselves."""
     v_count = len(masks)
-    table = np.sort(masks)
-    keys = _keys(graph, masks, table)
+    keys = _keys(graph, masks, sorted_masks)
     order = np.argsort(keys)
     ordered = keys[order]
     codes = np.sort(src * v_count + dst)
     for j in range(max(g.n // 2 for g in graphs)):
         bit = np.uint64(1 << 2 * j)
         image = np.where(mixed & bit, masks ^ (bit | bit << _ONE), masks)
-        moved = order[np.minimum(np.searchsorted(ordered, _keys(graph, image, table)), v_count - 1)]
+        moved = order[np.minimum(np.searchsorted(ordered, _keys(graph, image, sorted_masks)), v_count - 1)]
         wrong = np.sort(moved[src] * v_count + moved[dst]) != codes
         # a graph maps only onto itself or the next, so the first one flagged is at fault
         bad = (masks[moved] != image) | (graph[moved] != graph)
@@ -437,8 +436,9 @@ def oracle_spectra(
     even_src = ~odd[src]
     src, dst = src[even_src], dst[even_src]
 
-    _check_swap_invariance(graphs, graph, masks, mixed, src, dst)
-    reps = _keys(graph, masks ^ flipped ^ (flipped << _ONE), np.sort(masks))  # swaps keep the masks
+    table = np.sort(masks)
+    _check_swap_invariance(graphs, graph, masks, table, mixed, src, dst)
+    reps = _keys(graph, masks ^ flipped ^ (flipped << _ONE), table)  # swaps keep the masks
     reps, member, orbit = np.unique(reps, return_index=True, return_inverse=True)
     orbit_count = len(reps)
     orbit_mixed, orbit_odd, orbit_graph = mixed[member], odd[member], graph[member]

@@ -27,9 +27,6 @@ from . import tridiagonal
 from .errors import InvalidDegreeError, check_tol
 from .tridiagonal import DEFAULT_TOL
 
-POLYNOMIAL_BISECTION = "polynomial-bisection"
-TRIDIAGONAL_EIGENSOLVE = "tridiagonal-eigensolve"
-
 # Up to this ambient dimension first_root certifies the smallest root by
 # exact counts (the rank-0 search of ``roots``); above it, the floating-point
 # bisection of the Jacobi matrix.
@@ -69,7 +66,6 @@ class RootList:
 
     values: tuple[float, ...]
     radius: tuple[float, ...]
-    source: str
 
     def __post_init__(self):
         if len(self.values) != len(self.radius):
@@ -158,7 +154,7 @@ def _roots(n: int, k: int, tol: float = DEFAULT_TOL, count: int | None = None) -
     guesses = _root_guesses(n, k)[:count]  # checks 1 <= k <= N
     couplings = jacobi_couplings(n, 0, k - 1).tolist()
     values, radii = zip(*(_root_of_rank(couplings, n, i, level, g) for i, g in enumerate(guesses)))
-    return RootList(values, radii, POLYNOMIAL_BISECTION)
+    return RootList(values, radii)
 
 
 def _root_of_rank(couplings: list[int], n: int, i: int, e: int, guess: float) -> tuple[float, float]:

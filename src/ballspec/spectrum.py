@@ -6,29 +6,31 @@ t has squared off-diagonals (k-1)(n-2t-k+2) and contributes each of its
 simple eigenvalues with multiplicity C(n,t) - C(n,t-1).  For a full ball
 (r1 = 0) the block spectrum is also the affine image 2*roots - (n-2t) of
 a Krawtchouk root set, and both routes are computed and cross-checked.
+Values of different origins share a line of the table only when exact
+integer counts prove them equal, and lines whose certified intervals meet
+are ordered by exact counts too.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import krawtchouk, tridiagonal
 from .errors import check_band, check_tol
 from .hamming import DEFAULT_DENSE_LIMIT, InducedGraph, build_graph, oracle_spectra
-from .krawtchouk import RootList, TRIDIAGONAL_EIGENSOLVE, binom_int, first_root
+from .krawtchouk import RootList, binom_int, first_root
 
-MERGE_EPS_SCALE = 1e-9
 VERIFY_TOL = 1e-8
-AMBIGUOUS_ZONE_FACTOR = 1000.0
 
 
 class AmbiguousMergeWarning(UserWarning):
-    """A cross-origin eigenvalue gap fell just above the merge threshold."""
+    """Never raised: lines merge only when proven equal.  ``bench/run.py`` still counts it."""
 
 
 def origin_multiplicity(n: int, t: int) -> int:
@@ -71,7 +73,7 @@ class TridiagonalSym:
         sym_radii = [max(radii[i], radii[m - 1 - i]) for i in range(m)]
         if m % 2 == 1:
             sym_vals[m // 2] = 0.0
-        return RootList(tuple(sym_vals), tuple(sym_radii), TRIDIAGONAL_EIGENSOLVE)
+        return RootList(tuple(sym_vals), tuple(sym_radii))
 
     def scaling(self) -> np.ndarray:
         """Diagonal D of the restricted adjacency R, first entry 1, with D^-1 R D this block."""
@@ -132,7 +134,7 @@ class SpectrumTable:
     lines: tuple[SpectrumLine, ...]
 
     def expanded(self) -> np.ndarray:
-        """The full eigenvalue multiset, ascending."""
+        """The full eigenvalue multiset, ascending (the floats of lines whose intervals meet may not be)."""
         return np.repeat(
             [line.value for line in self.lines],
             [line.multiplicity for line in self.lines],
@@ -162,81 +164,82 @@ class SpectrumTable:
         return out
 
 
-def full_spectrum(
-    n: int,
-    r1: int,
-    r2: int,
-    merge_eps: float | None = None,
-) -> SpectrumTable:
+def full_spectrum(n: int, r1: int, r2: int) -> SpectrumTable:
     """Assemble the complete spectrum with multiplicities and contributors.
 
-    Eigenvalue 0 is recognized exactly (odd block dimension) and merged
-    symbolically; other coincidences across origins are merged when closer
-    than merge_eps (default ``MERGE_EPS_SCALE * (n + 1)``; a given one must be
-    finite and positive), with a warning for gaps in the ambiguous zone just
-    above the threshold.
+    Values of different origins share a line only when each is proven to be
+    the same sign * sqrt(mu), mu an integer (``_sqrt_key``); 0 is one.  Lines
+    are sorted by value, and those whose certified intervals meet are put in
+    exact order (``_compare``).
     """
-    return _table(n, r1, r2, merge_eps, {})
+    return _table(n, r1, r2, {})
 
 
-def _table(n: int, r1: int, r2: int, merge_eps: float | None, blocks: dict) -> SpectrumTable:
-    """``full_spectrum``, sharing solved blocks through ``blocks``: origin t's block and its
-    Krawtchouk cross-check depend only on their key (n - 2t, max(t, r1) - t, r2 - t, r1 == 0)."""
+def _sqrt_key(couplings: tuple[int, ...], v: float, radius: float) -> tuple[int, int] | None:
+    """(sign, mu) if the block's eigenvalue in v -+ radius is proven to be sign * sqrt(mu), else None.
+
+    mu is the integer nearest v^2: sqrt(mu) must lie in the interval, tested
+    in integers, and be an eigenvalue.  The 0.0 of an odd block is exact.
+    """
+    if v == 0.0:
+        return 0, 0
+    # s = v * v is within 2^-53 v^2 of v^2 and s - round(s) is exact, so with 8 times that margin
+    # this proves at once, for most values, that no integer lies within 2 |v| radius + radius^2 of v^2
+    s = v * v
+    if s < 2.0**53 and abs(s - round(s)) > 2.0 * abs(v) * radius + radius * radius + 2.0**-50 * s:
+        return None
+    (a, da), (r, dr) = abs(v).as_integer_ratio(), radius.as_integer_ratio()
+    den = max(da, dr)  # both powers of 2: the interval is (a -+ r) / den
+    a, r = a * (den // da), r * (den // dr)
+    mu = (2 * a * a + den * den) // (2 * den * den)
+    if mu and max(a - r, 0) ** 2 <= mu * den * den <= (a + r) ** 2 \
+            and tridiagonal.exact_count_sqrt(couplings, mu)[1]:
+        return (1 if v > 0 else -1), mu
+    return None
+
+
+class _Placed(NamedTuple):
+    """A line, its certified hull [lo, hi], and its key, or the block couplings and rank of its value."""
+
+    line: SpectrumLine
+    lo: float
+    hi: float
+    key: tuple[int, int] | None
+    couplings: tuple[int, ...]
+    index: int
+
+
+def _table(n: int, r1: int, r2: int, blocks: dict) -> SpectrumTable:
+    """``full_spectrum``, sharing solved blocks through ``blocks``: origin t's block, its keys and
+    its Krawtchouk cross-check depend only on (n - 2t, max(t, r1) - t, r2 - t, r1 == 0)."""
     check_band(n, r1, r2)
-    if merge_eps is None:
-        merge_eps = MERGE_EPS_SCALE * (n + 1)
-    else:
-        check_tol(merge_eps)
-
-    zero_contributors: list[int] = []
-    zero_mult = 0
-    nonzero: list[tuple[float, int]] = []  # (value, t)
+    placed, proven = [], {}  # the lines of values without keys; the values of each key
     for t in range(r2 + 1):
+        block = (n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0)
+        if block not in blocks:
+            out, couplings = lambda_set(n, r1, r2, t), coupling_matrix(n, r1, r2, t).offdiag_sq
+            keys = [_sqrt_key(couplings, v, rad) for v, rad in zip(out.values, out.radius)]
+            blocks[block] = out, couplings, keys
+        out, couplings, keys = blocks[block]
         weight = origin_multiplicity(n, t)
-        key = (n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0)
-        if key not in blocks:
-            blocks[key] = lambda_set(n, r1, r2, t)
-        for v in blocks[key].values:
-            if v == 0.0:
-                zero_contributors.append(t)
-                zero_mult += weight
+        for i, (v, rad, key) in enumerate(zip(out.values, out.radius, keys)):
+            if key:
+                proven.setdefault(key, []).append((v, t, rad, weight))
             else:
-                nonzero.append((v, t))
-
-    nonzero.sort()
-    for (v1, t1), (v2, t2) in zip(nonzero, nonzero[1:]):
-        gap = v2 - v1
-        if t1 != t2 and merge_eps <= gap < AMBIGUOUS_ZONE_FACTOR * merge_eps:
-            warnings.warn(
-                f"eigenvalue gap {gap:.3e} between origins {t1} and {t2} lies in "
-                f"the ambiguous merge zone for band ({n},{r1},{r2})",
-                AmbiguousMergeWarning,
-                stacklevel=3,
-            )
-
-    lines: list[SpectrumLine] = []
-    i = 0
-    while i < len(nonzero):
-        j = i + 1
-        while j < len(nonzero) and nonzero[j][0] - nonzero[j - 1][0] < merge_eps:
-            j += 1
-        cluster = nonzero[i:j]
-        ts = [t for _, t in cluster]
-        if len(set(ts)) != len(ts):
-            raise ArithmeticError(
-                "internal-error: merge threshold swallowed two eigenvalues "
-                f"of the same origin in band ({n},{r1},{r2})"
-            )
-        value = sum(v for v, _ in cluster) / len(cluster)
-        mult = sum(origin_multiplicity(n, t) for t in ts)
-        lines.append(SpectrumLine(value, mult, tuple(sorted(ts))))
-        i = j
-    if zero_contributors:
-        lines.append(SpectrumLine(0.0, zero_mult, tuple(sorted(zero_contributors))))
-    lines.sort(key=lambda line: line.value)
-
-    if any(a.value >= b.value for a, b in zip(lines, lines[1:])):
-        raise ArithmeticError("internal-error: merged lines are not strictly increasing")
+                placed.append(_Placed(SpectrumLine(v, weight, (t,)), math.nextafter(v - rad, -math.inf),
+                                      math.nextafter(v + rad, math.inf), None, couplings, i))
+    for key, group in proven.items():
+        group.sort()  # the mean is summed in (value, t) order
+        line = SpectrumLine(sum(v for v, *_ in group) / len(group), sum(w for *_, w in group),
+                            tuple(sorted(t for _, t, *_ in group)))
+        lo = math.nextafter(min(v - rad for v, _, rad, _ in group), -math.inf)
+        hi = math.nextafter(max(v + rad for v, _, rad, _ in group), math.inf)
+        placed.append(_Placed(line, lo, hi, key, (), 0))
+    # float order, then exact order where hulls meet: timsort compares a sorted line only with neighbours
+    placed.sort(key=lambda p: p.line.value)
+    if any(a.hi >= b.lo for a, b in zip(placed, placed[1:])):
+        placed.sort(key=cmp_to_key(partial(_compare, (n, r1, r2))))
+    lines = [p.line for p in placed]
     total_dim = sum(binom_int(n, i) for i in range(r1, r2 + 1))
     if sum(line.multiplicity for line in lines) != total_dim:
         raise ArithmeticError(
@@ -244,6 +247,57 @@ def _table(n: int, r1: int, r2: int, merge_eps: float | None, blocks: dict) -> S
             f"{sum(line.multiplicity for line in lines)}, dimension is {total_dim}"
         )
     return SpectrumTable(n, r1, r2, total_dim, tuple(lines))
+
+
+def _compare(band: tuple[int, int, int], a: _Placed, b: _Placed) -> int:
+    """-1 or 1 as line a's eigenvalue lies below or above line b's.
+
+    Disjoint hulls decide by themselves.  Two keys compare as sign * sqrt(mu).
+    A key and a value without one take one exact count of the value's block
+    at the key, and two values without keys a dyadic grid between them
+    (``_separate``).  Two lines that these do not order are an error.
+    """
+    if a.hi < b.lo or b.hi < a.lo:
+        return -1 if a.hi < b.lo else 1
+    if a.key and b.key:
+        return -1 if (a.key[0], a.key[0] * a.key[1]) < (b.key[0], b.key[0] * b.key[1]) else 1
+    if a.key:
+        return -_compare(band, b, a)
+    side = _side_of_key(a, *b.key) if b.key else _separate(a, b)
+    if not side:
+        raise ArithmeticError(
+            f"internal-error: no exact order for the eigenvalues of origins {a.line.contributors} "
+            f"and {b.line.contributors} in band {band}"
+        )
+    return side
+
+
+def _side(i: int, count: int, is_eigenvalue: bool) -> int:
+    """The sign of eigenvalue i minus x, from the count below x and whether x is an eigenvalue."""
+    return -1 if i < count else int(not (i == count and is_eigenvalue))
+
+
+def _side_of_key(p: _Placed, sign: int, mu: int) -> int:
+    """The sign of p's eigenvalue minus sign * sqrt(mu); eigenvalue i is -(eigenvalue m - 1 - i)."""
+    if not sign:
+        return _side(p.index, *tridiagonal.exact_count(p.couplings, 0, 0, 0))
+    i = p.index if sign > 0 else len(p.couplings) - p.index
+    return sign * _side(i, *tridiagonal.exact_count_sqrt(p.couplings, mu))
+
+
+def _separate(a: _Placed, b: _Placed) -> int:
+    """The sign of a's eigenvalue minus b's, by exact counts of both blocks at the points of a
+    dyadic grid halved between them; 0 if none separates them by the spacing 2^-120."""
+    lo, hi = Fraction(min(a.lo, b.lo)), Fraction(max(a.hi, b.hi))
+    while hi - lo > 2.0**-120:
+        mid = (lo + hi) / 2
+        num, den = mid.as_integer_ratio()
+        sa, sb = (_side(p.index, *tridiagonal.exact_count(p.couplings, 0, num, den.bit_length() - 1))
+                  for p in (a, b))
+        if sa != sb or not sa:
+            return (sa > sb) - (sa < sb)
+        lo, hi = (lo, mid) if sa < 0 else (mid, hi)
+    return 0
 
 
 def max_eigenvalue(n: int, r: int) -> float:
@@ -302,7 +356,7 @@ def verify_bands(
     blocks: dict = {}
     batches: list[list[SpectrumTable]] = []
     for n, r1, r2 in cases:
-        table = _table(n, r1, r2, None, blocks)
+        table = _table(n, r1, r2, blocks)
         if not batches or sum(t.total_dim for t in batches[-1]) + table.total_dim > dense_limit:
             batches.append([])
         batches[-1].append(table)

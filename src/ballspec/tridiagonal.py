@@ -4,8 +4,9 @@ All routines take the *squared* off-diagonal entries ``off_sq`` and the
 constant diagonal ``d`` (0 for the origin blocks, N/2 for the Jacobi matrix)
 of a matrix of ``len(off_sq) + 1`` rows.  The squares are exact (integers,
 or integers over 4), so only the Gershgorin bracket and ``dense`` take roots.
-``exact_count`` is the one exact Sturm count: integer squares and diagonal,
-at a dyadic point, in Python integers.
+``exact_count`` is the exact Sturm count at a dyadic point, integer squares
+and diagonal, in Python integers; ``exact_count_sqrt`` the one at the square
+root of an integer, for the zero diagonal.
 """
 
 from __future__ import annotations
@@ -70,6 +71,24 @@ def exact_count(couplings: Sequence[int], d: int, num: int, e: int) -> tuple[int
     prev, cur, positive, count = 0, 1, True, 0
     for c in chain((0,), couplings):
         prev, cur = cur, b * cur - ((c * prev) << shift)
+        if cur:
+            count += (cur > 0) != positive
+            positive = cur > 0
+    return count, cur == 0
+
+
+def exact_count_sqrt(couplings: Sequence[int], mu: int) -> tuple[int, bool]:
+    """``exact_count`` at x = sqrt(mu), mu > 0, for the zero diagonal: in integers too.
+
+    A zero-diagonal block with integer squared couplings is the Golub-Kahan
+    form of a bidiagonal (Golub & Kahan, SIAM J. Numer. Anal. 1965), and its
+    leading minors at sqrt(mu) are D_j = sqrt(mu)^(j mod 2) E_j with E_0 = 1,
+    E_1 = -1, E_j = -mu E_(j-1) - c_(j-1) E_(j-2) for even j and
+    E_j = -E_(j-1) - c_(j-1) E_(j-2) for odd j.  Each E_j has D_j's sign.
+    """
+    prev, cur, positive, count = 1, -1, False, 1
+    for j, c in enumerate(couplings):
+        prev, cur = cur, -(cur if j % 2 else mu * cur) - c * prev
         if cur:
             count += (cur > 0) != positive
             positive = cur > 0

@@ -8,8 +8,7 @@ from ballspec import bounds as bd
 from ballspec import eigenfunctions as ef
 from ballspec import spectrum as sp
 from ballspec import tridiagonal
-from ballspec.krawtchouk import TRIDIAGONAL_EIGENSOLVE, RootList, _jacobi_matrix, build, \
-    eval_exact, first_root, roots
+from ballspec.krawtchouk import RootList, _jacobi_matrix, build, eval_exact, first_root, roots
 from helpers import cached_graph, cached_oracle
 from paper_checks import check_eigenspace_membership, check_reciprocity
 
@@ -199,8 +198,7 @@ def test_criterion_7_root_properties():
                 hi = rl.values[i + 1] + rl.radius[i + 1]
                 assert math.ceil(lo) <= math.floor(hi), (n, k, i)
 
-            jac = RootList(*map(tuple, tridiagonal.eigenvalues_all(*_jacobi_matrix(n, k))),
-                           TRIDIAGONAL_EIGENSOLVE)
+            jac = RootList(*map(tuple, tridiagonal.eigenvalues_all(*_jacobi_matrix(n, k))))
             for va, ra, vb, rb in zip(rl.values, rl.radius, jac.values, jac.radius):
                 assert abs(va - vb) <= ra + rb + 1e-13, (n, k)
 

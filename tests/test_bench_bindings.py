@@ -1,6 +1,8 @@
 """The library names that the benchmark under bench/ reads or wraps.
 
-``bench/run.py`` counts ``spectrum.AmbiguousMergeWarning``; the tracer in
+``bench/run.py`` counts ``spectrum.AmbiguousMergeWarning``, which the
+library no longer raises (lines merge only when proven equal) but keeps so
+that the count, now always 0, still runs; the tracer in
 ``bench/tracing.py`` wraps each function under every name a module binds it
 to, and the ``InducedGraph`` methods in ``GRAPH_METHODS``; it counts Sturm
 rows as the length of the first argument of ``tridiagonal.count_below``, and

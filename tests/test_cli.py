@@ -121,10 +121,10 @@ TOO_LARGE_FOR_A_FLOAT = [
     ["krawtchouk", "--n", "100", "--k", "5", "--first-root", "--tol", "nan"],
     ["krawtchouk", "--n", "100", "--k", "5", "--first-root", "--tol", "inf"],
     ["krawtchouk", "--n", "5", "--k", "2", "--tol", "-1"],
-    ["spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", "0"],
-    ["spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", "-1"],
-    ["spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", "nan"],
-    ["spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", "inf"],
+    ["spectrum", "--n", "8"],
+    ["spectrum", "--n", "8", "--r1", "1"],
+    ["spectrum", "--n", "8", "--r", "3", "--r1", "0"],
+    ["incidence", "--n", "8", "--r", "0"],
     ["krawtchouk", "--n", "0", "--k", "5", "--first-root"],
     ["krawtchouk", "--n", "0", "--k", "0", "--first-root"],
     ["krawtchouk", "--n", "0", "--k", "-3", "--first-root"],
@@ -139,19 +139,6 @@ TOO_LARGE_FOR_A_FLOAT = [
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
-
-
-@pytest.mark.parametrize("scale,typed", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
-def test_bad_merge_eps_scale_names_the_option_and_the_typed_value(capsys, scale, typed):
-    code, out, err = run(capsys, "spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", scale)
-    assert code == 2 and out == ""
-    assert err == f"error: --merge-eps-scale must be finite and positive, got {typed}\n"
-
-
-def test_merge_eps_scale_that_overflows_names_the_option_and_the_typed_value(capsys):
-    code, out, err = run(capsys, "spectrum", "--n", "8", "--r", "3", "--merge-eps-scale", "1e308")
-    assert code == 2 and out == ""
-    assert err.startswith("error: --merge-eps-scale ") and "1e+308" in err
 
 
 @pytest.mark.parametrize("argv", TOO_LARGE_FOR_A_FLOAT)

@@ -29,8 +29,10 @@ COMMANDS = {
     "spectrum_ball_json": "spectrum --n 30 --r 15 --format json",
     "spectrum_band_csv": "spectrum --n 30 --r1 5 --r2 15 --format csv",
     "spectrum_band_text": "spectrum --n 21 --r1 3 --r2 10 --format text",
-    "spectrum_merge_eps_scale": "spectrum --n 12 --r 6 --merge-eps-scale 1e-6",
-    "spectrum_merge_eps_scale_zero": "spectrum --n 8 --r 3 --merge-eps-scale 0",
+    "spectrum_band_near_40": "spectrum --n 46 --r1 1 --r2 22",
+    "spectrum_ball_1e18": "spectrum --n 1000000000000000000 --r 2",
+    "spectrum_ball_1e19": "spectrum --n 10000000000000000000 --r 2",
+    "spectrum_ball_1e21_radius_1": "spectrum --n 1000000000000000000000 --r 1",
     "spectrum_bad_radius": "spectrum --n 4 --r 3",
     "incidence_text": "incidence --n 30 --r 15",
     "incidence_json": "incidence --n 9 --r 4 --format json",

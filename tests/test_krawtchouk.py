@@ -64,7 +64,6 @@ def test_eval_exact_examples():
 def test_roots_4_2():
     rl = kw.roots(kw.build(4, 2))
     assert rl.values == (1.0, 3.0)
-    assert rl.source == kw.POLYNOMIAL_BISECTION
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 11])
@@ -294,8 +293,7 @@ def test_first_root_at_zero_dimension_checks_tolerance(tol):
 def test_first_root_large_dimension_uses_jacobi_path():
     # straddle the exact-coefficient threshold; the two paths must line up
     at_limit = kw.first_root(64, 5)
-    jacobi = kw.RootList(*map(tuple, tridiagonal.eigenvalues_all(*kw._jacobi_matrix(64, 5))),
-                         kw.TRIDIAGONAL_EIGENSOLVE)
+    jacobi = kw.RootList(*map(tuple, tridiagonal.eigenvalues_all(*kw._jacobi_matrix(64, 5))))
     assert at_limit == pytest.approx(jacobi.values[0], abs=1e-11)
     beyond = kw.first_root(65, 5)
     assert at_limit < beyond < 65  # roots shift up with the ambient dimension
@@ -682,7 +680,6 @@ def test_polynomial_vs_jacobi_paths_agree():
     for n in range(1, 13):
         for k in range(1, n + 1):
             a = kw.roots(kw.build(n, k))
-            b = kw.RootList(*map(tuple, tridiagonal.eigenvalues_all(*kw._jacobi_matrix(n, k))),
-                            kw.TRIDIAGONAL_EIGENSOLVE)
+            b = kw.RootList(*map(tuple, tridiagonal.eigenvalues_all(*kw._jacobi_matrix(n, k))))
             for va, ra, vb, rb in zip(a.values, a.radius, b.values, b.radius):
                 assert abs(va - vb) <= ra + rb + 1e-13

@@ -1,8 +1,10 @@
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from ballspec import hamming as hm
 from ballspec import spectrum as sp
+from ballspec import tridiagonal as td
 from ballspec.errors import InvalidParameterError
 from helpers import band_cases, cached_oracle, exact_count_at
 
@@ -188,7 +191,7 @@ def test_a_root_three_radii_off_fails_the_cross_check(i, monkeypatch):
     reach = block.radius[i] + 2.0 * roots.radius[i]
     values = list(roots.values)
     values[i] += 1.5 * reach
-    moved = kw.RootList(tuple(values), roots.radius, roots.source)
+    moved = kw.RootList(tuple(values), roots.radius)
     monkeypatch.setattr(kw, "_roots", lambda n, k, tol=kw.DEFAULT_TOL, count=None: moved)
     with pytest.raises(ArithmeticError, match="disagree"):
         sp.lambda_set(6, 0, 2, 0)
@@ -225,30 +228,134 @@ def test_every_printed_band_interval_is_proven_by_exact_counts():
     assert assert_intervals_proven({key: sp.lambda_set(*key) for key in blocks.values()}) == 1716
 
 
-def test_merge_warning_in_ambiguous_zone():
-    gap = math.sqrt(10) - math.sqrt(2)
-    with pytest.warns(sp.AmbiguousMergeWarning):
-        sp.full_spectrum(4, 0, 2, merge_eps=gap / 500)
+def test_every_table_up_to_n_24_keeps_its_bits():
+    # SHA-256 of the JSON of the 818 tables with n <= 24, pinned from the tables that merged values of
+    # different origins closer than 1e-9 * (n + 1): on these bands merging only proven equals is the same
+    cases = list(band_cases(24))
+    digest = hashlib.sha256()
+    for n, r1, r2 in cases:
+        digest.update(json.dumps(sp.full_spectrum(n, r1, r2).to_dict()).encode())
+    assert len(cases) == 818
+    assert digest.hexdigest() == "b672e00c42c5c5d2337dbb80f731a40df5aad2b0a3c7894a8f059f4146389a58"
 
 
-def test_forced_merge_combines_multiplicities():
-    gap = math.sqrt(10) - math.sqrt(2)
-    tab = sp.full_spectrum(4, 0, 2, merge_eps=gap + 0.1)
-    assert tab.total_dim == 11
-    merged = [line for line in tab.lines if set(line.contributors) == {0, 1}]
-    assert len(merged) == 2 and all(line.multiplicity == 4 for line in merged)
+def test_a_proven_merge_sums_the_multiplicities_of_its_origins():
+    # -2 is an eigenvalue of the blocks of origins 0 and 2 of (8, 0, 3), with multiplicities 1 and 20
+    lines = [line for line in sp.full_spectrum(8, 0, 3).lines if abs(line.value + 2.0) < 1e-9]
+    assert [(line.multiplicity, line.contributors) for line in lines] == [(21, (0, 2))]
 
 
-def test_oversized_merge_threshold_is_rejected():
-    with pytest.raises(ArithmeticError):
-        sp.full_spectrum(4, 0, 2, merge_eps=10.0)
+def block_rank(n, r1, r2, t, value):
+    """(couplings, rank) of origin t's eigenvalue nearest ``value``."""
+    values = sp.lambda_set(n, r1, r2, t).values
+    rank = min(range(len(values)), key=lambda i: abs(values[i] - value))
+    return list(sp.coupling_matrix(n, r1, r2, t).offdiag_sq), rank
 
 
-@pytest.mark.parametrize("merge_eps", [0.0, -1.0, math.nan, math.inf])
-def test_invalid_merge_threshold_is_rejected(merge_eps):
-    # a threshold of 0 split eigenvalue -2 of (8, 0, 3) into two lines
-    with pytest.raises(InvalidParameterError):
-        sp.full_spectrum(8, 0, 3, merge_eps=merge_eps)
+def test_values_of_two_origins_near_40_keep_their_own_lines():
+    # origin 2 of (46, 1, 22) has the exact eigenvalue 40, origin 0 one 1.7e-8 below it: the threshold
+    # 1e-9 * 47 merged them into one line 39.99999999163537 of multiplicity 990
+    near = [line for line in sp.full_spectrum(46, 1, 22).lines if abs(line.value - 40.0) < 1e-6]
+    assert [(line.multiplicity, line.contributors) for line in near] == [(1, (0,)), (989, (2,))]
+    assert near[0].value < 40.0 - 1e-8 and near[1].value == pytest.approx(40.0, abs=1e-12)
+    couplings, rank = block_rank(46, 1, 22, 2, 40.0)
+    assert td.exact_count_sqrt(couplings, 1600) == (rank, True)
+    assert not td.exact_count_sqrt(block_rank(46, 1, 22, 0, 40.0)[0], 1600)[1]
+
+
+def test_every_line_of_several_origins_is_proven_by_exact_counts():
+    # n = 46, where the threshold first merged distinct values: each origin of such a line has the
+    # eigenvalue sign * sqrt(mu), mu = round(value^2), at the rank of its value; the 0 line is exact
+    blocks, merged = {}, 0
+    for n, r1, r2 in band_cases(46):
+        if n < 46:
+            continue
+        for line in sp._table(n, r1, r2, blocks).lines:
+            if len(line.contributors) > 1 and line.value != 0.0:
+                mu = round(line.value ** 2)
+                for t in line.contributors:
+                    couplings, rank = block_rank(n, r1, r2, t, line.value)
+                    assert td.exact_count_sqrt(couplings, mu) == (
+                        rank if line.value > 0 else len(couplings) - rank, True), (n, r1, r2, line)
+                merged += 1
+    assert merged == 424
+
+
+def exactly_below(a, b, start):
+    """Whether eigenvalue a = (couplings, rank) lies below eigenvalue b, as a dyadic point between them
+    shows by exact counts; the two are within 2^-30 of ``start``."""
+    lo, hi = start - Fraction(1, 2**30), start + Fraction(1, 2**30)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        a_below, b_below = (exact_count_at(c, 0, mid)[0] > rank for c, rank in (a, b))
+        if a_below != b_below:
+            return a_below
+        lo, hi = (lo, mid) if a_below else (mid, hi)
+    raise AssertionError("no dyadic point separates the two eigenvalues")
+
+
+@pytest.mark.parametrize("band,pairs,flips", [((62, 1, 30), 4, 0), ((76, 3, 37), 16, 0), ((78, 3, 38), 18, 2),
+                                             ((80, 1, 39), 10, 0)])
+def test_lines_whose_intervals_meet_are_in_exact_order(band, pairs, flips):
+    # every pair of neighbouring lines closer than 1e-9 is in the order exact counts give; in (78, 3, 38)
+    # the value of origin 2 near -+72 lies 7.3e-14 inside that of origin 0 while its float lies outside
+    lines = sp.full_spectrum(*band).lines
+    close = [(a, b) for a, b in zip(lines, lines[1:]) if abs(a.value - b.value) < 1e-9]
+    for a, b in close:
+        eigenvalues = [block_rank(*band, line.contributors[0], line.value) for line in (a, b)]
+        assert exactly_below(*eigenvalues, Fraction(a.value)), (band, a, b)
+    assert len(close) == pairs and sum(a.value > b.value for a, b in close) == flips
+
+
+def test_values_near_70_are_ordered_by_exact_counts():
+    # (76, 3, 37): neither of two values 2.4e-13 apart is sqrt(4900), though origin 2's float is -70.0;
+    # (80, 1, 39): origin 0's value shares its float with origin 2's exact 70
+    assert -70.0 in sp.lambda_set(76, 3, 37, 2).values
+    for t in (0, 2):
+        assert not td.exact_count_sqrt(block_rank(76, 3, 37, t, 70.0)[0], 4900)[1]
+    shared = set(sp.lambda_set(80, 1, 39, 0).values) & set(sp.lambda_set(80, 1, 39, 2).values)
+    assert 69.99999999999991 in shared
+    couplings, rank = block_rank(80, 1, 39, 2, 70.0)
+    assert td.exact_count_sqrt(couplings, 4900) == (rank, True)
+    assert not td.exact_count_sqrt(block_rank(80, 1, 39, 0, 70.0)[0], 4900)[1]
+
+
+def test_a_key_needs_sqrt_mu_in_the_interval_and_as_an_eigenvalue():
+    # couplings (2,) have the eigenvalues -+sqrt(2); mu = 2 is the integer nearest 1.3^2 too
+    root2 = math.sqrt(2.0)
+    assert sp._sqrt_key((2,), root2, 1e-15) == (1, 2) and sp._sqrt_key((2,), -root2, 1e-15) == (-1, 2)
+    assert sp._sqrt_key((2,), 1.3, 1e-12) is None  # sqrt(2) is an eigenvalue, but not in 1.3 -+ 1e-12
+    up = math.nextafter(math.nextafter(root2, 2.0), 2.0)  # 1.5 to 2.5 ulps (3.3e-16 to 5.5e-16) above sqrt(2)
+    assert sp._sqrt_key((2,), up, 1e-16) is None and sp._sqrt_key((2,), up, 1e-15) == (1, 2)
+    assert sp._sqrt_key((3,), root2, 1e-15) is None  # in the interval, but not an eigenvalue
+    assert sp._sqrt_key((), 0.0, 0.0) == (0, 0)
+
+
+def placed(key=None, couplings=(), index=0, t=0):
+    # a line of origin t whose float (0.5) and hull ([-3, 3]) tell nothing about its eigenvalue
+    return sp._Placed(sp.SpectrumLine(0.5, 1, (t,)), -3.0, 3.0, key, couplings, index)
+
+
+def test_lines_whose_hulls_meet_are_ordered_by_keys_and_exact_counts_alone():
+    # -sqrt(3) < -sqrt(2) < 0 < 1 < sqrt(2) < sqrt(3) < sqrt(5): ranks of the blocks (c,), whose
+    # eigenvalues are -+sqrt(c), against keys, and two such ranks against each other
+    lines = [placed(couplings=(3,), index=0), placed(key=(-1, 2)), placed(key=(0, 0)),
+             placed(couplings=(1,), index=1), placed(key=(1, 2)), placed(couplings=(3,), index=1),
+             placed(couplings=(5,), index=1)]
+    order = functools.cmp_to_key(functools.partial(sp._compare, (9, 9, 9)))
+    for shift in range(len(lines)):
+        assert sorted(lines[shift:] + lines[:shift], key=order) == lines
+    with pytest.raises(ArithmeticError, match=r"origins \(1,\) and \(2,\) in band \(9, 9, 9\)"):
+        sp._compare((9, 9, 9), placed(couplings=(2,), index=1, t=1), placed(key=(1, 2), t=2))
+    with pytest.raises(ArithmeticError, match="no exact order"):  # no dyadic point by 2^-120 between
+        sp._compare((9, 9, 9), placed(couplings=(2,), index=1), placed(couplings=(2,), index=1))
+
+
+def test_a_large_band_merges_only_zero_and_warns_of_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lines = sp.full_spectrum(200, 50, 100).lines
+    assert [line.value for line in lines if len(line.contributors) > 1] == [0.0]
 
 
 @pytest.mark.parametrize("n,r1,r2", [(4, 1, 0), (4, 0, 3), (-1, 0, 0)])
@@ -377,7 +484,7 @@ def test_sweep_solves_each_distinct_block_once(monkeypatch):
 def test_shared_blocks_give_the_tables_of_one_band_at_a_time():
     blocks = {}
     for n, r1, r2 in SWEEP:
-        assert sp._table(n, r1, r2, None, blocks) == sp.full_spectrum(n, r1, r2)
+        assert sp._table(n, r1, r2, blocks) == sp.full_spectrum(n, r1, r2)
 
 
 def test_sweep_memory_peak_is_no_higher_than_one_large_band():

@@ -403,3 +403,37 @@ def test_exact_count_is_the_dense_count_on_every_small_coupling_block():
             if m % 2:
                 assert td.exact_count(couplings, 0, 0, 0) == (m // 2, True), (n, r1, r2, t)
     assert {1, 2} <= dims
+
+
+def sqrt_kernel_blocks():
+    """Zero-diagonal integer blocks: every coupling block with n <= 12, 2J - N of small Krawtchouk
+    Jacobi matrices, and random ones, m = 1 and m = 2 among each kind."""
+    blocks = {tuple(coupling_matrix(n, r1, r2, t).offdiag_sq) for n, r1, r2 in band_cases(12)
+              for t in range(r2 + 1)}
+    blocks |= {tuple(jacobi_couplings(n, 0, k - 1).tolist()) for n in range(1, 13) for k in range(1, n + 1)}
+    rng = np.random.default_rng(19)
+    blocks |= {tuple(rng.integers(1, 30, size=m - 1).tolist()) for m in range(1, 9) for _ in range(40)}
+    return sorted(blocks, key=lambda c: (len(c), c))
+
+
+def test_exact_count_sqrt_is_exact_count_at_every_perfect_square():
+    # at mu = k^2, sqrt(mu) = k is an integer point, which exact_count takes directly
+    for couplings in sqrt_kernel_blocks():
+        for k in range(1, 12):
+            assert td.exact_count_sqrt(couplings, k * k) == td.exact_count(couplings, 0, k, 0), (couplings, k)
+
+
+def test_exact_count_sqrt_is_the_dense_count():
+    # the dense eigenvalues away from sqrt(mu) give the count, and one within 1e-9 of it the flag; every
+    # block has an eigenvalue sqrt(mu) somewhere in the range (m = 2 has +-sqrt(c_1))
+    flagged, lengths = 0, set()
+    for couplings in sqrt_kernel_blocks():
+        values = np.linalg.eigvalsh(td.dense(couplings, 0.0))
+        lengths.add(len(couplings) + 1)
+        for mu in range(1, 200):
+            x = math.sqrt(mu)
+            near = np.abs(values - x) < 1e-9
+            count, is_eigenvalue = td.exact_count_sqrt(couplings, mu)
+            assert count == int((values < x - 1e-9).sum()) and is_eigenvalue == near.any(), (couplings, mu)
+            flagged += is_eigenvalue
+    assert {1, 2} <= lengths and flagged > 100
