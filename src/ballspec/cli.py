@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -23,6 +24,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+# Lines per write of ``export``: one joined string each, not one print per edge.
+_EXPORT_LINES = 1 << 14
 
 
 def _fmt(x: float) -> str:
@@ -166,9 +169,10 @@ def cmd_eigenfunction(args) -> int:
 
 def cmd_export(args) -> int:
     r1, r2 = _radii(args)
-    g = build_graph(args.n, r1, r2)
-    for line in g.edge_lines():
-        print(line)
+    lines = build_graph(args.n, r1, r2).edge_lines()
+    while chunk := list(itertools.islice(lines, _EXPORT_LINES)):
+        chunk.append("")
+        sys.stdout.write("\n".join(chunk))
     return EXIT_OK
 
 

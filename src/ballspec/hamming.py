@@ -7,10 +7,10 @@ bipartite block layout [[0, C], [C^T, 0]] for the incidence matrix C.
 
 The graph is stored as read-only numpy arrays: the uint64 masks, and the
 adjacency in CSR form (``indptr``, ``indices``, each row ascending).
-``build_graph`` makes each sphere's masks in ascending order by a
-recurrence on the bit count and fills the rows a chunk of vertices at a
-time, flipping each bit and binary-searching the adjacent sphere, so no
-temporary of V x n entries is held for the whole graph.  ``InducedGraph.band``
+``build_graph`` makes each sphere's masks in ascending order, and the
+indices of each mask's neighbours in the adjacent spheres, by one recurrence
+on the bit count, with no search; its peak is about 1.5 times the
+result.  ``InducedGraph.band``
 cuts the graph of a sub-band out of a built one by slicing, with no search:
 a sweep over many bands of one dimension builds one graph.
 
@@ -45,6 +45,7 @@ from .errors import BudgetExceededError, InvalidParameterError, check_band
 DEFAULT_GRAPH_LIMIT = 2_000_000
 DEFAULT_DENSE_LIMIT = 5000
 MAX_DIMENSION = 64  # bitmask width cap
+_LINE_ROWS = 4096  # rows per chunk of InducedGraph.edge_lines
 
 
 def weight_masks(n: int, w: int) -> Iterator[int]:
@@ -141,12 +142,18 @@ class InducedGraph:
         return out
 
     def edge_lines(self) -> Iterator[str]:
-        """Edge-list export, one "u v" line per edge, 0-based, u < v."""
-        bounds, indices = self.indptr.tolist(), self.indices.tolist()
-        for u, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            for v in indices[a:b]:
-                if u < v:
-                    yield f"{u} {v}"
+        """Edge-list export, one "u v" line per edge, 0-based, u < v.
+
+        The rows are read ``_LINE_ROWS`` at a time, so the Python ints and
+        strings alive at once are those of one chunk, not of the graph.
+        """
+        for lo in range(0, self.vertex_count, _LINE_ROWS):
+            hi = min(lo + _LINE_ROWS, self.vertex_count)
+            bounds = self.indptr[lo : hi + 1]
+            u = np.repeat(np.arange(lo, hi), np.diff(bounds))
+            v = self.indices[bounds[0] : bounds[-1]]
+            up = u < v
+            yield from [f"{a} {b}" for a, b in zip(u[up].tolist(), v[up].tolist())]
 
 
 def check_vertex_budget(n: int, r1: int, r2: int, max_vertices: int) -> None:
@@ -162,23 +169,53 @@ def check_vertex_budget(n: int, r1: int, r2: int, max_vertices: int) -> None:
         )
 
 
-# Rows per neighbour lookup in build_graph: its temporaries stay near _CHUNK_ROWS x n words.
-_CHUNK_ROWS = 2048
+def _sphere_tables(n: int, r1: int, r2: int) -> tuple[list, list, list]:
+    """Per weight w <= r2, the n-bit masks M(w) and the neighbour tables D(w), U(w) of sphere w.
 
+    M(w) holds the masks of weight w, ascending (uint64).  Row j of D(w)
+    holds the indices in M(w - 1) of the masks that clear one bit of
+    M(w)[j], highest bit first; row j of U(w) the indices in M(w + 1) of
+    the masks that set one of its clear bits, lowest bit first (int32).
+    Clearing bit b lowers a mask by 2^b, so both rows ascend.
 
-def _spheres(n: int, top: int) -> list[np.ndarray]:
-    """Per weight w <= top, the n-bit masks of weight w, ascending, as uint64 arrays.
-
-    The k+1-bit masks of weight w are the k-bit ones followed by the k-bit
-    ones of weight w - 1 with bit k set, so each step keeps the order.
+    All three follow the bit count k.  The k+1-bit masks of weight w are
+    the k-bit ones followed by those of weight w - 1 with bit k set (Knuth,
+    TAOCP 4A, 7.2.1.3), so an old index keeps its place and an index j of
+    the second part moves to C(k, w) + j.  A mask of the first part has no
+    bit k: its D row stays, and its U row gains the index of itself with
+    bit k set.  A mask M(w - 1)[j] | 2^k of the second part has bit k set:
+    clearing it gives j, the first entry of its D row, ahead of the moved
+    D row of M(w - 1)[j], and its U row is the moved U row of M(w - 1)[j].
+    Only the weights that a later step or the band [r1, r2] reads are
+    made; U(r2) is never read.
     """
-    spheres = [np.zeros(1, dtype=np.uint64)] + [np.zeros(0, dtype=np.uint64)] * top
+    masks = [np.zeros(1, dtype=np.uint64)] + [np.zeros(0, dtype=np.uint64)] * r2
+    below = [np.zeros((1 if w == 0 else 0, w), dtype=np.int32) for w in range(r2 + 1)]
+    above = [np.zeros((1, 0), dtype=np.int32)] + [np.zeros((0, 0), dtype=np.int32)] * r2
     for k in range(n):
+        size = [math.comb(k, w) for w in range(r2 + 2)]  # C(k, w): the old sphere sizes
         bit = np.uint64(1 << k)
-        spheres = [spheres[0]] + [
-            np.concatenate([spheres[w], spheres[w - 1] | bit]) for w in range(1, top + 1)
-        ]
-    return spheres
+        rest = n - k - 1  # steps left after this one
+        # descending, so that sphere w - 1 is still the old one when sphere w is made
+        for w in range(min(k + 1, r2), max(r1 - rest, 1) - 1, -1):
+            old, moved = size[w], size[w - 1]
+            masks[w] = np.concatenate([masks[w], masks[w - 1] | bit])
+            if w > r1 - rest:
+                d = np.empty((old + moved, w), dtype=np.int32)
+                d[:old] = below[w]
+                d[old:, 0] = np.arange(moved)
+                np.add(below[w - 1], moved, out=d[old:, 1:])
+                below[w] = d
+            if w < r2:
+                u = np.empty((old + moved, k + 1 - w), dtype=np.int32)
+                if old:
+                    u[:old, :-1] = above[w]
+                    u[:old, -1] = np.arange(size[w + 1], size[w + 1] + old)
+                np.add(above[w - 1], size[w + 1], out=u[old:])
+                above[w] = u
+        if r1 - rest <= 0 < r2:  # the masks that set one bit of 0 are 1, 2, 4, ...: indices 0..k
+            above[0] = np.arange(k + 1, dtype=np.int32)[None, :]
+    return masks, below, above
 
 
 def build_graph(
@@ -186,35 +223,27 @@ def build_graph(
 ) -> InducedGraph:
     """Build the induced subgraph on the weight band [r1, r2].
 
-    ``indptr`` follows from the sphere sizes (``_layout``).  The rows are
-    filled a chunk of ``_CHUNK_ROWS`` vertices at a time: flipping each bit
-    gives the neighbours' masks, and a binary search in the adjacent sphere
-    their indices.  Clearing bit b lowers a mask by 2^b, so the neighbours
-    below, taken from the highest bit down, ascend, and so do the ones
-    above, taken from the lowest bit up; the sphere below comes first in the
-    vertex order, so every row ascends without a sort.
+    ``indptr`` follows from the sphere sizes (``_layout``).  The masks and
+    the neighbours' indices within the adjacent spheres come from one
+    recursion over the bit count (``_sphere_tables``), with no search; a
+    row of sphere i is its D row then its U row, each shifted by the first
+    index of its sphere.  The sphere below comes first in the vertex order,
+    so every row ascends without a sort.
     """
     check_vertex_budget(n, r1, r2, max_vertices)
-    spheres = _spheres(n, r2)
-    sphere_start, indptr = _layout(n, r1, r2, [len(spheres[i]) for i in range(r1, r2 + 1)])
+    masks, below, above = _sphere_tables(n, r1, r2)
+    sizes = [len(masks[i]) for i in range(r1, r2 + 1)]
+    sphere_start, indptr = _layout(n, r1, r2, sizes)
     indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    bits = np.left_shift(_ONE, np.arange(n, dtype=np.uint64))
-    for i in range(r1, r2 + 1):
-        for lo in range(0, len(spheres[i]), _CHUNK_ROWS):
-            rows = spheres[i][lo : lo + _CHUNK_ROWS]
-            flipped = rows[:, None] ^ bits
-            has = (rows[:, None] & bits) != 0
-            parts = []
-            if i > r1:
-                below = flipped[has].reshape(len(rows), i)[:, ::-1]
-                parts.append(sphere_start[i - 1] + np.searchsorted(spheres[i - 1], below))
-            if i < r2:
-                above = flipped[~has].reshape(len(rows), n - i)
-                parts.append(sphere_start[i + 1] + np.searchsorted(spheres[i + 1], above))
-            if parts:
-                first = sphere_start[i] + lo
-                indices[indptr[first] : indptr[first + len(rows)]] = np.hstack(parts).ravel()
-    return _frozen(n, r1, r2, np.concatenate(spheres[r1 : r2 + 1]), indptr, indices, sphere_start)
+    for i, size in zip(range(r1, r2 + 1), sizes):
+        down = i if i > r1 else 0
+        first = sphere_start[i]
+        rows = indices[indptr[first] : indptr[first + size]].reshape(size, -1)
+        if down:
+            np.add(below[i], sphere_start[i - 1], out=rows[:, :down])
+        if i < r2:
+            np.add(above[i], sphere_start[i + 1], out=rows[:, down:])
+    return _frozen(n, r1, r2, np.concatenate(masks[r1 : r2 + 1]), indptr, indices, sphere_start)
 
 
 def _layout(n: int, r1: int, r2: int, sizes: list[int]) -> tuple[dict[int, int], np.ndarray]:

@@ -6,6 +6,7 @@ import pytest
 
 from ballspec import spectrum
 from ballspec.cli import build_parser, main
+from ballspec.hamming import build_graph
 
 
 def run(capsys, *argv):
@@ -95,6 +96,14 @@ def test_verify_all_is_one_sweep_and_prints_the_same_at_any_dense_limit_that_fit
     assert (code, len(sweeps)) == (0, 1)
     assert run(capsys, "verify", "--all", "--max-n", "11", "--dense-limit", "1024") == (0, out, "")
     assert out.count("\n") == 112 and "false" not in out
+
+
+def test_export_prints_every_edge_line_once_across_its_writes(capsys):
+    # (20, 0, 4) has 23,200 edges: more than one joined write and more than one chunk of rows
+    code, out, _ = run(capsys, "export", "--n", "20", "--r", "4")
+    lines = list(build_graph(20, 0, 4).edge_lines())
+    assert code == 0 and len(lines) == 23200
+    assert out == "".join(f"{line}\n" for line in lines)
 
 
 # A dimension, or a first-root coupling, too large for a float.
