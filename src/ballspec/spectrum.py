@@ -60,14 +60,17 @@ class TridiagonalSym:
     dim: int
     offdiag_sq: tuple[int, ...]
 
-    def eigenvalues(self) -> RootList:
+    def eigenvalues(self, guesses: list[float] | None = None) -> RootList:
         """Certified eigenvalues, symmetrized about 0.
 
         A zero-diagonal tridiagonal spectrum is exactly symmetric under
         negation, so paired estimates are averaged and an odd dimension
-        pins the middle eigenvalue to exactly 0.0.
+        pins the middle eigenvalue to exactly 0.0.  ``guesses``, one per
+        eigenvalue ascending, seed the solves and change no bit.
         """
-        values, radii = tridiagonal.eigenvalues_all([float(v) for v in self.offdiag_sq], 0.0)
+        values, radii = tridiagonal.eigenvalues_all(
+            [float(v) for v in self.offdiag_sq], 0.0, guesses=guesses
+        )
         m = self.dim
         sym_vals = [0.5 * (values[i] - values[m - 1 - i]) for i in range(m)]
         sym_radii = [max(radii[i], radii[m - 1 - i]) for i in range(m)]
@@ -101,20 +104,23 @@ def lambda_set(n: int, r1: int, r2: int, t: int) -> RootList:
     the degree r2-t+1 Krawtchouk polynomial over {0..n-2t}; for
     1 <= n-2t <= EXACT_COEFF_LIMIT the two routes are cross-checked here, the
     roots certified by exact counts: each eigenvalue's certified interval
-    must meet the affine image of its root's.
+    must meet the affine image of its root's.  The roots are found first,
+    and their images seed the block's bisections; a seed changes no bit,
+    so the check still compares two independent results.
     """
     block = coupling_matrix(n, r1, r2, t)
-    out = block.eigenvalues()
     reduced = n - 2 * t
-    if r1 == 0 and 1 <= reduced <= krawtchouk.EXACT_COEFF_LIMIT:
-        kr = krawtchouk._roots(reduced, r2 - t + 1)
-        for v, rad, x, xrad in zip(out.values, out.radius, kr.values, kr.radius):
-            affine = 2.0 * x - reduced
-            if abs(v - affine) > rad + 2.0 * xrad:
-                raise ArithmeticError(
-                    f"internal-error: eigensolve/root paths disagree at t={t}: "
-                    f"{v!r} vs {affine!r}"
-                )
+    if not (r1 == 0 and 1 <= reduced <= krawtchouk.EXACT_COEFF_LIMIT):
+        return block.eigenvalues()
+    kr = krawtchouk._roots(reduced, r2 - t + 1)
+    out = block.eigenvalues([2.0 * x - reduced for x in kr.values])
+    for v, rad, x, xrad in zip(out.values, out.radius, kr.values, kr.radius):
+        affine = 2.0 * x - reduced
+        if abs(v - affine) > rad + 2.0 * xrad:
+            raise ArithmeticError(
+                f"internal-error: eigensolve/root paths disagree at t={t}: "
+                f"{v!r} vs {affine!r}"
+            )
     return out
 
 

@@ -516,3 +516,61 @@ def test_edge_list_export():
     for line in lines:
         u, v = map(int, line.split())
         assert v in neighbour_lists(g)[u]
+
+
+def relabelled(g, order):
+    """The graph with its vertices listed in ``order`` (old indices), edges carried along."""
+    new_index = np.empty(len(order), dtype=np.int64)
+    new_index[order] = np.arange(len(order))
+    lists = neighbour_lists(g)
+    adjacency = [sorted(new_index[lists[u]].tolist()) for u in order]
+    moved = with_neighbour_lists(g, adjacency, g.edge_count)
+    return dataclasses.replace(moved, masks=g.masks[order])
+
+
+def test_oracle_rejects_a_graph_that_lists_two_masks_of_a_sphere_in_swapped_order():
+    # the same graph, still swap-invariant, with 0b000011 and 0b000101 of sphere 2 listed the other way
+    # round: the swap images are found by their place in the vertex order, which this breaks
+    g = cached_graph(6, 1, 3)
+    masks = g.masks.tolist()
+    order = list(range(g.vertex_count))
+    a, b = masks.index(0b000011), masks.index(0b000101)
+    order[a], order[b] = b, a
+    swapped = relabelled(g, order)
+    back = relabelled(swapped, order)  # the order is its own inverse
+    assert np.array_equal(back.indptr, g.indptr) and np.array_equal(back.indices, g.indices)
+    batch = [cached_graph(5, 0, 2), swapped, cached_graph(6, 0, 3)]
+    with pytest.raises(InvalidParameterError, match=r"\(6,1,3\) is not invariant under the swap of "
+                       r"coordinates \d and \d; its masks are not those of weight 1\.\.3 in ascending "
+                       r"weight, then value"):
+        hm.oracle_spectra(batch)
+
+
+def test_oracle_rejects_a_graph_with_a_mask_dropped():
+    # (6, 0, 3) without 0b000101 and its edges: the swap of coordinates 0 and 1 maps 0b000110 onto it
+    g = cached_graph(6, 0, 3)
+    masks = g.masks.tolist()
+    gone = masks.index(0b000101)
+    keep = [u for u in range(g.vertex_count) if u != gone]
+    lists = neighbour_lists(g)
+    adjacency = [[v - (v > gone) for v in lists[u] if v != gone] for u in keep]
+    dropped = dataclasses.replace(
+        with_neighbour_lists(g, adjacency, sum(map(len, adjacency)) // 2), masks=g.masks[keep]
+    )
+    with pytest.raises(InvalidParameterError, match=r"\(6,0,3\) is not invariant under the swap of "
+                       r"coordinates 0 and 1; its masks are not those of weight 0\.\.3"):
+        hm.oracle_spectra([cached_graph(4, 0, 2), dropped])
+
+
+def test_blocks_one_ulp_apart_are_both_factored():
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((2, 3))
+    near = block.copy()
+    near[1, 2] = np.nextafter(near[1, 2], np.inf)
+    signed = np.zeros((2, 3))
+    signed[0, 0] = -0.0  # -0.0 == 0.0, but the bytes differ: the blocks are factored apart
+    blocks = np.stack([block, block, near, np.zeros((2, 3)), block, signed, near])
+    unique, group = hm._distinct(blocks)
+    assert unique.tolist() == [0, 2, 3, 5]
+    assert group.tolist() == [0, 0, 1, 2, 0, 3, 1]
+    assert np.array_equal(blocks[unique][group].view(np.uint64), blocks.view(np.uint64))

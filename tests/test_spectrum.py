@@ -551,3 +551,24 @@ def test_coupling_matrix_matches_the_comprehension_on_every_small_block():
 ])
 def test_coupling_matrix_matches_the_comprehension_past_int64(n, r1, r2, t):
     assert_couplings(n, r1, r2, t)
+
+
+@pytest.mark.parametrize("cases,factored,blocks", [
+    (SWEEP, 138, 924),
+    ([(12, 0, 6)], 6, 63),
+    ([(12, 4, 6)], 6, 63),
+])
+def test_the_oracle_factors_each_distinct_block_once(monkeypatch, cases, factored, blocks):
+    # the oracle_verify workload's three commands: 1,050 blocks B_S, of which 150 differ from an earlier
+    # block of the same shape in the same oracle_spectra call; at (12, 0, 6) each shape has one
+    svd, distinct = np.linalg.svd, hm._distinct
+    matrices, seen = [], []
+
+    def counted(b, **kwargs):
+        matrices.append(len(b))
+        return svd(b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(hm, "_distinct", lambda b: seen.append(len(b)) or distinct(b))
+    assert all(report.passed for report in sp.verify_bands(cases))
+    assert sum(matrices) == factored and sum(seen) == blocks

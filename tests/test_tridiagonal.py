@@ -5,7 +5,7 @@ import pytest
 
 import paper_checks as pc
 from ballspec import tridiagonal as td
-from ballspec.krawtchouk import _jacobi_matrix, jacobi_couplings
+from ballspec.krawtchouk import _jacobi_matrix, _roots, jacobi_couplings
 from ballspec.spectrum import coupling_matrix
 from helpers import band_cases, exact_count_at
 
@@ -437,3 +437,56 @@ def test_exact_count_sqrt_is_the_dense_count():
             assert count == int((values < x - 1e-9).sum()) and is_eigenvalue == near.any(), (couplings, mu)
             flagged += is_eigenvalue
     assert {1, 2} <= lengths and flagged > 100
+
+
+def krawtchouk_guesses(n, m):
+    # the couplings of the origin-0 block of the ball (n, 0, m) and the images 2x - n of the certified
+    # roots of K_(m+1) over {0..n}, which lambda_set passes as its guesses
+    off_sq = [float(v) for v in coupling_matrix(n, 0, m, 0).offdiag_sq]
+    return off_sq, [2.0 * x - n for x in _roots(n, m + 1).values]
+
+
+def test_seeded_eigenvalues_all_keeps_the_bits_on_every_ball_block():
+    # every r1 = 0 block that lambda_set seeds: origin t of the ball (n, 0, r) is block (n - 2t, r - t)
+    blocks = [(n, m) for n in range(1, 65) for m in range(n // 2 + 1)]
+    for n, m in blocks:
+        off_sq, guesses = krawtchouk_guesses(n, m)
+        assert td.eigenvalues_all(off_sq, 0.0, guesses=guesses) == td.eigenvalues_all(off_sq, 0.0), (n, m)
+    assert len(blocks) == 1088
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (7, 3), (20, 6), (41, 20), (64, 32)])
+def test_seeded_eigenvalues_all_keeps_the_bits_under_bad_guesses(n, m):
+    off_sq, good = krawtchouk_guesses(n, m)
+    plain = td.eigenvalues_all(off_sq, 0.0)
+    bad = [
+        [math.nan] * len(good),
+        [math.inf] * len(good),
+        [-math.inf] * len(good),
+        [2.0 * n + 1.0] * len(good),  # past the Gershgorin bracket
+        [-2.0 * n - 1.0] * len(good),
+        [g + 1e-6 for g in good],
+        [g - 1e-6 for g in good],
+        good[1:] + good[-1:],  # the next root up
+        good[:1] + good[:-1],  # the next root down
+    ]
+    for guesses in bad:
+        assert td.eigenvalues_all(off_sq, 0.0, guesses=guesses) == plain, guesses
+
+
+def test_eigenvalues_all_takes_one_guess_per_eigenvalue():
+    with pytest.raises(ValueError, match="2 guesses for dimension 3"):
+        td.eigenvalues_all([2.0, 2.0], 0.0, guesses=[0.0, 1.0])
+
+
+def test_the_krawtchouk_guesses_save_sweeps(monkeypatch):
+    off_sq, guesses = krawtchouk_guesses(64, 32)
+    calls = []
+    count_below = td.count_below
+    monkeypatch.setattr(td, "count_below", lambda *a, **kw: calls.append(a[2]) or count_below(*a, **kw))
+    td.eigenvalues_all(off_sq, 0.0)
+    plain = len(calls)
+    calls.clear()
+    td.eigenvalues_all(off_sq, 0.0, guesses=guesses)
+    # 70 counts for the 33 eigenvalues, against about 40 per eigenvalue from the Gershgorin bracket
+    assert len(calls) <= 3 * 33 and 10 * len(calls) < plain
