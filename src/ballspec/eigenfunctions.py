@@ -142,7 +142,7 @@ def synthesize(
         raise InvalidParameterError(
             f"eigenvalue index {which} out of range [0, {block.dim})"
         )
-    lam = lambda_set(n, r1, r2, t).values[which]
+    lam = lambda_set(n, r1, r2, t, block).values[which]
     v = block.scaling() * tridiagonal.eigenvector(block.offdiag_sq, 0.0, lam)
     if v[0] == 0.0:
         raise ArithmeticError("internal-error: vanishing first coefficient")

@@ -97,7 +97,7 @@ def coupling_matrix(n: int, r1: int, r2: int, t: int) -> TridiagonalSym:
     return TridiagonalSym(n, r1, r2, t, tstar, dim, off_sq)
 
 
-def lambda_set(n: int, r1: int, r2: int, t: int) -> RootList:
+def lambda_set(n: int, r1: int, r2: int, t: int, block: TridiagonalSym | None = None) -> RootList:
     """Eigenvalues contributed by origin weight t, ascending and certified.
 
     For r1 = 0 the same set must equal 2*R - (n-2t) where R are the roots of
@@ -106,9 +106,11 @@ def lambda_set(n: int, r1: int, r2: int, t: int) -> RootList:
     roots certified by exact counts: each eigenvalue's certified interval
     must meet the affine image of its root's.  The roots are found first,
     and their images seed the block's bisections; a seed changes no bit,
-    so the check still compares two independent results.
+    so the check still compares two independent results.  ``block``, if
+    given, is ``coupling_matrix(n, r1, r2, t)``, already built by the caller.
     """
-    block = coupling_matrix(n, r1, r2, t)
+    if block is None:
+        block = coupling_matrix(n, r1, r2, t)
     reduced = n - 2 * t
     if not (r1 == 0 and 1 <= reduced <= krawtchouk.EXACT_COEFF_LIMIT):
         return block.eigenvalues()
@@ -223,7 +225,8 @@ def _table(n: int, r1: int, r2: int, blocks: dict) -> SpectrumTable:
     for t in range(r2 + 1):
         block = (n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0)
         if block not in blocks:
-            out, couplings = lambda_set(n, r1, r2, t), coupling_matrix(n, r1, r2, t).offdiag_sq
+            matrix = coupling_matrix(n, r1, r2, t)
+            out, couplings = lambda_set(n, r1, r2, t, matrix), matrix.offdiag_sq
             keys = [_sqrt_key(couplings, v, rad) for v, rad in zip(out.values, out.radius)]
             blocks[block] = out, couplings, keys
         out, couplings, keys = blocks[block]

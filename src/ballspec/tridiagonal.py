@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -33,27 +32,26 @@ def count_below(off_sq: Sequence[float], d: float, x: float, *, pivmin: float | 
     ``pivmin`` depends only on ``off_sq``; ``eigenvalue_k`` computes it once
     per matrix and passes it in.
 
-    The floor is one branch on the sign of q, which for every float,
-    including +-0.0 and NaN, counts and floors as the test |q| <= pivmin
-    followed by q < 0 does.  ``a = d - x`` is taken once: Python evaluates
-    ``d - x - e2 / q`` as ``(d - x) - e2 / q``, so every q has the same
-    bits.  A leading zero coupling over q = inf makes row 0 the plain
-    ``d - x``.
+    Row 0 is ``q = a = d - x``.  Each row makes one test, ``q <= pivmin``,
+    on the common path; only a q that passes it is counted, and then floored
+    if it is >= -pivmin.  As pivmin > 0, that counts and floors every float,
+    +-0.0 and NaN included, as the test |q| <= pivmin followed by q < 0
+    does.  The last row is counted and not floored: no row reads its q.
+    ``a`` is taken once: Python evaluates ``d - x - e2 / q`` as
+    ``(d - x) - e2 / q``, so every q has the same bits.
     """
     if pivmin is None:
         pivmin = _pivot_floor(off_sq)
     floor = -pivmin
-    a, q, count = d - x, math.inf, 0
-    for e2 in chain((0.0,), off_sq):
-        q = a - e2 / q
-        if q < 0.0:
+    a = q = d - x
+    count = 0
+    for e2 in off_sq:
+        if q <= pivmin:
             count += 1
             if q >= floor:
                 q = floor
-        elif q <= pivmin:
-            q = floor
-            count += 1
-    return count
+        q = a - e2 / q
+    return count + (q <= pivmin)
 
 
 def exact_count(couplings: Sequence[int], d: int, num: int, e: int) -> tuple[int, bool]:
@@ -68,12 +66,16 @@ def exact_count(couplings: Sequence[int], d: int, num: int, e: int) -> tuple[int
     eigenvalue.
     """
     b, shift = (d << e) - num, 2 * e  # the factor 4^e as a shift
-    prev, cur, positive, count = 0, 1, True, 0
-    for c in chain((0,), couplings):
+    prev, cur = 1, b
+    negative = b < 0  # whether the last nonzero minor is negative; D_0 = 1 if b = 0
+    count = int(negative)
+    for c in couplings:
         prev, cur = cur, b * cur - ((c * prev) << shift)
         if cur:
-            count += (cur > 0) != positive
-            positive = cur > 0
+            sign = cur < 0
+            if sign != negative:
+                count += 1
+                negative = sign
     return count, cur == 0
 
 
@@ -86,12 +88,14 @@ def exact_count_sqrt(couplings: Sequence[int], mu: int) -> tuple[int, bool]:
     E_1 = -1, E_j = -mu E_(j-1) - c_(j-1) E_(j-2) for even j and
     E_j = -E_(j-1) - c_(j-1) E_(j-2) for odd j.  Each E_j has D_j's sign.
     """
-    prev, cur, positive, count = 1, -1, False, 1
+    prev, cur, negative, count = 1, -1, True, 1
     for j, c in enumerate(couplings):
         prev, cur = cur, -(cur if j % 2 else mu * cur) - c * prev
         if cur:
-            count += (cur > 0) != positive
-            positive = cur > 0
+            sign = cur < 0
+            if sign != negative:
+                count += 1
+                negative = sign
     return count, cur == 0
 
 

@@ -468,14 +468,16 @@ def test_sweep_builds_one_graph_per_run_of_bands(monkeypatch, limit, builds):
 
 
 def test_sweep_solves_each_distinct_block_once(monkeypatch):
-    solved, crosschecked = [], []
-    lambda_set, roots = sp.lambda_set, sp.krawtchouk._roots
-    monkeypatch.setattr(sp, "lambda_set", lambda n, r1, r2, t: solved.append(
-        (n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0)) or lambda_set(n, r1, r2, t))
+    solved, built, crosschecked = [], [], []
+    lambda_set, coupling_matrix, roots = sp.lambda_set, sp.coupling_matrix, sp.krawtchouk._roots
+    monkeypatch.setattr(sp, "lambda_set", lambda n, r1, r2, t, block: solved.append(
+        (n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0)) or lambda_set(n, r1, r2, t, block))
+    monkeypatch.setattr(sp, "coupling_matrix", lambda *a: built.append(a) or coupling_matrix(*a))
     monkeypatch.setattr(sp.krawtchouk, "_roots", lambda *a: crosschecked.append(a) or roots(*a))
     sp.verify_bands(SWEEP)
     keys = {(n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0) for n, r1, r2 in SWEEP for t in range(r2 + 1)}
     assert sorted(solved) == sorted(keys)
+    assert len(built) == len(keys)  # each block is built once, and lambda_set is handed it
     assert len(keys) == 142 < sum(r2 + 1 for _, _, r2 in SWEEP) == 391
     # every r1 = 0 block keeps its Krawtchouk cross-check
     assert len(crosschecked) == sum(1 for key in keys if key[3] and key[0] >= 1)

@@ -320,6 +320,20 @@ def test_count_below_matches_the_row_loop(block):
     ([1.0, 1.0, 1.0], [1.0, 1.0], -math.inf),
     ([7.0], [], 7.0),
     ([7.0], [], math.nan),
+    # pivots at exactly +-pivmin and at the float on each side of each, where the loop's test
+    # q <= pivmin and its floor q >= -pivmin change their outcome (pivmin = _SAFMIN here)
+    ([td._SAFMIN, td._SAFMIN], [1.0], 0.0),  # q = pivmin in row 0
+    ([td._SAFMIN, td._SAFMIN], [1.0], -math.ulp(0.0)),  # ... just above it
+    ([td._SAFMIN, td._SAFMIN], [1.0], math.ulp(0.0)),  # ... just below it
+    ([-td._SAFMIN, -td._SAFMIN], [1.0], 0.0),  # q = -pivmin in row 0
+    ([-td._SAFMIN, -td._SAFMIN], [1.0], -math.ulp(0.0)),  # ... just above it
+    ([-td._SAFMIN, -td._SAFMIN], [1.0], math.ulp(0.0)),  # ... just below it
+    ([td._SAFMIN, td._SAFMIN], [0.0], 0.0),  # q = pivmin in row 0, and a zero coupling keeps it in row 1
+    ([td._SAFMIN], [], 0.0),  # q = pivmin in the last row
+    ([td._SAFMIN], [], -math.ulp(0.0)),  # ... just above it
+    ([td._SAFMIN / 2] * 3, [0.5, 0.75], 0.0),  # q = -pivmin in row 2, after a floor in row 0
+    ([td._SAFMIN / 2] * 3, [0.5, math.nextafter(0.75, 0.0)], 0.0),  # ... just above it
+    ([td._SAFMIN / 2] * 3, [0.5, math.nextafter(0.75, 1.0)], 0.0),  # ... just below it
 ])
 def test_count_below_matches_the_row_loop_at_the_pivot_floor(diag, off_sq, x):
     assert_counts_match(diag, off_sq, [x])
