@@ -126,8 +126,7 @@ def cmd_krawtchouk(args) -> int:
     elif args.first_root:
         print(_fmt(krawtchouk.first_root(args.n, args.k, args.tol)))
     else:
-        p = krawtchouk.build(args.n, args.k)
-        rl = krawtchouk.roots(p, args.tol)
+        rl = krawtchouk.roots(args.n, args.k, args.tol)
         print(" ".join(_fmt(v) for v in rl.values))
     return EXIT_OK
 

@@ -7,8 +7,8 @@ every superset-indicator of a proper sub-mask of y.  These per-sphere
 functions span an adjacency-invariant subspace on which the adjacency acts
 as a small tridiagonal matrix; a diagonal scaling turns it into the
 symmetric coupling block of the same origin (``spectrum.TridiagonalSym``),
-so its eigenvalues are exactly that block's.  Pulling eigenvectors back
-gives explicit eigenfunctions of the band graph.
+so its eigenvalues are exactly that block's.  Pulling each eigenvector of
+the block back gives an explicit eigenfunction of the band graph.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ block is bipartite again, [[0, B_S], [B_S^T, 0]].  The oracle takes one SVD
 per block shape (stacked) over the distinct blocks of that shape, byte for
 byte, and the adjacency eigenvalues are +-sigma for each singular value of
 B_S plus abs(rows - columns) structural zeros per block (Jordan-Wielandt).
-It never holds the V x V adjacency or the whole even x odd biadjacency:
-without eigenvectors it holds only the blocks.
+It never holds the V x V adjacency or the whole even x odd biadjacency,
+only the blocks.
 ``oracle_spectra`` does all of this in one pass for a list of graphs, with
 orbits and characters keyed per graph, and every check made per graph;
 ``oracle_spectrum`` is its batch of one.  The (orbit, character) pairs are
@@ -277,15 +277,18 @@ def incidence_matrix(n: int, r: int) -> np.ndarray:
     """The C(n,r-1) x C(n,r) containment matrix between weights r-1 and r.
 
     Rows and columns follow the same ascending-mask order as build_graph, so
-    the adjacency of the band (r-1, r) is exactly [[0, C], [C^T, 0]].
+    the adjacency of the band (r-1, r) is exactly [[0, C], [C^T, 0]].  The
+    matrix is dense, so its cells are budgeted like the dense oracle's:
+    at most DEFAULT_DENSE_LIMIT**2, checked before anything is allocated.
     """
     if not 1 <= r <= n // 2:
         raise InvalidParameterError(f"need 1 <= r <= n//2, got r={r}, n={n}")
     rows = math.comb(n, r - 1)
     cols = math.comb(n, r)
-    if rows + cols > DEFAULT_GRAPH_LIMIT:
+    if rows * cols > DEFAULT_DENSE_LIMIT**2:
         raise BudgetExceededError(
-            f"incidence ({n},{r}) needs {rows + cols} vertices, budget {DEFAULT_GRAPH_LIMIT}",
+            f"incidence ({n},{r}) needs {rows} x {cols} = {rows * cols} cells, "
+            f"budget {DEFAULT_DENSE_LIMIT**2}",
             vertex_count=rows + cols,
         )
     row_index = {m: i for i, m in enumerate(weight_masks(n, r - 1))}
@@ -301,10 +304,9 @@ def incidence_matrix(n: int, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleSpectrum:
-    """Brute-force dense eigendecomposition of a band adjacency matrix."""
+    """Brute-force dense eigenvalues of a band adjacency matrix, with their residual bound."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
     residual_bound: float
     tolerance: float
 
@@ -434,15 +436,13 @@ def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(unique), np.array(group)
 
 
-def oracle_spectrum(
-    g: InducedGraph, want_vectors: bool = False, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> OracleSpectrum:
+def oracle_spectrum(g: InducedGraph, dense_limit: int = DEFAULT_DENSE_LIMIT) -> OracleSpectrum:
     """All eigenvalues (ascending) of the adjacency, with residuals: ``oracle_spectra`` of [g]."""
-    return oracle_spectra([g], want_vectors, dense_limit)[0]
+    return oracle_spectra([g], dense_limit)[0]
 
 
 def oracle_spectra(
-    graphs: list[InducedGraph], want_vectors: bool = False, dense_limit: int = DEFAULT_DENSE_LIMIT
+    graphs: list[InducedGraph], dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> list[OracleSpectrum]:
     """The oracle spectrum of each graph, from one pass over all of them.
 
@@ -469,24 +469,21 @@ def oracle_spectra(
     of O in ``_submasks``' order, so the pair (O, S) is O's first pair plus
     the rank of S among the submasks of M(O) (``_submask_rank``, at most
     n // 2 bit steps).  Each pair's block, and its row or column there, is
-    worked out once; the (edge, character) pairs and the rows of the
-    eigenvector lift then find their block entries with no search.
+    worked out once; the (edge, character) pairs then find their block
+    entries with no search.
 
-    Each B_S = U diag(s) V^T gives the eigenpairs (+-s_i, [u_i; +-v_i]/sqrt(2))
-    and (0, [u; 0] or [0; v]) for each extra column of the full U or V;
-    blocks of one shape share one stacked SVD.  Blocks whose float64 entries
-    are byte-for-byte equal are factored once (``_distinct``), and the
-    first of each set stands for all: LAPACK factors each matrix of a stack
-    on its own, so every block keeps the bits of its own factorization.  The
-    SVD, the residual products and the Frobenius sums run on the distinct
-    blocks only; at (12, 0, 6), 6 of 63.  Eigenvectors are lifted
-    through the basis and come back in the graph's vertex order, one column
-    per eigenvalue.  The residual bound is the largest of |B v_i - s_i u_i|
-    and |B^T u_i - s_i v_i| over every block's singular triplets (and |B^T u|
-    or |B v| over the null columns when vectors are returned); the basis
-    is orthonormal, so it bounds every eigenpair residual of A.  The
-    documented tolerance is 1e-10 * vertex_count; a residual above it is an
-    internal error, not a report.
+    Each B_S = U diag(s) V^T gives the eigenvalues +-s_i and abs(rows -
+    columns) zeros; blocks of one shape share one stacked thin SVD.  Blocks
+    whose float64 entries are byte-for-byte equal are factored once
+    (``_distinct``), and the first of each set stands for all: LAPACK
+    factors each matrix of a stack on its own, so every block keeps the bits
+    of its own factorization.  The SVD, the residual products and the
+    Frobenius sums run on the distinct blocks only; at (12, 0, 6), 6 of 63.
+    The residual bound is the largest of |B v_i - s_i u_i| and
+    |B^T u_i - s_i v_i| over every block's singular triplets; the basis is
+    orthonormal, so it bounds the residual of each eigenpair
+    (+-s_i, [u_i; +-v_i]/sqrt(2)) of A they give.  The documented tolerance
+    is 1e-10 * vertex_count; a residual above it is an internal error.
 
     Two self-checks keep this a check of each graph itself: every tau_j must
     map the edge set onto itself (else InvalidParameterError; the images are
@@ -565,38 +562,25 @@ def oracle_spectra(
 
     shape_change = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(chars)]
-    h = math.sqrt(0.5)
-    values, lifts, residual, frobenius = [], [], np.zeros(len(graphs)), np.zeros(len(graphs))
+    values, residual, frobenius = [], np.zeros(len(graphs)), np.zeros(len(graphs))
     for start, stop in zip(bounds[:-1], bounds[1:]):
         count, r, c = stop - start, int(rows[start]), int(cols[start])
         d, k = r + c, min(r, c)
         if k == 0:
             values.append(np.zeros(count * d))
-            lifts.append((np.eye(d)[None], np.zeros(count, dtype=np.int64)))
             continue
         b = flat[offset[start] : offset[start] + count * r * c].reshape(count, r, c)
         # byte-equal blocks share one factorization: LAPACK factors each matrix of a stack on its own
         unique, group = _distinct(b)
         b = b[unique]
         np.add.at(frobenius, block_graph[start:stop], np.einsum("kij,kij->k", b, b)[group])
-        u, s, vt = np.linalg.svd(b, full_matrices=want_vectors)
-        uk, vk = u[:, :, :k], vt[:, :k].transpose(0, 2, 1)
-        sk = s[:, None, :]
-        parts = [b @ vk - uk * sk, b.transpose(0, 2, 1) @ uk - vk * sk]
-        if want_vectors:
-            parts += [b.transpose(0, 2, 1) @ u[:, :, k:], b @ vt[:, k:].transpose(0, 2, 1)]
-        norms = [np.linalg.norm(part, axis=1).max(axis=1) for part in parts if part.size]
+        u, s, vt = np.linalg.svd(b, full_matrices=False)
+        v, sk = vt.transpose(0, 2, 1), s[:, None, :]
+        parts = [b @ v - u * sk, b.transpose(0, 2, 1) @ u - v * sk]
+        norms = [np.linalg.norm(part, axis=1).max(axis=1) for part in parts]
         np.maximum.at(residual, block_graph[start:stop], np.max(norms, axis=0)[group])
         s = s[group]
         values.append(np.concatenate([-s, np.zeros((count, d - 2 * k)), s], axis=1).ravel())
-        if want_vectors:
-            y_blk = np.zeros((len(unique), d, d))
-            y_blk[:, :r, :k] = y_blk[:, :r, d - k :] = uk * h
-            y_blk[:, r:, :k] = vk * -h
-            y_blk[:, r:, d - k :] = vk * h
-            y_blk[:, :r, k:r] = u[:, :, k:]
-            y_blk[:, r:, r : d - k] = vt[:, k:].transpose(0, 2, 1)
-            lifts.append((y_blk, group))
     checked = [(bound, 1e-10 * max(1, size)) for bound, size in zip(residual.tolist(), sizes)]
     for g, norm, (bound, limit) in zip(graphs, frobenius.tolist(), checked):
         if abs(norm - g.edge_count) > 1e-12 * g.edge_count:
@@ -608,29 +592,6 @@ def oracle_spectra(
                 f"internal-error: oracle residual {bound:.3e} above tolerance {limit:.3e}"
             )
     w = np.concatenate(values)
-    # each graph's columns, in block order: the order of the graph on its own
-    columns = np.split(np.argsort(np.repeat(block_graph, rows + cols), kind="stable"), first[1:-1])
-    if not want_vectors:
-        return [OracleSpectrum(np.sort(w[cs]), None, *check) for cs, check in zip(columns, checked)]
-
-    # X[x, column] = (-1)^{|S & F(x)|} / sqrt|O(x)| * (block vector)[O(x)]
-    vertex, char = _submasks(mixed)
-    at = pair_of(orbit[vertex], char)
-    vertex_slot = pair_slot[at]
-    row = pair_local[at] + np.where(odd[vertex], rows[vertex_slot], 0)
-    weight = (1.0 - 2.0 * (_popcount(char & flipped[vertex]) & 1)) * np.exp2(
-        -_popcount(mixed[vertex]) / 2.0
-    )
-    column = np.cumsum(rows + cols) - rows - cols
-    x_mat = np.zeros((len(masks), len(masks)))
-    for start, stop, (y_blk, group) in zip(bounds[:-1], bounds[1:], lifts):
-        hit = (vertex_slot >= start) & (vertex_slot < stop)
-        at, span = vertex_slot[hit], np.arange(y_blk.shape[2])
-        x_mat[vertex[hit, None], column[at, None] + span] = (
-            weight[hit, None] * y_blk[group[at - start], row[hit]]
-        )
-    ascending = [cs[np.argsort(w[cs], kind="stable")] for cs in columns]
-    return [
-        OracleSpectrum(w[at], x_mat[lo:hi, at], *check)
-        for at, lo, hi, check in zip(ascending, first, first[1:], checked)
-    ]
+    # the places of each graph's values in w, which lists them block by block
+    own = np.split(np.argsort(np.repeat(block_graph, rows + cols), kind="stable"), first[1:-1])
+    return [OracleSpectrum(np.sort(w[at]), *check) for at, check in zip(own, checked)]

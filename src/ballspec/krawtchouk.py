@@ -126,26 +126,23 @@ def _dyadic_midpoint(a: int, e: int) -> tuple[float, float]:
     return value, 2.0 ** -(e + 1) + 2.0 * math.ulp(max(1.0, abs(value)))
 
 
-def roots(p: KrawtchoukPoly, tol: float = DEFAULT_TOL) -> RootList:
-    """All k roots of the polynomial, certified to half-width <= tol, by exact Sturm counts.
+def roots(
+    ambient_dim: int, degree: int, tol: float = DEFAULT_TOL, count: int | None = None
+) -> RootList:
+    """The ``count`` smallest roots of K_k over {0..N} (all k by default), certified by exact counts.
 
-    Root i is found on the grid of multiples of 2^-e, for the first e >= 2
-    with 2^-e <= tol, by ``_root_of_rank``, seeded with the eigenvalue of the
-    same rank from a floating-point eigensolve (``_root_guesses``).  The
-    counts prove each root's rank whatever the guess, so the guess changes
-    no bit of the result, only the number of counts.
+    Each has half-width <= tol.  Root i is found on the grid of multiples of
+    2^-e, for the first e >= 2 with 2^-e <= tol, by ``_root_of_rank``, seeded
+    with the eigenvalue of the same rank from a floating-point eigensolve
+    (``_root_guesses``).  The counts prove each root's rank whatever the
+    guess, so the guess changes no bit of the result, only the number of
+    counts; each rank is searched on its own, so neither does ``count``.
     """
-    if p.degree < 1:
+    n, k = ambient_dim, degree
+    if n < 0 or k < 0 or k > n:
+        raise InvalidDegreeError(f"need 0 <= k <= N, got k={k}, N={n}")
+    if k < 1:
         raise InvalidDegreeError("roots requires degree >= 1")
-    return _roots(p.ambient_dim, p.degree, tol)
-
-
-def _roots(n: int, k: int, tol: float = DEFAULT_TOL, count: int | None = None) -> RootList:
-    """The ``count`` smallest roots of K_k over {0..N} (all k by default), as ``roots`` finds them.
-
-    Needs only N and k, not the coefficients.  Each rank is searched on its
-    own, so a root has the same bits whatever ``count`` is.
-    """
     check_tol(tol)
     tol = min(tol, 0.25)
     level = 2
@@ -254,7 +251,7 @@ def first_root(ambient_dim: int, degree: int, tol: float = DEFAULT_TOL) -> float
         return 0.0
     array = _jacobi_off_sq(n, k)  # checks 1 <= k <= N for both paths
     if n <= EXACT_COEFF_LIMIT:
-        return _roots(n, k, tol, 1).values[0]
+        return roots(n, k, tol, 1).values[0]
     off_sq, d = array.tolist(), n / 2.0
     guess = _window_guess(n, k, off_sq, array, d, tol)
     return tridiagonal.eigenvalue_k(off_sq, d, 0, tol, guess, array=array)[0]

@@ -114,7 +114,7 @@ def lambda_set(n: int, r1: int, r2: int, t: int, block: TridiagonalSym | None = 
     reduced = n - 2 * t
     if not (r1 == 0 and 1 <= reduced <= krawtchouk.EXACT_COEFF_LIMIT):
         return block.eigenvalues()
-    kr = krawtchouk._roots(reduced, r2 - t + 1)
+    kr = krawtchouk.roots(reduced, r2 - t + 1)
     out = block.eigenvalues([2.0 * x - reduced for x in kr.values])
     for v, rad, x, xrad in zip(out.values, out.radius, kr.values, kr.radius):
         affine = 2.0 * x - reduced
@@ -320,10 +320,8 @@ class VerifyReport:
     n: int
     r1: int
     r2: int
-    tol: float
     vertex_count: int
     max_deviation: float
-    multiplicities_ok: bool
     passed: bool
     oracle_residual: float
     oracle_tolerance: float
@@ -333,7 +331,7 @@ class VerifyReport:
         return (
             f"n={self.n} r1={self.r1} r2={self.r2} vertices={self.vertex_count} "
             f"max_deviation={self.max_deviation:.3e} "
-            f"multiplicities={'ok' if self.multiplicities_ok else 'MISMATCH'} {status}"
+            f"multiplicities={'ok' if self.passed else 'MISMATCH'} {status}"
         )
 
 
@@ -376,7 +374,7 @@ def verify_bands(
             w, predicted = oracle.eigenvalues, t.expanded()
             gaps = np.abs(w - predicted) if len(w) == len(predicted) else np.full(1, math.inf)
             ok = bool(np.all(gaps <= tol))
-            reports.append(VerifyReport(t.n, t.r1, t.r2, tol, len(w), float(gaps.max()), ok, ok,
+            reports.append(VerifyReport(t.n, t.r1, t.r2, len(w), float(gaps.max()), ok,
                                         oracle.residual_bound, oracle.tolerance))
         del graphs  # before the next batch's are built
     return reports

@@ -268,8 +268,8 @@ def eigenvector(off_sq: Sequence[float], d: float, lam: float) -> np.ndarray:
     """Unit eigenvector for a precomputed eigenvalue, by inverse iteration.
 
     Two iterations from e_1 with a slightly perturbed shift; e_1 is never
-    orthogonal to the target since eigenvectors of an unreduced tridiagonal
-    have a nonzero first coordinate.  Dense solves are fine at the tiny
+    orthogonal to the target since every eigenvector of an unreduced
+    tridiagonal has a nonzero first coordinate.  Dense solves are fine at the tiny
     dimensions used here.
     """
     m = len(off_sq) + 1

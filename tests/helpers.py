@@ -15,8 +15,17 @@ def cached_graph(n, r1, r2):
 
 
 @functools.lru_cache(maxsize=None)
-def cached_oracle(n, r1, r2, want_vectors=False):
-    return oracle_spectrum(cached_graph(n, r1, r2), want_vectors=want_vectors)
+def cached_oracle(n, r1, r2):
+    return oracle_spectrum(cached_graph(n, r1, r2))
+
+
+@functools.lru_cache(maxsize=None)
+def cached_eigh(n, r1, r2):
+    """``np.linalg.eigh`` of the dense adjacency, (w, x) with x[:, i] a unit eigenvector of w[i].
+
+    A reference independent of the oracle, for the tests that check eigenspaces.
+    """
+    return np.linalg.eigh(cached_graph(n, r1, r2).dense_adjacency())
 
 
 def band_cases(max_n, include_equal=True):

@@ -7,7 +7,8 @@ that the count, now always 0, still runs; the tracer in
 to, and the ``InducedGraph`` methods in ``GRAPH_METHODS``; it counts Sturm
 rows as the length of the first argument of ``tridiagonal.count_below``, and
 reads the residual ratio off the one ``OracleSpectrum`` that
-``hamming.oracle_spectrum`` returns.  A
+``hamming.oracle_spectrum`` returns; ``bench/run.py`` reports the spans of
+``krawtchouk.roots``, which ``spectrum.lambda_set`` calls by that name.  A
 rename here, or a scalar first argument there, would break
 ``bench/run.py --trace 1`` without failing any other test.
 """
@@ -77,6 +78,18 @@ def test_traced_commands_count_sturm_rows(argv, capsys):
     finally:
         tracer.uninstall()
     assert tracer.counts["tridiagonal.sturm_steps"] > 0
+
+
+def test_traced_spectrum_records_the_krawtchouk_roots(capsys):
+    # lambda_set's cross-check calls krawtchouk.roots by the public name the tracer wraps, so the
+    # per-layer metrics krawtchouk.roots.calls and .busy_s see it
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["spectrum", "--n", "8", "--r", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    assert any(span[0] == "krawtchouk.roots" for span in tracer.spans)
 
 
 def test_traced_bounds_prints_what_the_untraced_run_prints(capsys):

@@ -216,6 +216,17 @@ def test_krawtchouk_invalid_degree(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["--n", "5", "--k", "0"], "error: roots requires degree >= 1\n"),
+    (["--n", "5", "--k", "9"], "error: need 0 <= k <= N, got k=9, N=5\n"),
+    (["--n", "-1", "--k", "1"], "error: need 0 <= k <= N, got k=1, N=-1\n"),
+])
+def test_krawtchouk_roots_words_a_bad_degree_as_before(capsys, argv, err):
+    # the roots take N and k, not the coefficients, and check them as the coefficient build did
+    code, out, got = run(capsys, "krawtchouk", *argv)
+    assert (code, out, got) == (2, "", err)
+
+
 def test_incidence(capsys):
     code, out, _ = run(capsys, "incidence", "--n", "4", "--r", "2")
     assert code == 0
@@ -225,6 +236,15 @@ def test_incidence(capsys):
     s2, s6 = 2**0.5, 6**0.5
     assert values == pytest.approx([-s6, -s2, 0.0, s2, s6], abs=1e-10)
     assert mults == [1, 3, 2, 3, 1]
+
+
+def test_incidence_matrix_is_budgeted_by_its_cells(capsys):
+    # C(20, 7) x C(20, 8) doubles are 72.8 GiB; the budget is checked before anything is allocated
+    code, out, err = run(capsys, "incidence", "--n", "20", "--r", "8", "--show-matrix")
+    assert (code, out) == (3, "")
+    assert err == (
+        "budget exceeded: incidence (20,8) needs 77520 x 125970 = 9765194400 cells, budget 25000000\n"
+    )
 
 
 def test_bounds_json(capsys):

@@ -45,6 +45,12 @@ def test_build_invalid_degree(n, k):
         kw.build(n, k)
 
 
+@pytest.mark.parametrize("n,k", [(3, -1), (3, 4), (0, 1), (5, 0), (0, 0), (-1, 0)])
+def test_roots_invalid_degree(n, k):
+    with pytest.raises(InvalidDegreeError):
+        kw.roots(n, k)
+
+
 def test_leading_coefficient():
     for n in range(1, 11):
         for k in range(n + 1):
@@ -62,19 +68,19 @@ def test_eval_exact_examples():
 
 
 def test_roots_4_2():
-    rl = kw.roots(kw.build(4, 2))
+    rl = kw.roots(4, 2)
     assert rl.values == (1.0, 3.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 11])
 def test_roots_degree_one(n):
-    rl = kw.roots(kw.build(n, 1))
+    rl = kw.roots(n, 1)
     assert len(rl) == 1
     assert rl.values[0] == pytest.approx(n / 2, abs=1e-12)
 
 
 def test_roots_4_3():
-    rl = kw.roots(kw.build(4, 3))
+    rl = kw.roots(4, 3)
     assert rl.values[1] == 2.0
     assert rl.values[0] == pytest.approx(2 - math.sqrt(2.5), abs=1e-12)
     assert rl.values[2] == pytest.approx(2 + math.sqrt(2.5), abs=1e-12)
@@ -91,7 +97,7 @@ def test_roots_certified_by_exact_sign_change():
                 acc = acc * q + c
             return acc
 
-        rl = kw.roots(p)
+        rl = kw.roots(n, k)
         for v, rad in zip(rl.values, rl.radius):
             lo = value_at(Fraction(v) - Fraction(rad))
             hi = value_at(Fraction(v) + Fraction(rad))
@@ -103,7 +109,7 @@ def test_roots_certified_by_exact_sign_change():
 def test_roots_count_and_interval():
     for n in range(1, 15):
         for k in range(1, n + 1):
-            rl = kw.roots(kw.build(n, k))
+            rl = kw.roots(n, k)
             assert len(rl) == k
             assert 0.0 < rl.values[0] and rl.values[-1] < n
 
@@ -135,7 +141,7 @@ BISECT_CASES = [(4, 3), (9, 3), (12, 5), (13, 7), (16, 5), (21, 10), (40, 13), (
 @pytest.mark.parametrize("tol", [kw.DEFAULT_TOL, 1e-5, 0.25])
 def test_bisect_bracket_keeps_the_bits_for_any_guess(n, k, tol, monkeypatch):
     # each root's search on the dyadic grid ends on the same bits whatever guess it starts from
-    plain = kw.roots(kw.build(n, k), tol)
+    plain = kw.roots(n, k, tol)
     level = max(2, math.ceil(-math.log2(tol)))
     unit = 2.0 ** -level
     exact = [v for v, r in zip(plain.values, plain.radius) if r == math.ulp(max(1.0, v))]
@@ -154,21 +160,21 @@ def test_bisect_bracket_keeps_the_bits_for_any_guess(n, k, tol, monkeypatch):
     calls = counting_counts(monkeypatch)
     for name, guess in guesses.items():
         guessing(monkeypatch, guess)
-        assert kw.roots(kw.build(n, k), tol) == plain, (n, k, name)
+        assert kw.roots(n, k, tol) == plain, (n, k, name)
     # a right guess costs two counts at the final level, the ends of its interval; one for an exact root
     guessing(monkeypatch, plain.values)
     calls.clear()
-    assert kw.roots(kw.build(n, k), tol) == plain
+    assert kw.roots(n, k, tol) == plain
     assert calls == [level - 1] * (2 * k - len(exact)), (n, k)
     # a guess one interval up finds the root's interval below its own in two counts; one down takes three
     # for an inexact root (fewer when the root's interval starts at 0) and two for an exact one
     guessing(monkeypatch, guesses["next dyadic interval up"])
     calls.clear()
-    assert kw.roots(kw.build(n, k), tol) == plain
+    assert kw.roots(n, k, tol) == plain
     assert len(calls) == 2 * k, (n, k)
     guessing(monkeypatch, guesses["next dyadic interval down"])
     calls.clear()
-    assert kw.roots(kw.build(n, k), tol) == plain
+    assert kw.roots(n, k, tol) == plain
     assert len(calls) <= 3 * k - len(exact), (n, k)
 
 
@@ -178,25 +184,25 @@ def test_bisect_bracket_on_the_half_integer_root(n, k, monkeypatch):
     # Jacobi guess, a guess on it and a guess just below it
     i = k // 2
     for tol in (kw.DEFAULT_TOL, 0.25):
-        plain = kw.roots(kw.build(n, k), tol)
+        plain = kw.roots(n, k, tol)
         assert (plain.values[i], plain.radius[i]) == (n / 2, math.ulp(n / 2))
         for guess in (n / 2, math.nextafter(n / 2, 0.0)):
             guessing(monkeypatch, [*plain.values[:i], guess, *plain.values[i + 1:]])
-            assert kw.roots(kw.build(n, k), tol) == plain, (n, k, tol, guess)
+            assert kw.roots(n, k, tol) == plain, (n, k, tol, guess)
         monkeypatch.undo()
 
 
 def test_roots_are_the_unseeded_roots_bit_for_bit(monkeypatch):
-    seeded = {(n, k): kw.roots(kw.build(n, k)) for n in range(1, 31) for k in range(1, n + 1)}
+    seeded = {(n, k): kw.roots(n, k) for n in range(1, 31) for k in range(1, n + 1)}
     calls = counting_counts(monkeypatch)
     for n in range(1, 31):
         for k in range(1, n + 1):
-            kw.roots(kw.build(n, k))
+            kw.roots(n, k)
     seeded_calls = len(calls)
     monkeypatch.setattr(kw, "_root_guesses", lambda n, k: [math.nan] * k)
     calls.clear()
     for (n, k), rl in seeded.items():
-        assert kw.roots(kw.build(n, k)) == rl, (n, k)
+        assert kw.roots(n, k) == rl, (n, k)
     # the guesses save most of the exact counts (measured: 9,629 against 208,940)
     assert seeded_calls <= 9629 and len(calls) <= 208940
     assert seeded_calls < len(calls) / 20
@@ -210,7 +216,7 @@ def test_roots_up_to_64_keep_their_bits_and_rarely_halve(monkeypatch):
     roots = 0
     for n in range(1, 65):
         for k in range(1, n + 1):
-            rl = kw.roots(kw.build(n, k))
+            rl = kw.roots(n, k)
             roots += len(rl)
             digest.update(repr(([v.hex() for v in rl.values], [r.hex() for r in rl.radius])).encode())
     assert digest.hexdigest() == "20852ba36235897714a71039c39bcbfe177469ce5cc5cfe2fdc839bc1d7bf54a"
@@ -227,14 +233,14 @@ EDGE_CASES = {(50, 50, 0): 98, (54, 54, 53): 106, (58, 58, 1): 115, (61, 61, 2):
 
 @pytest.mark.parametrize("n,k,left", EDGE_CASES)
 def test_a_guess_across_an_integer_takes_the_brackets_edge_interval(n, k, left, monkeypatch):
-    plain = kw.roots(kw.build(n, k))
+    plain = kw.roots(n, k)
     (i,) = [i for i, v in enumerate(plain.values) if left < v < left + 1]
     guess = kw._root_guesses(n, k)[i]
     assert not left < guess < left + 1 and abs(guess - round(guess)) < 1e-12
     # the root's search lands in the edge interval of its unit interval within three counts: the ends of
     # the guess's own interval, clipped to the roots' range (0, N), and the far end of the neighbour
     guessing(monkeypatch, [math.nan] * k)
-    assert kw.roots(kw.build(n, k)) == plain  # the bits of the unseeded search
+    assert kw.roots(n, k) == plain  # the bits of the unseeded search
     monkeypatch.undo()
     calls = counting_counts(monkeypatch)
     search = kw._root_of_rank
@@ -247,7 +253,7 @@ def test_a_guess_across_an_integer_takes_the_brackets_edge_interval(n, k, left, 
         return found
 
     monkeypatch.setattr(kw, "_root_of_rank", recording)
-    assert kw.roots(kw.build(n, k)) == plain
+    assert kw.roots(n, k) == plain
     assert per_rank[i] <= 3 and len(calls) <= EDGE_CASES[n, k, left], (per_rank[i], len(calls))
     level = 40  # the first e >= 2 with 2^-e <= DEFAULT_TOL
     assert math.floor(plain.values[i] * 2**level) in (left << level, ((left + 1) << level) - 1)
@@ -258,7 +264,7 @@ def test_first_root_up_to_64_is_the_smallest_certified_root(tol):
     # first_root searches rank 0 alone; each rank is searched on its own, so it has the same bits
     for n in range(1, kw.EXACT_COEFF_LIMIT + 1):
         for k in range(1, n + 1):
-            assert kw.first_root(n, k, tol) == kw.roots(kw.build(n, k), tol).values[0], (n, k)
+            assert kw.first_root(n, k, tol) == kw.roots(n, k, tol).values[0], (n, k)
 
 
 def test_certified_roots_need_no_coefficients(monkeypatch):
@@ -628,7 +634,7 @@ def test_bad_tolerance_is_rejected(tol):
 
 
 def test_roots_tolerance_above_quarter_is_clamped():
-    assert kw.roots(kw.build(30, 7), 1.0) == kw.roots(kw.build(30, 7), 0.25)
+    assert kw.roots(30, 7, 1.0) == kw.roots(30, 7, 0.25)
 
 
 def test_check_reciprocity_examples():
@@ -655,7 +661,7 @@ def test_root_symmetry_about_half():
     tol = 1e-12
     for n in range(2, 15):
         for k in range(1, n + 1):
-            vals = kw.roots(kw.build(n, k), tol).values
+            vals = kw.roots(n, k, tol).values
             for i in range(k):
                 assert abs(vals[i] + vals[k - 1 - i] - n) <= 2 * tol + 1e-13
 
@@ -663,7 +669,7 @@ def test_root_symmetry_about_half():
 def test_integer_between_consecutive_roots():
     for n in range(2, 15):
         for k in range(2, n + 1):
-            rl = kw.roots(kw.build(n, k))
+            rl = kw.roots(n, k)
             for i in range(k - 1):
                 lo = rl.values[i] - rl.radius[i]
                 hi = rl.values[i + 1] + rl.radius[i + 1]
@@ -679,7 +685,7 @@ def test_first_root_strictly_decreasing():
 def test_polynomial_vs_jacobi_paths_agree():
     for n in range(1, 13):
         for k in range(1, n + 1):
-            a = kw.roots(kw.build(n, k))
+            a = kw.roots(n, k)
             b = kw.RootList(*map(tuple, tridiagonal.eigenvalues_all(*kw._jacobi_matrix(n, k))))
             for va, ra, vb, rb in zip(a.values, a.radius, b.values, b.radius):
                 assert abs(va - vb) <= ra + rb + 1e-13

@@ -5,7 +5,7 @@ import pytest
 
 import paper_checks as pc
 from ballspec import tridiagonal as td
-from ballspec.krawtchouk import _jacobi_matrix, _roots, jacobi_couplings
+from ballspec.krawtchouk import _jacobi_matrix, jacobi_couplings, roots
 from ballspec.spectrum import coupling_matrix
 from helpers import band_cases, exact_count_at
 
@@ -457,7 +457,7 @@ def krawtchouk_guesses(n, m):
     # the couplings of the origin-0 block of the ball (n, 0, m) and the images 2x - n of the certified
     # roots of K_(m+1) over {0..n}, which lambda_set passes as its guesses
     off_sq = [float(v) for v in coupling_matrix(n, 0, m, 0).offdiag_sq]
-    return off_sq, [2.0 * x - n for x in _roots(n, m + 1).values]
+    return off_sq, [2.0 * x - n for x in roots(n, m + 1).values]
 
 
 def test_seeded_eigenvalues_all_keeps_the_bits_on_every_ball_block():
