@@ -190,12 +190,6 @@ def test_incidence_above_the_graph_dimension_cap():
     assert (mat.sum(axis=1) == 99).all()
 
 
-def test_incidence_budget_counts_cells_not_vertices():
-    # 4,060 x 27,405 = 111,264,300 cells, over the 5,000^2 of the dense budget, from 31,465 rows and columns
-    with pytest.raises(BudgetExceededError, match="111264300 cells"):
-        hm.incidence_matrix(30, 4)
-
-
 def test_incidence_is_the_bipartite_block():
     for n, r in [(4, 2), (5, 2), (6, 3), (7, 2)]:
         mat = hm.incidence_matrix(n, r)
