@@ -15,6 +15,8 @@ import itertools
 import json
 import sys
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import eigenfunctions, krawtchouk, spectrum
 from .errors import BudgetExceededError, InvalidParameterError
@@ -64,8 +66,11 @@ def cmd_incidence(args) -> int:
         raise InvalidParameterError("incidence needs r >= 1")
     if args.show_matrix:
         mat = incidence_matrix(args.n, args.r)
+        line = np.full(2 * mat.shape[1], ord(" "), dtype=np.uint8)  # "c c ... c\n", one digit per cell
+        line[-1] = ord("\n")
         for row in mat:
-            print(" ".join(str(int(v)) for v in row))
+            line[::2] = ord("0") + row
+            sys.stdout.write(line.tobytes().decode("ascii"))
         return EXIT_OK
     _emit_table(spectrum.full_spectrum(args.n, args.r - 1, args.r), args.format)
     return EXIT_OK

@@ -10,9 +10,7 @@ adjacency in CSR form (``indptr``, ``indices``, each row ascending).
 ``build_graph`` makes each sphere's masks in ascending order, and the
 indices of each mask's neighbours in the adjacent spheres, by one recurrence
 on the bit count, with no search; its peak is about 1.5 times the
-result.  ``InducedGraph.band``
-cuts the graph of a sub-band out of a built one by slicing, with no search:
-a sweep over many bands of one dimension builds one graph.
+result.
 
 Every edge joins weights of opposite parity, so every band graph is
 bipartite, and every permutation of the coordinates maps it onto itself.
@@ -25,9 +23,11 @@ byte, and the adjacency eigenvalues are +-sigma for each singular value of
 B_S plus abs(rows - columns) structural zeros per block (Jordan-Wielandt).
 It never holds the V x V adjacency or the whole even x odd biadjacency,
 only the blocks.
-``oracle_spectra`` does all of this in one pass for a list of graphs, with
-orbits and characters keyed per graph, and every check made per graph;
-``oracle_spectrum`` is its batch of one.  The (orbit, character) pairs are
+``oracle_spectra`` does all of this in one pass for a list of bands, each a
+weight range r1..r2 of a built graph: it builds each graph's blocks once,
+with orbits and characters keyed per graph, and cuts each band's blocks out
+of its graph's, so a sweep over many bands of one dimension builds one
+graph; ``oracle_spectrum`` is its batch of one.  The (orbit, character) pairs are
 indexed directly, by the orbit's first pair plus the character's rank
 among the submasks of the orbit's mixed pairs, so an edge finds its block
 entry by arithmetic, not by a search.  The swap check finds the image of a
@@ -101,34 +101,6 @@ class InducedGraph:
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
-
-    def band(self, r1: int, r2: int) -> InducedGraph:
-        """The induced subgraph on the sub-band [r1, r2], equal to ``build_graph(n, r1, r2)``.
-
-        Its arrays are new and read-only; the graph itself is returned when
-        the band is all of it.  A row of sphere i lists its neighbours below,
-        then those above, each ascending, so a sphere's rows are one
-        (size, degree) array: the sub-band drops the columns below in sphere
-        r1 and above in sphere r2, and shifts the rest by its first index.
-        """
-        if not self.r1 <= r1 <= r2 <= self.r2:
-            raise InvalidParameterError(
-                f"band [{r1}, {r2}] outside the graph's band [{self.r1}, {self.r2}]"
-            )
-        if (r1, r2) == (self.r1, self.r2):
-            return self
-        spheres = [self.sphere_slice(i) for i in range(r1, r2 + 1)]
-        sphere_start, indptr = _layout(self.n, r1, r2, [s.stop - s.start for s in spheres])
-        base = spheres[0].start
-        rows = []
-        for i, s in zip(range(r1, r2 + 1), spheres):
-            below = i if i > self.r1 else 0  # the row's columns below; the rest are above
-            block = self.indices[self.indptr[s.start] : self.indptr[s.stop]]
-            block = block.reshape(s.stop - s.start, -1)
-            rows.append(block[:, below if i == r1 else 0 : below if i == r2 else None].ravel())
-        indices = np.concatenate(rows) - base
-        masks = self.masks[base : spheres[-1].stop].copy()
-        return _frozen(self.n, r1, r2, masks, indptr, indices, sphere_start)
 
     def dense_adjacency(self) -> np.ndarray:
         a = np.zeros((self.vertex_count, self.vertex_count))
@@ -437,14 +409,14 @@ def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def oracle_spectrum(g: InducedGraph, dense_limit: int = DEFAULT_DENSE_LIMIT) -> OracleSpectrum:
-    """All eigenvalues (ascending) of the adjacency, with residuals: ``oracle_spectra`` of [g]."""
-    return oracle_spectra([g], dense_limit)[0]
+    """All eigenvalues (ascending) of the adjacency, with residuals: ``oracle_spectra`` of g's whole band."""
+    return oracle_spectra([(g, g.r1, g.r2)], dense_limit)[0]
 
 
 def oracle_spectra(
-    graphs: list[InducedGraph], dense_limit: int = DEFAULT_DENSE_LIMIT
+    bands: list[tuple[InducedGraph, int, int]], dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> list[OracleSpectrum]:
-    """The oracle spectrum of each graph, from one pass over all of them.
+    """The oracle spectrum of each band ``(g, r1, r2)``, the weights r1..r2 of a built graph g.
 
     Brute force on the symmetry-adapted blocks of the adjacency A.  The
     coordinate swaps tau_j = (2j, 2j+1), j < n//2, permute the band and
@@ -462,8 +434,12 @@ def oracle_spectra(
     of the sign of the far end.  Only the characters inside some M(O) are
     visited.
 
-    The graphs are one disjoint union, each vertex with its own graph's pairs;
-    orbits and characters are keyed by graph, so every block, sum and bound is one graph's.
+    The distinct graphs are one disjoint union, each vertex with its own
+    graph's pairs; orbits and characters are keyed by graph, and each
+    graph's blocks are built once.  The swaps keep weights, so a band's B_S
+    is its graph's cut to the orbits of weight r1..r2, in orbit order: a
+    cell sums the same edges in the same order as in the band's own graph,
+    so the cut block has the bytes of the block of ``build_graph(n, r1, r2)``.
 
     The V (orbit, character) pairs are listed orbit by orbit, the characters
     of O in ``_submasks``' order, so the pair (O, S) is O's first pair plus
@@ -473,29 +449,37 @@ def oracle_spectra(
     entries with no search.
 
     Each B_S = U diag(s) V^T gives the eigenvalues +-s_i and abs(rows -
-    columns) zeros; blocks of one shape share one stacked thin SVD.  Blocks
-    whose float64 entries are byte-for-byte equal are factored once
-    (``_distinct``), and the first of each set stands for all: LAPACK
-    factors each matrix of a stack on its own, so every block keeps the bits
-    of its own factorization.  The SVD, the residual products and the
-    Frobenius sums run on the distinct blocks only; at (12, 0, 6), 6 of 63.
-    The residual bound is the largest of |B v_i - s_i u_i| and
+    columns) zeros; the blocks of one shape, over all bands, share one
+    stacked thin SVD.  Blocks whose float64 entries are byte-for-byte equal
+    are factored once (``_distinct``), and the first of each set stands for
+    all: LAPACK factors each matrix of a stack on its own, so every block
+    keeps the bits of its own factorization.  The SVD, the residual products
+    and the Frobenius sums run on the distinct blocks only; at (12, 0, 6),
+    6 of 63.  The residual bound is the largest of |B v_i - s_i u_i| and
     |B^T u_i - s_i v_i| over every block's singular triplets; the basis is
     orthonormal, so it bounds the residual of each eigenpair
     (+-s_i, [u_i; +-v_i]/sqrt(2)) of A they give.  The documented tolerance
     is 1e-10 * vertex_count; a residual above it is an internal error.
 
     Two self-checks keep this a check of each graph itself: every tau_j must
-    map the edge set onto itself (else InvalidParameterError; the images are
-    found from the module's vertex order, ``_check_swap_invariance``), and the
-    squared Frobenius norms of the B_S must add up to edge_count, which is
-    half of tr A^2, to within 1e-12 * edge_count (else ArithmeticError).
+    map its edge set onto itself (else InvalidParameterError, naming the
+    graph; the images are found from the module's vertex order,
+    ``_check_swap_invariance``), and the squared Frobenius norms of a band's
+    B_S must add up to its edge count, which is half of tr A^2, to within
+    1e-12 of it (else ArithmeticError): its graph's ``edge_count`` less the
+    edges cut away, from the sphere sizes.
     """
+    graphs = list(dict.fromkeys(g for g, _, _ in bands))  # each graph once, in order of first use
     for g in graphs:
         if g.vertex_count > dense_limit:
             raise BudgetExceededError(
                 f"{g.vertex_count} vertices exceed the dense oracle limit {dense_limit}",
                 vertex_count=g.vertex_count,
+            )
+    for g, r1, r2 in bands:
+        if not g.r1 <= r1 <= r2 <= g.r2:
+            raise InvalidParameterError(
+                f"band [{r1}, {r2}] outside the graph's band [{g.r1}, {g.r2}]"
             )
     sizes = [g.vertex_count for g in graphs]
     first = np.cumsum([0] + sizes)
@@ -504,7 +488,8 @@ def oracle_spectra(
     low_bits = np.array([sum(1 << 2 * j for j in range(g.n // 2)) for g in graphs], dtype=np.uint64)
     low, high = masks & low_bits[graph], (masks >> _ONE) & low_bits[graph]
     mixed, flipped = low ^ high, high & ~low  # both on the low bit of each pair
-    odd = (_popcount(masks) & 1).astype(bool)
+    ones = _popcount(masks)
+    odd = (ones & 1).astype(bool)
 
     # directed edges out of the even-weight vertices
     src = np.repeat(np.arange(len(masks)), np.concatenate([np.diff(g.indptr) for g in graphs]))
@@ -516,27 +501,22 @@ def oracle_spectra(
     table = np.sort(masks)
     reps = _keys(graph, masks ^ flipped ^ (flipped << _ONE), table)  # swaps keep the masks
     reps, member, orbit = np.unique(reps, return_index=True, return_inverse=True)
-    orbit_count = len(reps)
     orbit_mixed, orbit_odd, orbit_graph = mixed[member], odd[member], graph[member]
 
-    # (orbit, character) pairs: their count is V; place each in its block
+    # (orbit, character) pairs: their count is V; each character of a graph is one block of it
     pair_orbit, pair_char = _submasks(orbit_mixed)
     char_set = np.sort(pair_char)
-    chars, pair_cid = np.unique(
+    chars, pair_block = np.unique(
         _keys(orbit_graph[pair_orbit], pair_char, char_set), return_inverse=True
     )
     pair_odd = orbit_odd[pair_orbit]
-    rows = np.bincount(pair_cid[~pair_odd], minlength=len(chars))
-    cols = np.bincount(pair_cid[pair_odd], minlength=len(chars))
-    by_shape = np.lexsort((cols, rows))  # blocks of one shape are adjacent
-    slot = np.empty(len(chars), dtype=np.int64)
-    slot[by_shape] = np.arange(len(chars))
-    rows, cols = rows[by_shape], cols[by_shape]
-    block_graph = (chars // (len(char_set) + 1))[by_shape]
-    # each pair's block, and its row (even orbit) or column (odd orbit) there: the pairs come in
-    # orbit order, so that is its rank among the pairs of its block and side
-    pair_slot = slot[pair_cid]
-    pair_local = _rank_in_group(pair_slot * 2 + pair_odd)
+    # each pair's row (even orbit) or column (odd orbit) in its block: the pairs come in orbit
+    # order, so that is its rank among the pairs of its block and side
+    pair_local = _rank_in_group(pair_block * 2 + pair_odd)
+    graph_cols = np.bincount(pair_block[pair_odd], minlength=len(chars))
+    graph_cells = np.bincount(pair_block[~pair_odd], minlength=len(chars)) * graph_cols
+    # the blocks lie row by row in one array: where the row of each even pair starts
+    row_start = (np.cumsum(graph_cells) - graph_cells)[pair_block] + pair_local * graph_cols[pair_block]
     counts = np.left_shift(1, _popcount(orbit_mixed))
     pair_start = np.cumsum(counts) - counts
 
@@ -553,45 +533,74 @@ def oracle_spectra(
     weight = sign * np.exp2((_popcount(mixed[x]) - _popcount(mixed[y])) / 2.0)
     at_x, at_y = pair_of(orbit[x], char), pair_of(orbit[y], char)
     del src, dst, x, y, edge, char, sign  # each edge array lives only until its last use
-    edge_slot = pair_slot[at_x]
-    offset = np.cumsum(rows * cols) - rows * cols
-    cell = offset[edge_slot] + pair_local[at_x] * cols[edge_slot] + pair_local[at_y]
-    del at_x, at_y, edge_slot
-    flat = np.bincount(cell, weights=weight, minlength=int((rows * cols).sum()))
+    cell = row_start[at_x] + pair_local[at_y]
+    del at_x, at_y
+    graph_flat = np.bincount(cell, weights=weight, minlength=int(graph_cells.sum()))
     del cell, weight  # the blocks hold all they said
 
+    # each band's pairs, in orbit order: those of its graph's orbits of weight r1..r2
+    pair_ones, pair_graph = ones[member][pair_orbit], orbit_graph[pair_orbit]
+    in_band = [np.flatnonzero((pair_graph == graphs.index(g)) & (pair_ones >= r1) & (pair_ones <= r2))
+               for g, r1, r2 in bands]
+    vertices = [len(at) for at in in_band]
+    pairs = np.concatenate(in_band)
+    band = np.repeat(np.arange(len(bands)), vertices)
+    # the band's blocks: one per (band, character of its pairs)
+    blocks, pair_slot = np.unique(band * len(chars) + pair_block[pairs], return_inverse=True)
+    odd = pair_odd[pairs]
+    rows = np.bincount(pair_slot[~odd], minlength=len(blocks))
+    cols = np.bincount(pair_slot[odd], minlength=len(blocks))
+    by_shape = np.lexsort((cols, rows))  # blocks of one shape are adjacent
+    slot = np.empty(len(blocks), dtype=np.int64)
+    slot[by_shape] = np.arange(len(blocks))
+    rows, cols = rows[by_shape], cols[by_shape]
+    block_band = (blocks // len(chars))[by_shape]
+    pair_slot = slot[pair_slot]
+    # a band block's rows and columns, in order, are its pairs of each side, block by block
+    by_block = pairs[np.argsort(odd * len(blocks) + pair_slot, kind="stable")]
+    row_cell, col_cell = row_start[by_block[: rows.sum()]], pair_local[by_block[rows.sum() :]]
+    row_first, col_first = np.cumsum(rows) - rows, np.cumsum(cols) - cols
+
     shape_change = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(chars)]
-    values, residual, frobenius = [], np.zeros(len(graphs)), np.zeros(len(graphs))
+    bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(blocks)]
+    values, residual, frobenius = [], np.zeros(len(blocks)), np.zeros(len(blocks))  # of each block
     for start, stop in zip(bounds[:-1], bounds[1:]):
         count, r, c = stop - start, int(rows[start]), int(cols[start])
         d, k = r + c, min(r, c)
         if k == 0:
             values.append(np.zeros(count * d))
             continue
-        b = flat[offset[start] : offset[start] + count * r * c].reshape(count, r, c)
+        # cut from the graph's blocks: cell (i, j) of a band's block is its graph's at row i, column j
+        at_row = row_cell[row_first[start] : row_first[start] + count * r].reshape(count, r, 1)
+        at_col = col_cell[col_first[start] : col_first[start] + count * c].reshape(count, 1, c)
+        b = graph_flat[at_row + at_col]
         # byte-equal blocks share one factorization: LAPACK factors each matrix of a stack on its own
         unique, group = _distinct(b)
         b = b[unique]
-        np.add.at(frobenius, block_graph[start:stop], np.einsum("kij,kij->k", b, b)[group])
+        frobenius[start:stop] = np.einsum("kij,kij->k", b, b)[group]
         u, s, vt = np.linalg.svd(b, full_matrices=False)
         v, sk = vt.transpose(0, 2, 1), s[:, None, :]
         parts = [b @ v - u * sk, b.transpose(0, 2, 1) @ u - v * sk]
         norms = [np.linalg.norm(part, axis=1).max(axis=1) for part in parts]
-        np.maximum.at(residual, block_graph[start:stop], np.max(norms, axis=0)[group])
+        residual[start:stop] = np.max(norms, axis=0)[group]
         s = s[group]
         values.append(np.concatenate([-s, np.zeros((count, d - 2 * k)), s], axis=1).ravel())
-    checked = [(bound, 1e-10 * max(1, size)) for bound, size in zip(residual.tolist(), sizes)]
-    for g, norm, (bound, limit) in zip(graphs, frobenius.tolist(), checked):
-        if abs(norm - g.edge_count) > 1e-12 * g.edge_count:
+    frobenius = np.bincount(block_band, weights=frobenius, minlength=len(bands))  # in block order
+    largest = np.zeros(len(bands))
+    np.maximum.at(largest, block_band, residual)
+    checked = [(bound, 1e-10 * max(1, size)) for bound, size in zip(largest.tolist(), vertices)]
+    for (g, r1, r2), norm, (bound, limit) in zip(bands, frobenius.tolist(), checked):
+        cut = [*range(g.r1 + 1, r1 + 1), *range(r2 + 1, g.r2 + 1)]  # upper weights of the edges cut away
+        edges = g.edge_count - sum(math.comb(g.n, i) * i for i in cut)
+        if abs(norm - edges) > 1e-12 * edges:
             raise ArithmeticError(
-                f"internal-error: block norms add up to {norm!r}, not {g.edge_count} edges"
+                f"internal-error: block norms add up to {norm!r}, not {edges} edges"
             )
         if bound > limit:
             raise ArithmeticError(
                 f"internal-error: oracle residual {bound:.3e} above tolerance {limit:.3e}"
             )
     w = np.concatenate(values)
-    # the places of each graph's values in w, which lists them block by block
-    own = np.split(np.argsort(np.repeat(block_graph, rows + cols), kind="stable"), first[1:-1])
+    # the places of each band's values in w, which lists them block by block
+    own = np.split(np.argsort(np.repeat(block_band, rows + cols), kind="stable"), np.cumsum(vertices)[:-1])
     return [OracleSpectrum(np.sort(w[at]), *check) for at, check in zip(own, checked)]

@@ -3,9 +3,10 @@
 Every eigenvalue of the band adjacency arises from a zero-diagonal
 symmetric tridiagonal block indexed by an origin weight t; the block for
 t has squared off-diagonals (k-1)(n-2t-k+2) and contributes each of its
-simple eigenvalues with multiplicity C(n,t) - C(n,t-1).  For a full ball
-(r1 = 0) the block spectrum is also the affine image 2*roots - (n-2t) of
-a Krawtchouk root set, and both routes are computed and cross-checked.
+simple eigenvalues with multiplicity C(n,t) - C(n,t-1).  For t >= r1 (every
+t of a full ball, r1 = 0) the block is that of the ball of radius r2, and
+its spectrum is also the affine image 2*roots - (n-2t) of a Krawtchouk root
+set; both routes are computed and cross-checked.
 Values of different origins share a line of the table only when exact
 integer counts prove them equal, and lines whose certified intervals meet
 are ordered by exact counts too.
@@ -100,8 +101,9 @@ def coupling_matrix(n: int, r1: int, r2: int, t: int) -> TridiagonalSym:
 def lambda_set(n: int, r1: int, r2: int, t: int, block: TridiagonalSym | None = None) -> RootList:
     """Eigenvalues contributed by origin weight t, ascending and certified.
 
-    For r1 = 0 the same set must equal 2*R - (n-2t) where R are the roots of
-    the degree r2-t+1 Krawtchouk polynomial over {0..n-2t}; for
+    For t >= r1 the block is rows 0..r2-t of the Jacobi matrix over n-2t, the
+    ball's block, so the same set must equal 2*R - (n-2t) where R are the
+    roots of the degree r2-t+1 Krawtchouk polynomial over {0..n-2t}; for
     1 <= n-2t <= EXACT_COEFF_LIMIT the two routes are cross-checked here, the
     roots certified by exact counts: each eigenvalue's certified interval
     must meet the affine image of its root's.  The roots are found first,
@@ -112,7 +114,7 @@ def lambda_set(n: int, r1: int, r2: int, t: int, block: TridiagonalSym | None = 
     if block is None:
         block = coupling_matrix(n, r1, r2, t)
     reduced = n - 2 * t
-    if not (r1 == 0 and 1 <= reduced <= krawtchouk.EXACT_COEFF_LIMIT):
+    if not (t >= r1 and 1 <= reduced <= krawtchouk.EXACT_COEFF_LIMIT):
         return block.eigenvalues()
     kr = krawtchouk.roots(reduced, r2 - t + 1)
     out = block.eigenvalues([2.0 * x - reduced for x in kr.values])
@@ -218,12 +220,13 @@ class _Placed(NamedTuple):
 
 
 def _table(n: int, r1: int, r2: int, blocks: dict) -> SpectrumTable:
-    """``full_spectrum``, sharing solved blocks through ``blocks``: origin t's block, its keys and
-    its Krawtchouk cross-check depend only on (n - 2t, max(t, r1) - t, r2 - t, r1 == 0)."""
+    """``full_spectrum``, sharing solved blocks through ``blocks``: origin t's block is rows
+    max(t, r1) - t .. r2 - t of the Jacobi matrix over n - 2t, so it, its keys and its Krawtchouk
+    cross-check (first row 0) depend only on (n - 2t, max(t, r1) - t, r2 - t)."""
     check_band(n, r1, r2)
     placed, proven = [], {}  # the lines of values without keys; the values of each key
     for t in range(r2 + 1):
-        block = (n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0)
+        block = (n - 2 * t, max(t, r1) - t, r2 - t)
         if block not in blocks:
             matrix = coupling_matrix(n, r1, r2, t)
             out, couplings = lambda_set(n, r1, r2, t, matrix), matrix.offdiag_sq
@@ -357,7 +360,7 @@ def verify_bands(
     passes when every pair is within ``tol``.  Consecutive bands form a batch
     while its vertex count stays within ``dense_limit``; each batch takes one
     ``oracle_spectra`` call, and the tables of the sweep share their block solves.
-    A batch builds one graph per run of its bands (``_graphs``).
+    A batch builds one graph per run of its bands (``_hull_bands``).
     """
     check_tol(tol)
     blocks: dict = {}
@@ -369,25 +372,25 @@ def verify_bands(
         batches[-1].append(table)
     reports = []
     for batch in batches:
-        graphs = _graphs(batch, dense_limit)
-        for t, oracle in zip(batch, oracle_spectra(graphs, dense_limit=dense_limit)):
+        bands = _hull_bands(batch, dense_limit)
+        for t, oracle in zip(batch, oracle_spectra(bands, dense_limit=dense_limit)):
             w, predicted = oracle.eigenvalues, t.expanded()
             gaps = np.abs(w - predicted) if len(w) == len(predicted) else np.full(1, math.inf)
             ok = bool(np.all(gaps <= tol))
             reports.append(VerifyReport(t.n, t.r1, t.r2, len(w), float(gaps.max()), ok,
                                         oracle.residual_bound, oracle.tolerance))
-        del graphs  # before the next batch's are built
+        del bands  # before the next batch's graphs are built
     return reports
 
 
-def _graphs(batch: list[SpectrumTable], dense_limit: int) -> list[InducedGraph]:
-    """The graph of each band of the batch, from one ``build_graph`` per run of bands.
+def _hull_bands(batch: list[SpectrumTable], dense_limit: int) -> list[tuple[InducedGraph, int, int]]:
+    """Each band of the batch as ``(hull, r1, r2)``, from one ``build_graph`` per run of bands.
 
-    A run is consecutive bands of one n, and its graph is their hull, from
-    the least r1 to the greatest r2; each band's graph is
-    ``InducedGraph.band`` of it.  A run ends before a band that would take
-    its hull past ``dense_limit`` vertices, so a band that fits on its own is
-    its own hull at worst.
+    A run is consecutive bands of one n, and its hull is the graph of their
+    least r1 to their greatest r2; the oracle cuts each band's blocks out of
+    the hull's.  A run ends before a band that would take its hull past
+    ``dense_limit`` vertices, so a band that fits on its own is its own hull
+    at worst.
     """
     runs: list[tuple[int, int, int, list[SpectrumTable]]] = []  # (n, lo, hi, tables)
     for t in batch:
@@ -398,8 +401,8 @@ def _graphs(batch: list[SpectrumTable], dense_limit: int) -> list[InducedGraph]:
                 runs[-1] = (n, lo, hi, run + [t])
                 continue
         runs.append((t.n, t.r1, t.r2, [t]))
-    graphs = []
+    bands = []
     for n, lo, hi, run in runs:
         hull = build_graph(n, lo, hi, max_vertices=dense_limit)
-        graphs += [hull.band(t.r1, t.r2) for t in run]
-    return graphs
+        bands += [(hull, t.r1, t.r2) for t in run]
+    return bands

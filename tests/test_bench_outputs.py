@@ -52,3 +52,14 @@ def test_the_benchmark_workloads_keep_their_stdout():
 ])
 def test_the_eigenfunction_workload_keeps_its_stdout_at_other_seeds(seed, expected):
     assert digest_of(load_workloads(), ["eigenfunction_synth"], seed) == expected
+
+
+def test_the_sweep_past_the_workload_keeps_its_stdout():
+    # verify --all --max-n 12 (140 bands) reaches the 2,510-vertex hull of n = 12, which serves 28 bands;
+    # the SHA-256 of its stdout, taken before the oracle cut bands out of their hulls' blocks
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--all", "--max-n", "12"]) == 0
+    assert len(out.getvalue().splitlines()) == 140
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        "75866e27f8cf0675b5821f3fc53031127311fffd3bd5cdaced81fe07e04ee7a1"

@@ -6,7 +6,7 @@ import pytest
 
 from ballspec import spectrum
 from ballspec.cli import build_parser, main
-from ballspec.hamming import build_graph
+from ballspec.hamming import build_graph, incidence_matrix
 
 
 def run(capsys, *argv):
@@ -236,6 +236,13 @@ def test_incidence(capsys):
     s2, s6 = 2**0.5, 6**0.5
     assert values == pytest.approx([-s6, -s2, 0.0, s2, s6], abs=1e-10)
     assert mults == [1, 3, 2, 3, 1]
+
+
+@pytest.mark.parametrize("n,r", [(5, 2), (8, 3), (9, 4)])
+def test_incidence_show_matrix_prints_the_cells_of_each_row(capsys, n, r):
+    # the reference: each cell of the 0/1 matrix formatted on its own, joined by spaces
+    expected = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in incidence_matrix(n, r))
+    assert run(capsys, "incidence", "--n", str(n), "--r", str(r), "--show-matrix") == (0, expected, "")
 
 
 def test_incidence_matrix_is_budgeted_by_its_cells(capsys):

@@ -147,26 +147,25 @@ def sub_bands(r1, r2):
 
 @pytest.mark.parametrize("n,r1,r2", [*((n, 0, n // 2) for n in range(13)), (20, 2, 6), (64, 0, 2)])
 def test_band_of_a_graph_is_the_built_graph_of_every_sub_band(n, r1, r2):
-    # (64, 0, 2) has masks that use all 64 bits
+    # the oracle of a weight range of a graph has the bits of the oracle of the range's own graph: the
+    # blocks cut from the graph's are byte-equal to the range's; (64, 0, 2) has masks that use all 64
+    # bits, and (20, 2, 6), with 60,439 vertices, serves the sub-bands within the dense limit
     g = hm.build_graph(n, r1, r2)
-    assert g.band(r1, r2) is g
-    for a, b in sub_bands(r1, r2):
-        sub, built = g.band(a, b), hm.build_graph(n, a, b)
-        assert (sub.n, sub.r1, sub.r2) == (n, a, b)
-        for name in ("masks", "indptr", "indices"):
-            got, want = getattr(sub, name), getattr(built, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (a, b, name)
-            assert not got.flags.writeable, (a, b, name)
-        assert sub.sphere_start == built.sphere_start and sub.edge_count == built.edge_count
-        if (a, b) != (r1, r2):  # new arrays, not views of the graph's
-            assert not np.shares_memory(sub.indices, g.indices)
-            assert not np.shares_memory(sub.masks, g.masks)
+    bands = [(a, b) for a, b in sub_bands(r1, r2)
+             if sum(math.comb(n, i) for i in range(a, b + 1)) <= hm.DEFAULT_DENSE_LIMIT]
+    cut = hm.oracle_spectra([(g, a, b) for a, b in bands], dense_limit=g.vertex_count)
+    assert len(cut) == len(bands) >= 1
+    for (a, b), got in zip(bands, cut):
+        want = hm.oracle_spectrum(hm.build_graph(n, a, b))
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes(), (a, b)
+        assert (got.residual_bound, got.tolerance) == (want.residual_bound, want.tolerance), (a, b)
 
 
 @pytest.mark.parametrize("r1,r2", [(1, 4), (0, 3), (5, 6), (4, 3), (-1, 2)])
 def test_band_outside_the_graph_is_rejected(r1, r2):
+    g = hm.build_graph(10, 1, 3)
     with pytest.raises(InvalidParameterError, match="outside"):
-        hm.build_graph(10, 1, 3).band(r1, r2)
+        hm.oracle_spectra([(g, 1, 3), (g, r1, r2)])
 
 
 def test_incidence_4_1_is_all_ones_row():
@@ -364,7 +363,7 @@ def test_oracle_residual_above_tolerance_raises(monkeypatch):
 
 
 def _assert_batch_equals_one_at_a_time(graphs):
-    for g, got in zip(graphs, hm.oracle_spectra(graphs)):
+    for g, got in zip(graphs, hm.oracle_spectra([(g, g.r1, g.r2) for g in graphs])):
         alone = hm.oracle_spectrum(g)
         assert np.array_equal(got.eigenvalues, alone.eigenvalues), (g.n, g.r1, g.r2)
         assert got.residual_bound == alone.residual_bound, (g.n, g.r1, g.r2)
@@ -401,7 +400,18 @@ def test_batched_oracle_checks_the_edge_count_of_each_graph():
     g = cached_graph(6, 0, 3)
     tampered = dataclasses.replace(g, edge_count=g.edge_count + 1)
     with pytest.raises(ArithmeticError, match="block norms"):
-        hm.oracle_spectra([cached_graph(5, 0, 2), tampered, cached_graph(7, 1, 3)])
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in [cached_graph(5, 0, 2), tampered, cached_graph(7, 1, 3)]])
+
+
+def test_batched_oracle_checks_the_edge_count_of_each_band_of_a_graph():
+    # a band's edge count is its graph's less the edges cut away: a graph that claims one edge too many
+    # fails in every band it serves
+    g = cached_graph(8, 0, 4)
+    tampered = dataclasses.replace(g, edge_count=g.edge_count + 1)
+    for r1, r2 in [(0, 4), (1, 3), (2, 4), (0, 1)]:
+        hm.oracle_spectra([(g, r1, r2)])
+        with pytest.raises(ArithmeticError, match="block norms"):
+            hm.oracle_spectra([(g, 1, 2), (tampered, r1, r2)])
 
 
 def test_batched_oracle_checks_the_swap_invariance_of_each_graph():
@@ -414,20 +424,20 @@ def test_batched_oracle_checks_the_swap_invariance_of_each_graph():
     lopsided = with_neighbour_lists(g, adjacency, len(adjacency[hub]))
     batch = [cached_graph(5, 0, 2), lopsided, cached_graph(6, 0, 3)]
     with pytest.raises(InvalidParameterError, match=r"\(4,0,2\) .*coordinates 0 and 1"):
-        hm.oracle_spectra(batch)
-    hm.oracle_spectra([batch[0], batch[2]])  # the untouched graphs pass on their own
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in batch])
+    hm.oracle_spectra([(g, g.r1, g.r2) for g in [batch[0], batch[2]]])  # the untouched graphs pass on their own
     # a vertex set the swaps do not keep: mask 0b0010 of the star (4, 0, 1) becomes 0b1_0000
     star = cached_graph(4, 0, 1)
     moved = dataclasses.replace(star, masks=np.array([0, 1, 16, 4, 8], dtype=np.uint64))
     with pytest.raises(InvalidParameterError, match=r"\(4,0,1\) .*coordinates 0 and 1"):
-        hm.oracle_spectra([batch[0], moved, batch[2]])
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in [batch[0], moved, batch[2]]])
 
 
 def test_batched_oracle_checks_the_dense_limit_of_each_graph():
     graphs = [cached_graph(4, 0, 1), cached_graph(6, 0, 3)]
-    assert [s.tolerance for s in hm.oracle_spectra(graphs, dense_limit=42)] == [5e-10, 4.2e-9]
+    assert [s.tolerance for s in hm.oracle_spectra([(g, g.r1, g.r2) for g in graphs], dense_limit=42)] == [5e-10, 4.2e-9]
     with pytest.raises(BudgetExceededError):
-        hm.oracle_spectra(graphs, dense_limit=41)
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in graphs], dense_limit=41)
 
 
 def test_popcount_of_every_bit_position():
@@ -528,7 +538,7 @@ def test_oracle_rejects_a_graph_that_lists_two_masks_of_a_sphere_in_swapped_orde
     with pytest.raises(InvalidParameterError, match=r"\(6,1,3\) is not invariant under the swap of "
                        r"coordinates \d and \d; its masks are not those of weight 1\.\.3 in ascending "
                        r"weight, then value"):
-        hm.oracle_spectra(batch)
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in batch])
 
 
 def test_oracle_rejects_a_graph_with_a_mask_dropped():
@@ -544,7 +554,7 @@ def test_oracle_rejects_a_graph_with_a_mask_dropped():
     )
     with pytest.raises(InvalidParameterError, match=r"\(6,0,3\) is not invariant under the swap of "
                        r"coordinates 0 and 1; its masks are not those of weight 0\.\.3"):
-        hm.oracle_spectra([cached_graph(4, 0, 2), dropped])
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in [cached_graph(4, 0, 2), dropped]])
 
 
 def test_blocks_one_ulp_apart_are_both_factored():

@@ -405,9 +405,10 @@ def test_sweep_runs_one_oracle_call_per_batch_within_the_dense_limit(monkeypatch
     batched = sp.oracle_spectra
     batches = []
 
-    def recorded(graphs, **kwargs):
-        batches.append([g.vertex_count for g in graphs])
-        return batched(graphs, **kwargs)
+    def recorded(bands, **kwargs):
+        spectra = batched(bands, **kwargs)
+        batches.append([len(oracle.eigenvalues) for oracle in spectra])
+        return spectra
 
     monkeypatch.setattr(sp, "oracle_spectra", recorded)
     for limit, count in [(5000, 4), (1024, 22)]:
@@ -448,37 +449,73 @@ def test_sweep_builds_one_graph_per_run_of_bands(monkeypatch, limit, builds):
     built, batches = [], []
     build_graph, batched = sp.build_graph, sp.oracle_spectra
     monkeypatch.setattr(sp, "build_graph", lambda *a, **kw: built.append(build_graph(*a, **kw)) or built[-1])
-    monkeypatch.setattr(sp, "oracle_spectra", lambda graphs, **kw: batches.append(graphs) or batched(graphs, **kw))
+    monkeypatch.setattr(sp, "oracle_spectra", lambda bands, **kw: batches.append(bands) or batched(bands, **kw))
     sp.verify_bands(SWEEP, dense_limit=limit)
     assert len(built) == builds
     assert all(hull.vertex_count <= limit for hull in built)
-    graphs = [g for batch in batches for g in batch]
-    assert [(g.n, g.r1, g.r2) for g in graphs] == SWEEP
-    # each band's graph is its run's hull, or new arrays cut from it; runs do not cross batches
+    bands = [band for batch in batches for band in batch]
+    assert [(g.n, r1, r2) for g, r1, r2 in bands] == SWEEP
+    # each band is a weight range of its run's hull, a graph built for it; runs do not cross batches
     hulls, hull = iter(built), None
     for batch in batches:
-        for i, g in enumerate(batch):
-            if not (i and g.n == hull.n and hull.r1 <= g.r1 and g.r2 <= hull.r2):
+        for i, (g, r1, r2) in enumerate(batch):
+            if not (i and g is hull):
                 hull = next(hulls)
-            assert g.n == hull.n and hull.r1 <= g.r1 and g.r2 <= hull.r2
-            assert g is hull or not any(np.shares_memory(g.indices, h.indices) for h in built)
+            assert g is hull and hull.r1 <= r1 <= r2 <= hull.r2
     assert next(hulls, None) is None
+
+
+def _bits(oracle):
+    return [float.hex(v) for v in oracle.eigenvalues.tolist()], float.hex(oracle.residual_bound), oracle.tolerance
+
+
+def test_each_band_of_a_hull_keeps_the_bits_of_its_own_graph(monkeypatch):
+    # the blocks cut from a hull's have the bytes of the band's own graph's blocks, so the same SVD bits
+    seen = []
+    batched = sp.oracle_spectra
+    monkeypatch.setattr(sp, "oracle_spectra", lambda bands, **kw: seen.extend(zip(bands, batched(bands, **kw))) or [o for _, o in seen[-len(bands):]])
+    sp.verify_bands(SWEEP)
+    hull = hm.build_graph(12, 0, 6)
+    cut = [(hull, 0, 6), (hull, 2, 5), (hull, 4, 6)]
+    seen += zip(cut, hm.oracle_spectra(cut))
+    assert [(g.n, r1, r2) for (g, r1, r2), _ in seen] == SWEEP + [(12, 0, 6), (12, 2, 5), (12, 4, 6)]
+    # 97 of the sweep's 111 bands and two of the n = 12 ones are cut from a larger graph
+    assert sum(g.r1 < r1 or r2 < g.r2 for (g, r1, r2), _ in seen) == 99
+    for (g, r1, r2), oracle in seen:
+        assert _bits(oracle) == _bits(hm.oracle_spectrum(hm.build_graph(g.n, r1, r2))), (g.n, r1, r2)
 
 
 def test_sweep_solves_each_distinct_block_once(monkeypatch):
     solved, built, crosschecked = [], [], []
     lambda_set, coupling_matrix, roots = sp.lambda_set, sp.coupling_matrix, sp.krawtchouk.roots
     monkeypatch.setattr(sp, "lambda_set", lambda n, r1, r2, t, block: solved.append(
-        (n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0)) or lambda_set(n, r1, r2, t, block))
+        (n - 2 * t, max(t, r1) - t, r2 - t)) or lambda_set(n, r1, r2, t, block))
     monkeypatch.setattr(sp, "coupling_matrix", lambda *a: built.append(a) or coupling_matrix(*a))
     monkeypatch.setattr(sp.krawtchouk, "roots", lambda *a: crosschecked.append(a) or roots(*a))
     sp.verify_bands(SWEEP)
-    keys = {(n - 2 * t, max(t, r1) - t, r2 - t, r1 == 0) for n, r1, r2 in SWEEP for t in range(r2 + 1)}
+    # origin t's block is rows max(t, r1) - t .. r2 - t of the Jacobi matrix over n - 2t
+    keys = {(n - 2 * t, max(t, r1) - t, r2 - t) for n, r1, r2 in SWEEP for t in range(r2 + 1)}
     assert sorted(solved) == sorted(keys)
     assert len(built) == len(keys)  # each block is built once, and lambda_set is handed it
-    assert len(keys) == 142 < sum(r2 + 1 for _, _, r2 in SWEEP) == 391
-    # every r1 = 0 block keeps its Krawtchouk cross-check
-    assert len(crosschecked) == sum(1 for key in keys if key[3] and key[0] >= 1)
+    assert len(keys) == 112 < sum(r2 + 1 for _, _, r2 in SWEEP) == 391
+    # every block with first row 0 is a ball's block, and keeps its Krawtchouk cross-check
+    assert sorted(crosschecked) == sorted((key[0], key[2] + 1) for key in keys if key[1] == 0 and 1 <= key[0] <= 64)
+
+
+def test_a_band_block_of_a_ball_is_cross_checked_against_its_krawtchouk_roots(monkeypatch):
+    # origin t = 3 of (10, 2, 5) has t >= r1 > 0: its block is rows 0..2 of the Jacobi matrix over 4, and
+    # its eigenvalues are 2 * roots - 4 of the degree-3 Krawtchouk polynomial over {0..4}
+    roots = sp.krawtchouk.roots
+
+    def shifted(n, k, *rest):
+        out = roots(n, k, *rest)
+        if (n, k) == (4, 3):
+            out = dataclasses.replace(out, values=(out.values[0] + 1e-6, *out.values[1:]))
+        return out
+
+    monkeypatch.setattr(sp.krawtchouk, "roots", shifted)
+    with pytest.raises(ArithmeticError, match="t=3"):
+        sp.full_spectrum(10, 2, 5)
 
 
 def test_shared_blocks_give_the_tables_of_one_band_at_a_time():
