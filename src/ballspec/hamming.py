@@ -27,8 +27,8 @@ only the blocks.
 weight range r1..r2 of a built graph: it builds each graph's blocks once,
 with orbits and characters keyed per graph, and cuts each band's blocks out
 of its graph's, so a sweep over many bands of one dimension builds one
-graph; ``oracle_spectrum`` is its batch of one.  The (orbit, character) pairs are
-indexed directly, by the orbit's first pair plus the character's rank
+graph; ``oracle_spectrum`` is its batch of one.  The (orbit, character)
+pairs are indexed directly, by the orbit's first pair plus the character's rank
 among the submasks of the orbit's mixed pairs, so an edge finds its block
 entry by arithmetic, not by a search.  The swap check finds the image of a
 mask by arithmetic too, from its place in the vertex order above: the
@@ -459,15 +459,16 @@ def oracle_spectra(
     |B^T u_i - s_i v_i| over every block's singular triplets; the basis is
     orthonormal, so it bounds the residual of each eigenpair
     (+-s_i, [u_i; +-v_i]/sqrt(2)) of A they give.  The documented tolerance
-    is 1e-10 * vertex_count; a residual above it is an internal error.
+    is 1e-10 times the band's vertex count; a residual above it is an
+    internal error.
 
     Two self-checks keep this a check of each graph itself: every tau_j must
     map its edge set onto itself (else InvalidParameterError, naming the
     graph; the images are found from the module's vertex order,
     ``_check_swap_invariance``), and the squared Frobenius norms of a band's
-    B_S must add up to its edge count, which is half of tr A^2, to within
-    1e-12 of it (else ArithmeticError): its graph's ``edge_count`` less the
-    edges cut away, from the sphere sizes.
+    B_S must add up to its edge count, half of tr A^2, to within 1e-12 times
+    that count (else ArithmeticError); the count is its graph's
+    ``edge_count`` less the edges cut away, from the sphere sizes.
     """
     graphs = list(dict.fromkeys(g for g, _, _ in bands))  # each graph once, in order of first use
     for g in graphs:
