@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import eigenfunctions, krawtchouk, spectrum
 from .errors import BudgetExceededError, InvalidParameterError
-from .hamming import DEFAULT_DENSE_LIMIT, build_graph, check_vertex_budget, incidence_matrix
+from .hamming import build_graph, check_budget, incidence_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -87,7 +87,7 @@ def _verify_cases(max_n: int) -> list[tuple[int, int, int]]:
 
 
 def cmd_verify(args) -> int:
-    if args.dense_limit <= 0:
+    if args.dense_limit is not None and args.dense_limit <= 0:
         raise InvalidParameterError("the dense limit must be positive")
     if args.all:
         if args.max_n is None:
@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
             raise InvalidParameterError("--all sweeps every band; give no --n, --r, --r1 or --r2")
         cases = _verify_cases(args.max_n)
         for n, r1, r2 in cases:  # a band over the limit stops the sweep before any solve
-            check_vertex_budget(n, r1, r2, args.dense_limit)
+            check_budget(n, r1, r2, args.dense_limit)
         reports = spectrum.verify_bands(cases, tol=args.tol, dense_limit=args.dense_limit)
         print("n,r1,r2,vertices,max_deviation,passed")
         ok = True
@@ -206,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="sweep all bands up to --max-n")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--tol", type=float, default=spectrum.VERIFY_TOL)
-    p.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT)
+    p.add_argument("--dense-limit", type=int, default=None,
+                   help="cap the oracle at this many vertices per graph and per batch of --all; "
+                        "without it, the oracle is budgeted by the cells of its blocks")
 
     p = sub.add_parser("krawtchouk", help="exact polynomial operations")
     p.set_defaults(func=cmd_krawtchouk)

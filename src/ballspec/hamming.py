@@ -22,7 +22,8 @@ per block shape (stacked) over the distinct blocks of that shape, byte for
 byte, and the adjacency eigenvalues are +-sigma for each singular value of
 B_S plus abs(rows - columns) structural zeros per block (Jordan-Wielandt).
 It never holds the V x V adjacency or the whole even x odd biadjacency,
-only the blocks.
+only the blocks, whose cells ``oracle_cells`` counts in closed form; its
+default budget is in those cells.
 ``oracle_spectra`` does all of this in one pass for a list of bands, each a
 weight range r1..r2 of a built graph: it builds each graph's blocks once,
 with orbits and characters keyed per graph, and cuts each band's blocks out
@@ -38,7 +39,7 @@ oracle relies on that order, and names a graph that breaks it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,10 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidParameterError, check_band
 
 DEFAULT_GRAPH_LIMIT = 2_000_000
-DEFAULT_DENSE_LIMIT = 5000
+# Cells sum_S rows_S * cols_S of the oracle's blocks (``oracle_cells``) in one graph, and in one batch
+# of ``verify_bands``, when no vertex limit is given: 32 MiB of float64 (BENCH_cell_budget.json).
+ORACLE_CELL_BUDGET = 1 << 22
+INCIDENCE_CELL_LIMIT = 25_000_000  # cells of the dense incidence matrix
 MAX_DIMENSION = 64  # bitmask width cap
 _LINE_ROWS = 4096  # rows per chunk of InducedGraph.edge_lines
 
@@ -131,17 +135,66 @@ class InducedGraph:
             yield from [f"{a} {b}" for a, b in zip(u[up].tolist(), v[up].tolist())]
 
 
-def check_vertex_budget(n: int, r1: int, r2: int, max_vertices: int) -> None:
-    """Raise unless the weight band [r1, r2] is valid and has at most ``max_vertices`` vertices."""
+def band_vertices(n: int, r1: int, r2: int) -> int:
+    """The vertex count of the weight band [r1, r2] of {0,1}^n."""
+    return sum(math.comb(n, i) for i in range(r1, r2 + 1))
+
+
+def oracle_cells(n: int, r1: int, r2: int) -> int:
+    """The cells sum_S rows_S * cols_S of the oracle's blocks B_S of the band [r1, r2], in closed form.
+
+    An orbit of the coordinate swaps (``oracle_spectra``) is a state of each
+    of the p = n // 2 pairs, 00, 11 or mixed, and of the lone coordinate
+    when n is odd; its weight counts 0, 2 or 1 per pair, plus the lone bit.
+    The orbits whose mixed pairs contain a fixed set S of s pairs have S's
+    pairs mixed and the rest free, so their weights are the powers of z in
+    z^s (1 + z + z^2)^(p - s) (1 + z)^(n % 2).  B_S has E_s rows, those of
+    even weight in [r1, r2], and O_s columns, those of odd weight there; and
+    C(p, s) sets S have s pairs.
+    """
+    p = n // 2
+    free = [1, 1] if n % 2 else [1]  # (1 + z + z^2)^(p - s) (1 + z)^(n % 2), from s = p down
+    cells = 0
+    for s in range(p, -1, -1):
+        side = [0, 0]  # E_s, O_s
+        for w in range(max(r1, s), min(r2, s + len(free) - 1) + 1):
+            side[w % 2] += free[w - s]
+        cells += math.comb(p, s) * side[0] * side[1]
+        free = [a + b + c for a, b, c in zip([*free, 0, 0], [0, *free, 0], [0, 0, *free])]
+    return cells
+
+
+def oracle_budget(dense_limit: int | None = None) -> tuple[Callable[[int, int, int], int], int]:
+    """The dense oracle's size of a band (n, r1, r2), and its budget in that size.
+
+    Given a dense limit, a band's size is its vertex count and the budget is
+    that limit; else its size is the cells of its blocks (``oracle_cells``),
+    the floats the oracle holds for it, and the budget ORACLE_CELL_BUDGET.
+    """
+    if dense_limit is None:
+        return oracle_cells, ORACLE_CELL_BUDGET
+    return band_vertices, dense_limit
+
+
+def check_budget(n: int, r1: int, r2: int, max_vertices: int | None = None) -> int:
+    """The size of the valid weight band [r1, r2] under ``oracle_budget(max_vertices)``.
+
+    Raise InvalidParameterError on a band out of range, and
+    BudgetExceededError on one over its budget: ``max_vertices`` vertices
+    when given, else ORACLE_CELL_BUDGET oracle cells.
+    """
     if n < 0 or n > MAX_DIMENSION:
         raise InvalidParameterError(f"dimension must be in [0, {MAX_DIMENSION}], got {n}")
     check_band(n, r1, r2)
-    vertex_count = sum(math.comb(n, i) for i in range(r1, r2 + 1))
-    if vertex_count > max_vertices:
+    size, budget = oracle_budget(max_vertices)
+    count = size(n, r1, r2)
+    if count > budget:
+        unit = "oracle cells" if max_vertices is None else "vertices"
         raise BudgetExceededError(
-            f"band ({n},{r1},{r2}) has {vertex_count} vertices, budget {max_vertices}",
-            vertex_count=vertex_count,
+            f"band ({n},{r1},{r2}) has {count} {unit}, budget {budget}",
+            vertex_count=band_vertices(n, r1, r2),
         )
+    return count
 
 
 def _sphere_tables(n: int, r1: int, r2: int) -> tuple[list, list, list]:
@@ -205,7 +258,7 @@ def build_graph(
     index of its sphere.  The sphere below comes first in the vertex order,
     so every row ascends without a sort.
     """
-    check_vertex_budget(n, r1, r2, max_vertices)
+    check_budget(n, r1, r2, max_vertices)
     masks, below, above = _sphere_tables(n, r1, r2)
     sizes = [len(masks[i]) for i in range(r1, r2 + 1)]
     sphere_start, indptr = _layout(n, r1, r2, sizes)
@@ -250,17 +303,17 @@ def incidence_matrix(n: int, r: int) -> np.ndarray:
 
     Rows and columns follow the same ascending-mask order as build_graph, so
     the adjacency of the band (r-1, r) is exactly [[0, C], [C^T, 0]].  The
-    matrix is dense, so its cells are budgeted like the dense oracle's:
-    at most DEFAULT_DENSE_LIMIT**2, checked before anything is allocated.
+    matrix is dense, so its cells are budgeted: at most
+    INCIDENCE_CELL_LIMIT, checked before anything is allocated.
     """
     if not 1 <= r <= n // 2:
         raise InvalidParameterError(f"need 1 <= r <= n//2, got r={r}, n={n}")
     rows = math.comb(n, r - 1)
     cols = math.comb(n, r)
-    if rows * cols > DEFAULT_DENSE_LIMIT**2:
+    if rows * cols > INCIDENCE_CELL_LIMIT:
         raise BudgetExceededError(
             f"incidence ({n},{r}) needs {rows} x {cols} = {rows * cols} cells, "
-            f"budget {DEFAULT_DENSE_LIMIT**2}",
+            f"budget {INCIDENCE_CELL_LIMIT}",
             vertex_count=rows + cols,
         )
     row_index = {m: i for i, m in enumerate(weight_masks(n, r - 1))}
@@ -346,7 +399,7 @@ def _keys(graph: np.ndarray, values: np.ndarray, table: np.ndarray) -> np.ndarra
 
 def _vertex_order_fault(g: InducedGraph) -> str:
     """'' if the graph's masks are every mask of its band in the module's order, else why not."""
-    if len(g.masks) == sum(math.comb(g.n, i) for i in range(g.r1, g.r2 + 1)):
+    if len(g.masks) == band_vertices(g.n, g.r1, g.r2):
         spheres = _sphere_tables(g.n, g.r1, g.r2)[0][g.r1 : g.r2 + 1]
         if np.array_equal(g.masks, np.concatenate(spheres)):
             return ""
@@ -408,80 +461,37 @@ def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(unique), np.array(group)
 
 
-def oracle_spectrum(g: InducedGraph, dense_limit: int = DEFAULT_DENSE_LIMIT) -> OracleSpectrum:
-    """All eigenvalues (ascending) of the adjacency, with residuals: ``oracle_spectra`` of g's whole band."""
-    return oracle_spectra([(g, g.r1, g.r2)], dense_limit)[0]
+def _residual(b: np.ndarray, u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Per block of the stack b = u diag(s) vt, the largest of |B v_i - s_i u_i| and |B^T u_i - s_i v_i|.
 
-
-def oracle_spectra(
-    bands: list[tuple[InducedGraph, int, int]], dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> list[OracleSpectrum]:
-    """The oracle spectrum of each band ``(g, r1, r2)``, the weights r1..r2 of a built graph g.
-
-    Brute force on the symmetry-adapted blocks of the adjacency A.  The
-    coordinate swaps tau_j = (2j, 2j+1), j < n//2, permute the band and
-    commute with A.  Under the group they generate, the orbit O of a mask
-    x is fixed by its mixed pairs M(x) (pair j reads 01 or 10) and its
-    representative, which reads 01 on every mixed pair; |O| = 2^|M(x)|.
-    For a character S (a set of pairs) the vectors
-    b_O = sum_{x in O} (-1)^{|S & F(x)|} e_x / sqrt|O|, with F(x) the pairs
-    reading 10, over the orbits with S inside M(O), are orthonormal, span
-    an A-invariant subspace, and all of them together span R^V.  A is
-    bipartite by weight parity, so its block for S is [[0, B_S], [B_S^T, 0]]
-    with B_S[O, O'] = b_O^T A b_O' over even-weight rows and odd-weight
-    columns; on a swap-invariant graph that is
-    sqrt(|O|/|O'|) * sum over edges from the representative of O into O'
-    of the sign of the far end.  Only the characters inside some M(O) are
-    visited.
-
-    The distinct graphs are one disjoint union, each vertex with its own
-    graph's pairs; orbits and characters are keyed by graph, and each
-    graph's blocks are built once.  The swaps keep weights, so a band's B_S
-    is its graph's cut to the orbits of weight r1..r2, in orbit order: a
-    cell sums the same edges in the same order as in the band's own graph,
-    so the cut block has the bytes of the block of ``build_graph(n, r1, r2)``.
-
-    The V (orbit, character) pairs are listed orbit by orbit, the characters
-    of O in ``_submasks``' order, so the pair (O, S) is O's first pair plus
-    the rank of S among the submasks of M(O) (``_submask_rank``, at most
-    n // 2 bit steps).  Each pair's block, and its row or column there, is
-    worked out once; the (edge, character) pairs then find their block
-    entries with no search.
-
-    Each B_S = U diag(s) V^T gives the eigenvalues +-s_i and abs(rows -
-    columns) zeros; the blocks of one shape, over all bands, share one
-    stacked thin SVD.  Blocks whose float64 entries are byte-for-byte equal
-    are factored once (``_distinct``), and the first of each set stands for
-    all: LAPACK factors each matrix of a stack on its own, so every block
-    keeps the bits of its own factorization.  The SVD, the residual products
-    and the Frobenius sums run on the distinct blocks only; at (12, 0, 6),
-    6 of 63.  The residual bound is the largest of |B v_i - s_i u_i| and
-    |B^T u_i - s_i v_i| over every block's singular triplets; the basis is
-    orthonormal, so it bounds the residual of each eigenpair
-    (+-s_i, [u_i; +-v_i]/sqrt(2)) of A they give.  The documented tolerance
-    is 1e-10 times the band's vertex count; a residual above it is an
-    internal error.
-
-    Two self-checks keep this a check of each graph itself: every tau_j must
-    map its edge set onto itself (else InvalidParameterError, naming the
-    graph; the images are found from the module's vertex order,
-    ``_check_swap_invariance``), and the squared Frobenius norms of a band's
-    B_S must add up to its edge count, half of tr A^2, to within 1e-12 times
-    that count (else ArithmeticError); the count is its graph's
-    ``edge_count`` less the edges cut away, from the sphere sizes.
+    Each difference is formed, squared and summed in place, one at a time,
+    and vt is scaled by s in place, so at most one array of the size of b
+    is made; the bits are those of ``np.linalg.norm`` of the plain
+    expressions.
     """
-    graphs = list(dict.fromkeys(g for g, _, _ in bands))  # each graph once, in order of first use
-    for g in graphs:
-        if g.vertex_count > dense_limit:
-            raise BudgetExceededError(
-                f"{g.vertex_count} vertices exceed the dense oracle limit {dense_limit}",
-                vertex_count=g.vertex_count,
-            )
-    for g, r1, r2 in bands:
-        if not g.r1 <= r1 <= r2 <= g.r2:
-            raise InvalidParameterError(
-                f"band [{r1}, {r2}] outside the graph's band [{g.r1}, {g.r2}]"
-            )
+    x = b @ vt.transpose(0, 2, 1)
+    x -= u * s[:, None, :]
+    x *= x
+    left = np.sqrt(x.sum(axis=1)).max(axis=1)
+    del x
+    x = b.transpose(0, 2, 1) @ u
+    vt *= s[:, :, None]
+    x -= vt.transpose(0, 2, 1)
+    x *= x
+    return np.maximum(left, np.sqrt(x.sum(axis=1)).max(axis=1))
+
+
+def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int, int]]):
+    """The graphs' blocks B_S, flat, and where each band's blocks lie in them (``oracle_spectra``).
+
+    Returns (graph_flat, rows, cols, row_cell, col_cell, block_band,
+    vertices).  The band blocks are sorted by shape, (rows, cols); block k
+    belongs to band block_band[k].  Its row i starts at
+    graph_flat[row_cell[sum(rows[:k]) + i]], and column j is the offset
+    col_cell[sum(cols[:k]) + j] from there.  vertices[b] is band b's count
+    of (orbit, character) pairs.  Every vertex-sized array of the graphs
+    dies on return, before any block is cut.
+    """
     sizes = [g.vertex_count for g in graphs]
     first = np.cumsum([0] + sizes)
     graph = np.repeat(np.arange(len(graphs)), sizes)  # of each vertex
@@ -560,11 +570,88 @@ def oracle_spectra(
     # a band block's rows and columns, in order, are its pairs of each side, block by block
     by_block = pairs[np.argsort(odd * len(blocks) + pair_slot, kind="stable")]
     row_cell, col_cell = row_start[by_block[: rows.sum()]], pair_local[by_block[rows.sum() :]]
+    return graph_flat, rows, cols, row_cell, col_cell, block_band, vertices
+
+
+def oracle_spectrum(g: InducedGraph, dense_limit: int | None = None) -> OracleSpectrum:
+    """All eigenvalues (ascending) of the adjacency, with residuals: ``oracle_spectra`` of g's whole band."""
+    return oracle_spectra([(g, g.r1, g.r2)], dense_limit)[0]
+
+
+def oracle_spectra(
+    bands: list[tuple[InducedGraph, int, int]], dense_limit: int | None = None
+) -> list[OracleSpectrum]:
+    """The oracle spectrum of each band ``(g, r1, r2)``, the weights r1..r2 of a built graph g.
+
+    Brute force on the symmetry-adapted blocks of the adjacency A.  The
+    coordinate swaps tau_j = (2j, 2j+1), j < n//2, permute the band and
+    commute with A.  Under the group they generate, the orbit O of a mask
+    x is fixed by its mixed pairs M(x) (pair j reads 01 or 10) and its
+    representative, which reads 01 on every mixed pair; |O| = 2^|M(x)|.
+    For a character S (a set of pairs) the vectors
+    b_O = sum_{x in O} (-1)^{|S & F(x)|} e_x / sqrt|O|, with F(x) the pairs
+    reading 10, over the orbits with S inside M(O), are orthonormal, span
+    an A-invariant subspace, and all of them together span R^V.  A is
+    bipartite by weight parity, so its block for S is [[0, B_S], [B_S^T, 0]]
+    with B_S[O, O'] = b_O^T A b_O' over even-weight rows and odd-weight
+    columns; on a swap-invariant graph that is
+    sqrt(|O|/|O'|) * sum over edges from the representative of O into O'
+    of the sign of the far end.  Only the characters inside some M(O) are
+    visited.
+
+    Each graph is checked against the budget before anything is built
+    (``check_budget``): the cells of its blocks against ORACLE_CELL_BUDGET,
+    or, given ``dense_limit``, its vertices against that.  The distinct
+    graphs are one disjoint union, each vertex with its own
+    graph's pairs; orbits and characters are keyed by graph, and each
+    graph's blocks are built once.  The swaps keep weights, so a band's B_S
+    is its graph's cut to the orbits of weight r1..r2, in orbit order: a
+    cell sums the same edges in the same order as in the band's own graph,
+    so the cut block has the bytes of the block of ``build_graph(n, r1, r2)``.
+
+    The V (orbit, character) pairs are listed orbit by orbit, the characters
+    of O in ``_submasks``' order, so the pair (O, S) is O's first pair plus
+    the rank of S among the submasks of M(O) (``_submask_rank``, at most
+    n // 2 bit steps).  Each pair's block, and its row or column there, is
+    worked out once; the (edge, character) pairs then find their block
+    entries with no search.
+
+    Each B_S = U diag(s) V^T gives the eigenvalues +-s_i and abs(rows -
+    columns) zeros; the blocks of one shape, over all bands, share one
+    stacked thin SVD.  Blocks whose float64 entries are byte-for-byte equal
+    are factored once (``_distinct``), and the first of each set stands for
+    all: LAPACK factors each matrix of a stack on its own, so every block
+    keeps the bits of its own factorization.  The SVD, the residual products
+    and the Frobenius sums run on the distinct blocks only; at (12, 0, 6),
+    6 of 63.  The residual bound is the largest of |B v_i - s_i u_i| and
+    |B^T u_i - s_i v_i| over every block's singular triplets; the basis is
+    orthonormal, so it bounds the residual of each eigenpair
+    (+-s_i, [u_i; +-v_i]/sqrt(2)) of A they give.  The documented tolerance
+    is 1e-10 times the band's vertex count; a residual above it is an
+    internal error.
+
+    Two self-checks keep this a check of each graph itself: every tau_j must
+    map its edge set onto itself (else InvalidParameterError, naming the
+    graph; the images are found from the module's vertex order,
+    ``_check_swap_invariance``), and the squared Frobenius norms of a band's
+    B_S must add up to its edge count, half of tr A^2, to within 1e-12 times
+    that count (else ArithmeticError); the count is its graph's
+    ``edge_count`` less the edges cut away, from the sphere sizes.
+    """
+    graphs = list(dict.fromkeys(g for g, _, _ in bands))  # each graph once, in order of first use
+    for g in graphs:
+        check_budget(g.n, g.r1, g.r2, dense_limit)
+    for g, r1, r2 in bands:
+        if not g.r1 <= r1 <= r2 <= g.r2:
+            raise InvalidParameterError(
+                f"band [{r1}, {r2}] outside the graph's band [{g.r1}, {g.r2}]"
+            )
+    graph_flat, rows, cols, row_cell, col_cell, block_band, vertices = _band_blocks(graphs, bands)
     row_first, col_first = np.cumsum(rows) - rows, np.cumsum(cols) - cols
 
     shape_change = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(blocks)]
-    values, residual, frobenius = [], np.zeros(len(blocks)), np.zeros(len(blocks))  # of each block
+    bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(rows)]
+    values, residual, frobenius = [], np.zeros(len(rows)), np.zeros(len(rows))  # of each block
     for start, stop in zip(bounds[:-1], bounds[1:]):
         count, r, c = stop - start, int(rows[start]), int(cols[start])
         d, k = r + c, min(r, c)
@@ -577,13 +664,11 @@ def oracle_spectra(
         b = graph_flat[at_row + at_col]
         # byte-equal blocks share one factorization: LAPACK factors each matrix of a stack on its own
         unique, group = _distinct(b)
-        b = b[unique]
+        if len(unique) < count:
+            b = b[unique]
         frobenius[start:stop] = np.einsum("kij,kij->k", b, b)[group]
         u, s, vt = np.linalg.svd(b, full_matrices=False)
-        v, sk = vt.transpose(0, 2, 1), s[:, None, :]
-        parts = [b @ v - u * sk, b.transpose(0, 2, 1) @ u - v * sk]
-        norms = [np.linalg.norm(part, axis=1).max(axis=1) for part in parts]
-        residual[start:stop] = np.max(norms, axis=0)[group]
+        residual[start:stop] = _residual(b, u, s, vt)[group]
         s = s[group]
         values.append(np.concatenate([-s, np.zeros((count, d - 2 * k)), s], axis=1).ravel())
     frobenius = np.bincount(block_band, weights=frobenius, minlength=len(bands))  # in block order

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import krawtchouk, tridiagonal
 from .errors import check_band, check_tol
-from .hamming import DEFAULT_DENSE_LIMIT, InducedGraph, build_graph, oracle_spectra
+from .hamming import build_graph, check_budget, oracle_budget, oracle_spectra
 from .krawtchouk import RootList, binom_int, first_root
 
 VERIFY_TOL = 1e-8
@@ -343,7 +343,7 @@ def verify_against_oracle(
     r1: int,
     r2: int,
     tol: float = VERIFY_TOL,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
+    dense_limit: int | None = None,
 ) -> VerifyReport:
     """Compare the closed-form table with the brute-force eigendecomposition: one band's sweep."""
     return verify_bands([(n, r1, r2)], tol, dense_limit)[0]
@@ -352,57 +352,55 @@ def verify_against_oracle(
 def verify_bands(
     cases: list[tuple[int, int, int]],
     tol: float = VERIFY_TOL,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
+    dense_limit: int | None = None,
 ) -> list[VerifyReport]:
     """One report per band ``(n, r1, r2)`` of ``cases``, in their order.
 
     Predicted and oracle eigenvalues are paired in ascending order, and a band
-    passes when every pair is within ``tol``.  Consecutive bands form a batch
-    while its vertex count stays within ``dense_limit``; each batch takes one
-    ``oracle_spectra`` call, and the tables of the sweep share their block solves.
-    A batch builds one graph per run of its bands (``_hull_bands``).
+    passes when every pair is within ``tol``.  Every band is checked against
+    the oracle's budget before any solve (``check_budget``): its block cells
+    against ORACLE_CELL_BUDGET, or its vertices against ``dense_limit`` when
+    one is given.  Consecutive bands form a batch while their sizes in that
+    measure add up to at most the budget; each batch takes one
+    ``oracle_spectra`` call, and the tables of the sweep share their block
+    solves.  Within a batch, consecutive bands of one n form a run while the
+    run's hull, the band of their least r1 to their greatest r2, fits the
+    budget; each run builds one graph, its hull, and the oracle cuts each
+    band's blocks out of the hull's.  A band that fits on its own is its own
+    hull at worst.
     """
     check_tol(tol)
+    sizes = [check_budget(n, r1, r2, dense_limit) for n, r1, r2 in cases]
+    size_of, budget = oracle_budget(dense_limit)
     blocks: dict = {}
-    batches: list[list[SpectrumTable]] = []
-    for n, r1, r2 in cases:
+    batches: list[list[list]] = []  # each a list of runs [n, lo, hi, tables]
+    total = 0  # the size of the last batch's bands
+    for (n, r1, r2), size in zip(cases, sizes):
         table = _table(n, r1, r2, blocks)
-        if not batches or sum(t.total_dim for t in batches[-1]) + table.total_dim > dense_limit:
+        if not batches or total + size > budget:
             batches.append([])
-        batches[-1].append(table)
+            total = 0
+        total += size
+        runs = batches[-1]
+        if runs and runs[-1][0] == n:
+            lo, hi = min(runs[-1][1], r1), max(runs[-1][2], r2)
+            if size_of(n, lo, hi) <= budget:
+                runs[-1][1:3] = lo, hi
+                runs[-1][3].append(table)
+                continue
+        runs.append([n, r1, r2, [table]])
     reports = []
-    for batch in batches:
-        bands = _hull_bands(batch, dense_limit)
-        for t, oracle in zip(batch, oracle_spectra(bands, dense_limit=dense_limit)):
+    for runs in batches:
+        bands = []
+        for n, lo, hi, run in runs:
+            hull = build_graph(n, lo, hi)
+            bands += [(hull, t) for t in run]
+        oracles = oracle_spectra([(g, t.r1, t.r2) for g, t in bands], dense_limit=dense_limit)
+        for (_, t), oracle in zip(bands, oracles):
             w, predicted = oracle.eigenvalues, t.expanded()
             gaps = np.abs(w - predicted) if len(w) == len(predicted) else np.full(1, math.inf)
             ok = bool(np.all(gaps <= tol))
             reports.append(VerifyReport(t.n, t.r1, t.r2, len(w), float(gaps.max()), ok,
                                         oracle.residual_bound, oracle.tolerance))
-        del bands  # before the next batch's graphs are built
+        del bands, hull  # before the next batch's graphs are built
     return reports
-
-
-def _hull_bands(batch: list[SpectrumTable], dense_limit: int) -> list[tuple[InducedGraph, int, int]]:
-    """Each band of the batch as ``(hull, r1, r2)``, from one ``build_graph`` per run of bands.
-
-    A run is consecutive bands of one n, and its hull is the graph of their
-    least r1 to their greatest r2; the oracle cuts each band's blocks out of
-    the hull's.  A run ends before a band that would take its hull past
-    ``dense_limit`` vertices, so a band that fits on its own is its own hull
-    at worst.
-    """
-    runs: list[tuple[int, int, int, list[SpectrumTable]]] = []  # (n, lo, hi, tables)
-    for t in batch:
-        if runs and runs[-1][0] == t.n:
-            n, lo, hi, run = runs[-1]
-            lo, hi = min(lo, t.r1), max(hi, t.r2)
-            if sum(binom_int(n, i) for i in range(lo, hi + 1)) <= dense_limit:
-                runs[-1] = (n, lo, hi, run + [t])
-                continue
-        runs.append((t.n, t.r1, t.r2, [t]))
-    bands = []
-    for n, lo, hi, run in runs:
-        hull = build_graph(n, lo, hi, max_vertices=dense_limit)
-        bands += [(hull, t.r1, t.r2) for t in run]
-    return bands

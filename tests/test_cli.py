@@ -6,7 +6,7 @@ import pytest
 
 from ballspec import spectrum
 from ballspec.cli import build_parser, main
-from ballspec.hamming import build_graph, incidence_matrix
+from ballspec.hamming import ORACLE_CELL_BUDGET, build_graph, incidence_matrix
 
 
 def run(capsys, *argv):
@@ -61,6 +61,28 @@ def test_verify_pass(capsys):
 def test_verify_budget_exit(capsys):
     code, _, err = run(capsys, "verify", "--n", "20", "--r", "10")
     assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("n,r", [(40, 3), (60, 3), (64, 3), (16, 7)])
+def test_verify_runs_bands_of_many_vertices_within_the_cell_budget(capsys, n, r):
+    # 10,701 to 43,745 vertices, and 0.40 M to 4.02 M cells
+    code, out, err = run(capsys, "verify", "--n", str(n), "--r", str(r))
+    assert (code, err) == (0, "") and out.startswith(f"n={n} r1=0 r2={r} ") and out.endswith(" pass\n")
+
+
+def test_verify_budget_exit_gives_the_cells_and_the_budget(capsys):
+    assert run(capsys, "verify", "--n", "20", "--r", "10") == (
+        3, "", f"budget exceeded: band (20,0,10) has 825193160 oracle cells, budget {ORACLE_CELL_BUDGET}\n"
+    )
+
+
+def test_verify_all_up_to_11_takes_one_oracle_call(capsys, monkeypatch):
+    calls = []
+    batched = spectrum.oracle_spectra
+    monkeypatch.setattr(spectrum, "oracle_spectra", lambda bands, **kw: calls.append(bands) or batched(bands, **kw))
+    code, out, _ = run(capsys, "verify", "--all", "--max-n", "11")
+    assert (code, len(calls), len(calls[0])) == (0, 1, 111)
+    assert out.count("\n") == 112 and "false" not in out
 
 
 def test_verify_all_checks_every_budget_before_solving(capsys, monkeypatch):

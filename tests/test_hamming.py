@@ -149,10 +149,10 @@ def sub_bands(r1, r2):
 def test_band_of_a_graph_is_the_built_graph_of_every_sub_band(n, r1, r2):
     # the oracle of a weight range of a graph has the bits of the oracle of the range's own graph: the
     # blocks cut from the graph's are byte-equal to the range's; (64, 0, 2) has masks that use all 64
-    # bits, and (20, 2, 6), with 60,439 vertices, serves the sub-bands within the dense limit
+    # bits, and (20, 2, 6), with 60,439 vertices, serves its sub-bands of at most 5,000 vertices
     g = hm.build_graph(n, r1, r2)
     bands = [(a, b) for a, b in sub_bands(r1, r2)
-             if sum(math.comb(n, i) for i in range(a, b + 1)) <= hm.DEFAULT_DENSE_LIMIT]
+             if sum(math.comb(n, i) for i in range(a, b + 1)) <= 5000]
     cut = hm.oracle_spectra([(g, a, b) for a, b in bands], dense_limit=g.vertex_count)
     assert len(cut) == len(bands) >= 1
     for (a, b), got in zip(bands, cut):
@@ -438,6 +438,39 @@ def test_batched_oracle_checks_the_dense_limit_of_each_graph():
     assert [s.tolerance for s in hm.oracle_spectra([(g, g.r1, g.r2) for g in graphs], dense_limit=42)] == [5e-10, 4.2e-9]
     with pytest.raises(BudgetExceededError):
         hm.oracle_spectra([(g, g.r1, g.r2) for g in graphs], dense_limit=41)
+
+
+def test_cell_count_is_the_cells_of_the_oracle_blocks():
+    # the closed form against sum rows * cols of the blocks the oracle builds for the band's graph and
+    # cuts for the band
+    for n, r1, r2 in band_cases(12):
+        g = cached_graph(n, r1, r2)
+        graph_flat, rows, cols = hm._band_blocks([g], [(g, r1, r2)])[:3]
+        assert hm.oracle_cells(n, r1, r2) == len(graph_flat) == int((rows * cols).sum()), (n, r1, r2)
+
+
+@pytest.mark.parametrize("n,r1,r2,cells", [
+    (40, 0, 3, 400_940),
+    (16, 0, 7, 4_021_224),
+    (60, 0, 3, 2_702_860),
+    (20, 0, 10, 825_193_160),
+    (22, 9, 11, 3_819_177_362),
+])
+def test_cell_count_of_bands_too_large_to_build_here(n, r1, r2, cells):
+    assert hm.oracle_cells(n, r1, r2) == cells
+
+
+def test_the_oracle_budget_is_cells_unless_a_vertex_limit_is_given():
+    # (12, 0, 6): 2,510 vertices and 88,048 cells
+    assert hm.check_budget(12, 0, 6) == 88_048
+    assert hm.check_budget(12, 0, 6, 2510) == 2510
+    with pytest.raises(BudgetExceededError, match=r"band \(12,0,6\) has 2510 vertices, budget 2509"):
+        hm.check_budget(12, 0, 6, 2509)
+    with pytest.raises(BudgetExceededError, match=r"band \(17,0,8\) has 24202090 oracle cells") as exc:
+        hm.check_budget(17, 0, 8)
+    assert exc.value.vertex_count == sum(math.comb(17, i) for i in range(9))
+    with pytest.raises(BudgetExceededError, match="oracle cells"):
+        hm.oracle_spectrum(hm.build_graph(17, 0, 8))
 
 
 def test_popcount_of_every_bit_position():

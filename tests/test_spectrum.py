@@ -474,15 +474,21 @@ def test_each_band_of_a_hull_keeps_the_bits_of_its_own_graph(monkeypatch):
     seen = []
     batched = sp.oracle_spectra
     monkeypatch.setattr(sp, "oracle_spectra", lambda bands, **kw: seen.extend(zip(bands, batched(bands, **kw))) or [o for _, o in seen[-len(bands):]])
-    sp.verify_bands(SWEEP)
-    hull = hm.build_graph(12, 0, 6)
-    cut = [(hull, 0, 6), (hull, 2, 5), (hull, 4, 6)]
-    seen += zip(cut, hm.oracle_spectra(cut))
-    assert [(g.n, r1, r2) for (g, r1, r2), _ in seen] == SWEEP + [(12, 0, 6), (12, 2, 5), (12, 4, 6)]
-    # 97 of the sweep's 111 bands and two of the n = 12 ones are cut from a larger graph
-    assert sum(g.r1 < r1 or r2 < g.r2 for (g, r1, r2), _ in seen) == 99
-    for (g, r1, r2), oracle in seen:
-        assert _bits(oracle) == _bits(hm.oracle_spectrum(hm.build_graph(g.n, r1, r2))), (g.n, r1, r2)
+    own = {}  # the oracle of each band's own graph
+    # of the sweep's 111 bands, 97 at a limit of 5,000 vertices and 100 under the cell budget, and two
+    # of the n = 12 ones, are cut from a larger graph
+    for dense_limit, cut_bands in [(5000, 99), (None, 102)]:
+        seen.clear()
+        sp.verify_bands(SWEEP, dense_limit=dense_limit)
+        hull = hm.build_graph(12, 0, 6)
+        cut = [(hull, 0, 6), (hull, 2, 5), (hull, 4, 6)]
+        seen += zip(cut, hm.oracle_spectra(cut))
+        assert [(g.n, r1, r2) for (g, r1, r2), _ in seen] == SWEEP + [(12, 0, 6), (12, 2, 5), (12, 4, 6)]
+        assert sum(g.r1 < r1 or r2 < g.r2 for (g, r1, r2), _ in seen) == cut_bands
+        for (g, r1, r2), oracle in seen:
+            if (g.n, r1, r2) not in own:
+                own[g.n, r1, r2] = _bits(hm.oracle_spectrum(hm.build_graph(g.n, r1, r2)))
+            assert _bits(oracle) == own[g.n, r1, r2], (g.n, r1, r2)
 
 
 def test_sweep_solves_each_distinct_block_once(monkeypatch):
@@ -535,6 +541,24 @@ def test_sweep_memory_peak_is_no_higher_than_one_large_band():
             tracemalloc.stop()
 
     assert peak(lambda: sp.verify_bands(SWEEP)) <= peak(lambda: sp.verify_against_oracle(12, 0, 6))
+
+
+# bands of growing cells; (40, 0, 3), (60, 0, 3) and (64, 0, 3) are thin: at (64, 0, 3) the block of the
+# empty character, 529 x 5,984, holds 86 % of the cells
+PEAK_BANDS = [(12, 0, 6), (40, 0, 3), (60, 0, 3), (64, 0, 3), (16, 0, 7), (18, 0, 6), (16, 0, 8), (20, 0, 6)]
+
+
+def test_oracle_peak_is_within_four_times_the_cell_bytes_on_the_largest_band_the_budget_admits():
+    # measured: 2.8 times at (16, 0, 7) and 3.7 times at (64, 0, 3)
+    band = max((b for b in PEAK_BANDS if hm.oracle_cells(*b) <= hm.ORACLE_CELL_BUDGET), key=lambda b: hm.oracle_cells(*b))
+    g = hm.build_graph(*band)
+    tracemalloc.start()
+    try:
+        hm.oracle_spectrum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * hm.oracle_cells(*band), band
 
 
 def test_spectrum_table_serialization():
@@ -591,13 +615,17 @@ def test_coupling_matrix_matches_the_comprehension_past_int64(n, r1, r2, t):
 
 
 @pytest.mark.parametrize("cases,factored,blocks", [
-    (SWEEP, 138, 924),
-    ([(12, 0, 6)], 6, 63),
-    ([(12, 4, 6)], 6, 63),
+    ((SWEEP, 5000), 138, 924),
+    (([(12, 0, 6)], None), 6, 63),
+    (([(12, 4, 6)], None), 6, 63),
+    ((SWEEP, None), 109, 924),
 ])
 def test_the_oracle_factors_each_distinct_block_once(monkeypatch, cases, factored, blocks):
-    # the oracle_verify workload's three commands: 1,050 blocks B_S, of which 150 differ from an earlier
-    # block of the same shape in the same oracle_spectra call; at (12, 0, 6) each shape has one
+    # the oracle_verify workload's three commands, each case a list of bands and a dense limit: 1,050
+    # blocks B_S, of which 150 differ from an earlier block of the same shape in the same oracle_spectra
+    # call when the sweep takes 4 calls at a limit of 5,000 vertices, and 121 when it takes one under the
+    # cell budget; at (12, 0, 6) each shape has one
+    cases, dense_limit = cases
     svd, distinct = np.linalg.svd, hm._distinct
     matrices, seen = [], []
 
@@ -607,5 +635,5 @@ def test_the_oracle_factors_each_distinct_block_once(monkeypatch, cases, factore
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setattr(hm, "_distinct", lambda b: seen.append(len(b)) or distinct(b))
-    assert all(report.passed for report in sp.verify_bands(cases))
+    assert all(report.passed for report in sp.verify_bands(cases, dense_limit=dense_limit))
     assert sum(matrices) == factored and sum(seen) == blocks
