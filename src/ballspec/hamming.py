@@ -465,8 +465,8 @@ def _residual(b: np.ndarray, u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np
     """Per block of the stack b = u diag(s) vt, the largest of |B v_i - s_i u_i| and |B^T u_i - s_i v_i|.
 
     Each difference is formed, squared and summed in place, one at a time,
-    and vt is scaled by s in place, so at most one array of the size of b
-    is made; the bits are those of ``np.linalg.norm`` of the plain
+    and vt is scaled by s in place, so one difference-sized array is alive
+    at a time; the bits are those of ``np.linalg.norm`` of the plain
     expressions.
     """
     x = b @ vt.transpose(0, 2, 1)
