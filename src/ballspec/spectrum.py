@@ -134,6 +134,9 @@ class SpectrumLine:
     multiplicity: int
     contributors: tuple[int, ...]
 
+    def to_dict(self) -> dict:
+        return {"value": self.value, "multiplicity": self.multiplicity, "t": list(self.contributors)}
+
 
 @dataclass(frozen=True)
 class SpectrumTable:
@@ -156,14 +159,7 @@ class SpectrumTable:
             "r1": self.r1,
             "r2": self.r2,
             "total_dim": self.total_dim,
-            "lines": [
-                {
-                    "value": line.value,
-                    "multiplicity": line.multiplicity,
-                    "t": list(line.contributors),
-                }
-                for line in self.lines
-            ],
+            "lines": [line.to_dict() for line in self.lines],
         }
 
     def csv_lines(self) -> list[str]:

@@ -234,10 +234,18 @@ def eigenvalues_all(
     tol: float = DEFAULT_TOL,
     guesses: Sequence[float] | None = None,
 ) -> tuple[list[float], list[float]]:
-    """All eigenvalues ascending with their half-widths: ``eigenvalue_k``'s, bracketed once.
+    """All eigenvalues ascending with their half-widths: ``eigenvalue_k``'s, with fewer sweeps.
 
-    ``guesses[k]``, if given, is eigenvalue k's ``guess`` for
-    ``eigenvalue_k``: it saves sweeps and changes no bit.
+    The indices are bisected from the top down, each from the one
+    Gershgorin bracket.  ``guesses[k]``, if given, is eigenvalue k's
+    ``guess`` for ``eigenvalue_k``.  An index k of the lower half
+    (k < m - 1 - k) with no guess of the caller's takes the mirror guess
+    2 d - value[m - 1 - k]: diag(+-1) maps a tridiagonal with constant
+    diagonal d onto its reflection about d, so eigenvalue k is
+    2 d - eigenvalue m - 1 - k, and ``_certified_count`` settles it in two
+    or three sweeps instead of about 45.  A guess only chooses which
+    counts are made: the bisection's decisions, and so every bit of the
+    values and radii, are those of ``eigenvalue_k`` with no guess.
     """
     check_tol(tol)
     m = len(off_sq) + 1
@@ -249,11 +257,14 @@ def eigenvalues_all(
         return [float(d)], [0.0]
     lo, hi = _gershgorin(off_sq, d)
     pivmin = _pivot_floor(off_sq)
-    pairs = [
-        _bisect(off_sq, d, k, lo, hi, tol, pivmin, _certified_count(off_sq, d, k, lo, hi, g, tol, pivmin))
-        for k, g in enumerate(guesses)
-    ]
-    return [v for v, _ in pairs], [r for _, r in pairs]
+    values, radii = [0.0] * m, [0.0] * m
+    for k in reversed(range(m)):
+        guess = guesses[k]
+        if guess is None and k < m - 1 - k:
+            guess = 2.0 * d - values[m - 1 - k]
+        count = _certified_count(off_sq, d, k, lo, hi, guess, tol, pivmin)
+        values[k], radii[k] = _bisect(off_sq, d, k, lo, hi, tol, pivmin, count)
+    return values, radii
 
 
 def dense(off_sq: Sequence[float], d: float) -> np.ndarray:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ballspec import spectrum
+from ballspec import cli, spectrum
 from ballspec.cli import build_parser, main
 from ballspec.hamming import ORACLE_CELL_BUDGET, build_graph, incidence_matrix
 
@@ -33,6 +33,22 @@ def test_spectrum_json_schema(capsys):
     assert doc["total_dim"] == 15
     for line in doc["lines"]:
         assert set(line) == {"value", "multiplicity", "t"}
+
+
+@pytest.mark.parametrize("argv,band", [
+    (["spectrum", "--n", "12", "--r", "5"], (12, 0, 5)),
+    (["spectrum", "--n", "9", "--r1", "2", "--r2", "4"], (9, 2, 4)),
+    (["incidence", "--n", "10", "--r", "3"], (10, 2, 3)),
+    (["spectrum", "--n", "3", "--r", "0"], (3, 0, 0)),  # one line
+])
+@pytest.mark.parametrize("chunk", [None, 1, 2])
+def test_json_table_is_written_in_chunks_with_the_bytes_of_to_dict(capsys, monkeypatch, argv, band, chunk):
+    if chunk:
+        monkeypatch.setattr(cli, "_CHUNK_LINES", chunk)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    table = spectrum.full_spectrum(*band)
+    assert code == 0 and out == json.dumps(table.to_dict()) + "\n"
+    assert (len(table.lines) == 1) == (band == (3, 0, 0))  # the others span several chunks of 1 or 2
 
 
 def test_spectrum_csv(capsys):
@@ -87,14 +103,26 @@ def test_verify_all_up_to_11_takes_one_oracle_call(capsys, monkeypatch):
 
 def test_verify_all_checks_every_budget_before_solving(capsys, monkeypatch):
     solved = []
-    verify = spectrum.verify_bands
-    monkeypatch.setattr(spectrum, "verify_bands",
-                        lambda *args, **kwargs: solved.append(args) or verify(*args, **kwargs))
+    table, oracle = spectrum._table, spectrum.oracle_spectra
+    monkeypatch.setattr(spectrum, "_table", lambda *args: solved.append(args) or table(*args))
+    monkeypatch.setattr(spectrum, "oracle_spectra",
+                        lambda *args, **kwargs: solved.append(args) or oracle(*args, **kwargs))
     # (6,0,2) is the first band over 20 vertices; the 20 bands with n <= 5 fit
     code, out, err = run(capsys, "verify", "--all", "--max-n", "6", "--dense-limit", "20")
     assert (code, out) == (3, "")
     assert err == "budget exceeded: band (6,0,2) has 22 vertices, budget 20\n"
     assert solved == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "6", "--r", "2", "--dense-limit", "20", "--tol", "nan"],
+    ["verify", "--all", "--max-n", "6", "--dense-limit", "20", "--tol", "nan"],
+])
+def test_verify_checks_the_tolerance_before_the_budget(capsys, argv):
+    # one band or a sweep: a bad --tol is a usage error even where a band is over the budget
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: tolerance must be finite and positive, got nan\n"
 
 
 def test_verify_all_csv(capsys):

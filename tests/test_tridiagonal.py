@@ -6,7 +6,7 @@ import pytest
 import paper_checks as pc
 from ballspec import tridiagonal as td
 from ballspec.krawtchouk import _jacobi_matrix, jacobi_couplings, roots
-from ballspec.spectrum import coupling_matrix
+from ballspec.spectrum import coupling_matrix, full_spectrum
 from helpers import band_cases, exact_count_at
 
 
@@ -348,12 +348,18 @@ def assert_all_is_each(off_sq, d):
 
 
 def test_eigenvalues_all_is_eigenvalue_k_on_every_coupling_block():
-    blocks = {
-        coupling_matrix(n, r1, r2, t).offdiag_sq
-        for n in range(25) for r2 in range(n // 2 + 1) for r1 in range(r2 + 1) for t in range(r2 + 1)
-    }
-    for off_sq in blocks:
-        assert_all_is_each([float(v) for v in off_sq], 0.0)
+    # rows a..b of the Jacobi matrix over {0..N}, every band's block with n <= 24 among them, at d = 0
+    # and d = N/2: the mirror guesses of the lower half change no bit at either diagonal.  At d = 0
+    # the first midpoint is exactly 0, where row 0's pivot is floored
+    dims = set()
+    for n in range(1, 25):
+        for a in range(n + 1):
+            for b in range(a, n + 1):
+                off_sq = [float(v) for v in jacobi_couplings(n, a, b).tolist()]
+                dims.add(len(off_sq) + 1)
+                assert_all_is_each(off_sq, 0.0)
+                assert_all_is_each(off_sq, n / 2)
+    assert {1, 2} <= dims
 
 
 @pytest.mark.parametrize("diag,off_sq", [
@@ -363,9 +369,35 @@ def test_eigenvalues_all_is_eigenvalue_k_on_every_coupling_block():
     random_block(52, 2),
     random_block(53, 9),
     random_block(54, 40),
+    random_block(55, 2),
+    random_block(56, 3),
+    random_block(57, 18),
+    random_block(58, 31),
 ])
 def test_eigenvalues_all_is_eigenvalue_k_at_every_index(diag, off_sq):
     assert_all_is_each(off_sq, constant(diag))
+
+
+def test_the_mirror_guesses_settle_the_lower_half_in_a_few_counts(monkeypatch):
+    # (200, 50, 100) has 50 blocks with t < r1, which have no Krawtchouk seeds: 158,521 counts when
+    # every index of those is bisected from the Gershgorin bracket, 84,524 with the mirror guesses
+    solves = []  # [k, m, Sturm counts] of each index, from the _certified_count that starts it
+    certified, count_below = td._certified_count, td.count_below
+
+    def start(off_sq, d, k, *args):
+        solves.append([k, len(off_sq) + 1, 0])
+        return certified(off_sq, d, k, *args)
+
+    def count(*args, **kwargs):
+        solves[-1][2] += 1
+        return count_below(*args, **kwargs)
+
+    monkeypatch.setattr(td, "_certified_count", start)
+    monkeypatch.setattr(td, "count_below", count)
+    full_spectrum(200, 50, 100)
+    lower = [c for k, m, c in solves if k < m - 1 - k]
+    assert len(lower) > 1000 and max(lower) <= 4
+    assert sum(c for *_, c in solves) < 95_000
 
 
 # (N, k) of Krawtchouk Jacobi matrices, with the ranks of the roots probed within 60 ulps of them (all
