@@ -243,7 +243,7 @@ def eigenvalues_all(
     2 d - value[m - 1 - k]: diag(+-1) maps a tridiagonal with constant
     diagonal d onto its reflection about d, so eigenvalue k is
     2 d - eigenvalue m - 1 - k, and ``_certified_count`` settles it in two
-    or three sweeps instead of about 45.  A guess only chooses which
+    or three sweeps instead of about 47.  A guess only chooses which
     counts are made: the bisection's decisions, and so every bit of the
     values and radii, are those of ``eigenvalue_k`` with no guess.
     """
