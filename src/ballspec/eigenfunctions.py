@@ -58,30 +58,23 @@ def class_size(n: int, t: int, i: int, c: int) -> int:
 
 
 def build_basis(n: int, r1: int, r2: int, t: int, y: int) -> SemiSymBasis:
-    """Solve for the per-sphere class values in exact rationals.
+    """The per-sphere class values in exact rationals, in closed form.
 
-    The value at c = t is pinned to 1; the remaining values come from the
-    triangular system <f, G_k> = 0, k = t-1 .. 0, where G_k weights class c
-    by C(c, k) under the counting measure.  (The k = t-1 row reproduces the
-    closed form -(i-t+1)/(n-i).)
+    The value at c = t is pinned to 1; the others solve the triangular
+    system <f, G_k> = 0, k = t-1 .. 0, where G_k weights class c by C(c, k)
+    under the counting measure, and are
+    f(i, c) = (-1)^(t-c) prod_{j<t-c} (i-c-j)/(n-i-j).  They are built from
+    c = t down, f(i, c-1) = -f(i, c) (i-c+1)/(n-i-t+c), with no step past
+    c = 0: its divisor n-i-t is 0 on the single sphere i = t = n/2.
     """
     check_band(n, r1, r2, t)
     _check_origin_mask(n, t, y)
     tstar = max(t, r1)
     values: dict[tuple[int, int], Fraction] = {}
     for i in range(tstar, r2 + 1):
-        sizes = [class_size(n, t, i, c) for c in range(t + 1)]
-        if any(s <= 0 for s in sizes):
-            raise ArithmeticError(f"internal-error: empty class on sphere {i}")
-        f = [Fraction(0)] * (t + 1)
-        f[t] = Fraction(1)
-        for k in range(t - 1, -1, -1):
-            acc = sum(
-                (f[c] * (binom_int(c, k) * sizes[c]) for c in range(k + 1, t + 1)), Fraction(0)
-            )
-            f[k] = -acc / sizes[k]
-        for c in range(t + 1):
-            values[(i, c)] = f[c]
+        f = values[(i, t)] = Fraction(1)
+        for c in range(t, 0, -1):
+            f = values[(i, c - 1)] = -f * Fraction(i - c + 1, n - i - t + c)
     return SemiSymBasis(n, r1, r2, t, y, tstar, values)
 
 

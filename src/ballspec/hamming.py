@@ -50,6 +50,9 @@ DEFAULT_GRAPH_LIMIT = 2_000_000
 # Cells sum_S rows_S * cols_S of the oracle's blocks (``oracle_cells``) in one graph, and in one batch
 # of ``verify_bands``, when no vertex limit is given: 32 MiB of float64 (BENCH_cell_budget.json).
 ORACLE_CELL_BUDGET = 1 << 22
+# Vertices of one such graph: a band of one sphere has no cells, but its graph and the oracle's
+# vertex-sized arrays take about 230 bytes a vertex, so 2^19 of them peak near what 2^22 cells may.
+ORACLE_VERTEX_BUDGET = 1 << 19
 INCIDENCE_CELL_LIMIT = 25_000_000  # cells of the dense incidence matrix
 MAX_DIMENSION = 64  # bitmask width cap
 _LINE_ROWS = 4096  # rows per chunk of InducedGraph.edge_lines
@@ -164,37 +167,40 @@ def oracle_cells(n: int, r1: int, r2: int) -> int:
     return cells
 
 
-def oracle_budget(dense_limit: int | None = None) -> tuple[Callable[[int, int, int], int], int]:
-    """The dense oracle's size of a band (n, r1, r2), and its budget in that size.
+def oracle_budget(dense_limit: int | None = None) -> list[tuple[Callable[[int, int, int], int], int, str]]:
+    """The dense oracle's measures of a band (n, r1, r2), each with its budget and unit.
 
-    Given a dense limit, a band's size is its vertex count and the budget is
-    that limit; else its size is the cells of its blocks (``oracle_cells``),
-    the floats the oracle holds for it, and the budget ORACLE_CELL_BUDGET.
+    Given a dense limit, the one measure is the band's vertex count, against
+    that limit.  Else the first is the cells of its blocks (``oracle_cells``),
+    the floats the oracle holds for it, against ORACLE_CELL_BUDGET, and the
+    second its vertex count, against ORACLE_VERTEX_BUDGET.
     """
     if dense_limit is None:
-        return oracle_cells, ORACLE_CELL_BUDGET
-    return band_vertices, dense_limit
+        return [(oracle_cells, ORACLE_CELL_BUDGET, "oracle cells"),
+                (band_vertices, ORACLE_VERTEX_BUDGET, "vertices")]
+    return [(band_vertices, dense_limit, "vertices")]
 
 
 def check_budget(n: int, r1: int, r2: int, max_vertices: int | None = None) -> int:
-    """The size of the valid weight band [r1, r2] under ``oracle_budget(max_vertices)``.
+    """The first measure of the valid weight band [r1, r2] under ``oracle_budget(max_vertices)``.
 
     Raise InvalidParameterError on a band out of range, and
-    BudgetExceededError on one over its budget: ``max_vertices`` vertices
-    when given, else ORACLE_CELL_BUDGET oracle cells.
+    BudgetExceededError on one over any of its budgets: ``max_vertices``
+    vertices when given, else ORACLE_CELL_BUDGET oracle cells and
+    ORACLE_VERTEX_BUDGET vertices.
     """
     if n < 0 or n > MAX_DIMENSION:
         raise InvalidParameterError(f"dimension must be in [0, {MAX_DIMENSION}], got {n}")
     check_band(n, r1, r2)
-    size, budget = oracle_budget(max_vertices)
-    count = size(n, r1, r2)
-    if count > budget:
-        unit = "oracle cells" if max_vertices is None else "vertices"
-        raise BudgetExceededError(
-            f"band ({n},{r1},{r2}) has {count} {unit}, budget {budget}",
-            vertex_count=band_vertices(n, r1, r2),
-        )
-    return count
+    counts = []
+    for size, budget, unit in oracle_budget(max_vertices):
+        counts.append(size(n, r1, r2))
+        if counts[-1] > budget:
+            raise BudgetExceededError(
+                f"band ({n},{r1},{r2}) has {counts[-1]} {unit}, budget {budget}",
+                vertex_count=band_vertices(n, r1, r2),
+            )
+    return counts[0]
 
 
 def _sphere_tables(n: int, r1: int, r2: int) -> tuple[list, list, list]:
@@ -600,8 +606,9 @@ def oracle_spectra(
     visited.
 
     Each graph is checked against the budget before anything is built
-    (``check_budget``): the cells of its blocks against ORACLE_CELL_BUDGET,
-    or, given ``dense_limit``, its vertices against that.  The distinct
+    (``check_budget``): the cells of its blocks against ORACLE_CELL_BUDGET
+    and its vertices against ORACLE_VERTEX_BUDGET, or, given
+    ``dense_limit``, its vertices against that.  The distinct
     graphs are one disjoint union, each vertex with its own
     graph's pairs; orbits and characters are keyed by graph, and each
     graph's blocks are built once.  The swaps keep weights, so a band's B_S

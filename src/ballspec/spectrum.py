@@ -355,19 +355,20 @@ def verify_bands(
     Predicted and oracle eigenvalues are paired in ascending order, and a band
     passes when every pair is within ``tol``.  Every band is checked against
     the oracle's budget before any solve (``check_budget``): its block cells
-    against ORACLE_CELL_BUDGET, or its vertices against ``dense_limit`` when
-    one is given.  Consecutive bands form a batch while their sizes in that
-    measure add up to at most the budget; each batch takes one
-    ``oracle_spectra`` call, and the tables of the sweep share their block
-    solves.  Within a batch, consecutive bands of one n form a run while the
-    run's hull, the band of their least r1 to their greatest r2, fits the
-    budget; each run builds one graph, its hull, and the oracle cuts each
-    band's blocks out of the hull's.  A band that fits on its own is its own
-    hull at worst.
+    against ORACLE_CELL_BUDGET and its vertices against ORACLE_VERTEX_BUDGET,
+    or its vertices against ``dense_limit`` when one is given.  Consecutive
+    bands form a batch while their sizes in the first measure add up to at
+    most its budget; each batch takes one ``oracle_spectra`` call, and the
+    tables of the sweep share their block solves.  Within a batch,
+    consecutive bands of one n form a run while the run's hull, the band of
+    their least r1 to their greatest r2, fits every budget; each run builds
+    one graph, its hull, and the oracle cuts each band's blocks out of the
+    hull's.  A band that fits on its own is its own hull at worst.
     """
     check_tol(tol)
     sizes = [check_budget(n, r1, r2, dense_limit) for n, r1, r2 in cases]
-    size_of, budget = oracle_budget(dense_limit)
+    measures = oracle_budget(dense_limit)
+    budget = measures[0][1]
     blocks: dict = {}
     batches: list[list[list]] = []  # each a list of runs [n, lo, hi, tables]
     total = 0  # the size of the last batch's bands
@@ -380,7 +381,7 @@ def verify_bands(
         runs = batches[-1]
         if runs and runs[-1][0] == n:
             lo, hi = min(runs[-1][1], r1), max(runs[-1][2], r2)
-            if size_of(n, lo, hi) <= budget:
+            if all(size(n, lo, hi) <= limit for size, limit, _ in measures):
                 runs[-1][1:3] = lo, hi
                 runs[-1][3].append(table)
                 continue

@@ -124,27 +124,25 @@ def _gershgorin(off_sq: Sequence[float] | np.ndarray, d: float) -> tuple[float, 
 _RETRIES = 1
 
 
-def _certified_count(off_sq, d, k: int, lo: float, hi: float, guess: float | None, tol: float,
-                     pivmin: float):
-    """``count_below``, sweeping only where the checks of ``guess`` leave ``> k`` undecided.
+def _bisect(off_sq, d, k: int, lo: float, hi: float, tol: float, pivmin: float, guess: float | None):
+    """Eigenvalue k and its radius: (lo, hi) bisected to ``tol`` keeping count(lo) <= k < count(hi).
 
-    Runs the bisection of ``eigenvalue_k`` from (lo, hi), taking every
-    decision from the guess (``mid > guess`` sets hi) with no sweep, then
-    counts once at its final lo and once at its final hi, skipping an end
-    that is already proven.  If count(lo) <= k < count(hi), each midpoint it
-    set as lo is <= that lo and each one it set as hi is >= that hi; the
-    floating-point Sturm count is monotone in x (Demmel, Dhillon & Ren,
-    ETNA 1995), so the counted bisection decides each one the same way, and
-    these two counts decide its whole run.  A failed check is a proven
-    bound: the guess moves just inside it and the run is repeated, at most
-    ``_RETRIES`` times.  The returned count sweeps only strictly between
-    the proven bounds.  A guess that is None, or not strictly inside
-    (lo, hi), NaN included, is ignored: the plain ``count_below`` is returned.
+    A ``guess`` strictly inside (lo, hi) is walked first, every decision
+    taken from it (``mid > guess`` sets hi) with no sweep; then the walk's
+    final lo and hi are counted, each unless already proven.  If both
+    checks pass, each midpoint the walk set as lo is <= that lo and each
+    one set as hi is >= that hi; the floating-point Sturm count is monotone
+    in x (Demmel, Dhillon & Ren, ETNA 1995), so the counted bisection would
+    decide each one the same way, and that bracket is the result.  A failed
+    check is a proven bound: the guess moves just inside it and the walk is
+    repeated, at most ``_RETRIES`` times; then the counted bisection runs
+    from (lo, hi), sweeping only strictly between the proven bounds.  Any
+    other guess, None and NaN included, is ignored.  The radius is the
+    final half-width plus a few ulps of slop for the Sturm recurrence itself.
     """
-    if guess is None or not lo < guess < hi:
-        return count_below
     below, above = lo, hi  # the Gershgorin ends: count(lo) = 0 <= k < m = count(hi)
-    for _ in range(1 + _RETRIES):
+    tries = 1 + _RETRIES if guess is not None and lo < guess < hi else 0
+    for _ in range(tries):
         a, b = lo, hi
         while b - a > 2.0 * tol:
             mid = 0.5 * (a + b)
@@ -164,27 +162,13 @@ def _certified_count(off_sq, d, k: int, lo: float, hi: float, guess: float | Non
                 below = guess = b
                 continue
             above = b
+        lo, hi = a, b  # proven: the loop below has nothing left to split
         break
-
-    def count(off_sq, d, x, *, pivmin):
-        if x >= above:
-            return k + 1
-        return k if x <= below else count_below(off_sq, d, x, pivmin=pivmin)
-
-    return count
-
-
-def _bisect(off_sq, d, k: int, lo: float, hi: float, tol: float, pivmin: float, count):
-    """The midpoint of (lo, hi) bisected to ``tol`` keeping count(lo) <= k < count(hi).
-
-    The certified half-width is the final bracket radius plus a few ulps of
-    slop for the floating-point Sturm recurrence itself.
-    """
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # hit floating-point resolution
-        if count(off_sq, d, mid, pivmin=pivmin) >= k + 1:
+        if mid >= above or mid > below and count_below(off_sq, d, mid, pivmin=pivmin) > k:
             hi = mid
         else:
             lo = mid
@@ -205,11 +189,11 @@ def eigenvalue_k(
     """k-th smallest eigenvalue (0-based) with a certified half-width, by bisection.
 
     A ``guess`` strictly inside the Gershgorin bracket is checked with two
-    Sturm counts (``_certified_count``); the bisection then sweeps only at a
-    midpoint those counts leave undecided, so the result is the same bits
-    for any guess.  A guess within about ``tol`` of the eigenvalue costs two
-    sweeps in all, a worse one at most ``2 * (1 + _RETRIES)`` more than none.
-    Any other guess, NaN included, is ignored.
+    Sturm counts, and the bracket they prove is returned (``_bisect``), so
+    the result is the same bits for any guess.  A guess within about ``tol``
+    of the eigenvalue costs two sweeps in all, a worse one at most
+    ``2 * (1 + _RETRIES)`` more than none.  Any other guess, NaN included,
+    is ignored.
 
     ``array``, the same couplings as a float64 array, gives the bracket and
     the pivot floor their bits without a pass over the list; the sweeps
@@ -224,8 +208,7 @@ def eigenvalue_k(
     couplings = off_sq if array is None else array
     lo, hi = _gershgorin(couplings, d)
     pivmin = _pivot_floor(couplings)
-    count = _certified_count(off_sq, d, k, lo, hi, guess, tol, pivmin)
-    return _bisect(off_sq, d, k, lo, hi, tol, pivmin, count)
+    return _bisect(off_sq, d, k, lo, hi, tol, pivmin, guess)
 
 
 def eigenvalues_all(
@@ -242,7 +225,7 @@ def eigenvalues_all(
     (k < m - 1 - k) with no guess of the caller's takes the mirror guess
     2 d - value[m - 1 - k]: diag(+-1) maps a tridiagonal with constant
     diagonal d onto its reflection about d, so eigenvalue k is
-    2 d - eigenvalue m - 1 - k, and ``_certified_count`` settles it in two
+    2 d - eigenvalue m - 1 - k, and ``_bisect`` settles it in two
     or three sweeps instead of about 47.  A guess only chooses which
     counts are made: the bisection's decisions, and so every bit of the
     values and radii, are those of ``eigenvalue_k`` with no guess.
@@ -262,8 +245,7 @@ def eigenvalues_all(
         guess = guesses[k]
         if guess is None and k < m - 1 - k:
             guess = 2.0 * d - values[m - 1 - k]
-        count = _certified_count(off_sq, d, k, lo, hi, guess, tol, pivmin)
-        values[k], radii[k] = _bisect(off_sq, d, k, lo, hi, tol, pivmin, count)
+        values[k], radii[k] = _bisect(off_sq, d, k, lo, hi, tol, pivmin, guess)
     return values, radii
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from ballspec import cli, spectrum
 from ballspec.cli import build_parser, main
-from ballspec.hamming import ORACLE_CELL_BUDGET, build_graph, incidence_matrix
+from ballspec.hamming import ORACLE_CELL_BUDGET, ORACLE_VERTEX_BUDGET, build_graph, incidence_matrix
 
 
 def run(capsys, *argv):
@@ -92,12 +92,25 @@ def test_verify_budget_exit_gives_the_cells_and_the_budget(capsys):
     )
 
 
+@pytest.mark.parametrize("n,vertices", [(22, 705_432), (23, 1_352_078)])
+def test_verify_refuses_a_sphere_over_the_vertex_budget_before_building_it(capsys, monkeypatch, n, vertices):
+    # a band of one sphere has no oracle cells, so only the vertex budget bounds it
+    built = []
+    monkeypatch.setattr(spectrum, "build_graph", lambda *band: built.append(band) or build_graph(*band))
+    assert run(capsys, "verify", "--n", str(n), "--r1", "11", "--r2", "11") == (
+        3, "", f"budget exceeded: band ({n},11,11) has {vertices} vertices, budget {ORACLE_VERTEX_BUDGET}\n"
+    )
+    assert built == []
+
+
 def test_verify_all_up_to_11_takes_one_oracle_call(capsys, monkeypatch):
     calls = []
     batched = spectrum.oracle_spectra
     monkeypatch.setattr(spectrum, "oracle_spectra", lambda bands, **kw: calls.append(bands) or batched(bands, **kw))
     code, out, _ = run(capsys, "verify", "--all", "--max-n", "11")
     assert (code, len(calls), len(calls[0])) == (0, 1, 111)
+    hulls = list(dict.fromkeys((g.n, g.r1, g.r2) for g, _, _ in calls[0]))
+    assert hulls == [(n, 0, n // 2) for n in range(1, 12)]
     assert out.count("\n") == 112 and "false" not in out
 
 

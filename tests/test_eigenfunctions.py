@@ -38,7 +38,9 @@ def test_basis_adjacent_class_value_formula():
 
 def test_basis_orthogonal_to_low_weight_sums():
     """Independent recomputation of <f, G_k> = 0 in exact rationals."""
-    for n, r1, r2, t in [(6, 0, 3, 2), (8, 2, 4, 3), (7, 1, 3, 2)]:
+    # single spheres r1 = r2 = n/2 up to t = n/2, and bands with r1 > t
+    for n, r1, r2, t in [(6, 0, 3, 2), (8, 2, 4, 3), (7, 1, 3, 2), (8, 4, 4, 4), (8, 4, 4, 2),
+                         (10, 5, 5, 5), (10, 4, 5, 1), (9, 3, 4, 2), (12, 5, 6, 3)]:
         y = (1 << t) - 1
         b = ef.build_basis(n, r1, r2, t, y)
         for i in range(max(t, r1), r2 + 1):

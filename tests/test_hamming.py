@@ -473,6 +473,18 @@ def test_the_oracle_budget_is_cells_unless_a_vertex_limit_is_given():
         hm.oracle_spectrum(hm.build_graph(17, 0, 8))
 
 
+def test_the_default_oracle_budget_bounds_the_vertices_too(monkeypatch):
+    # a band of one sphere has no cells: (21, 10, 10) fits with 352,716 vertices, (22, 11, 11) does not
+    assert hm.oracle_cells(22, 11, 11) == hm.check_budget(21, 10, 10) == 0
+    with pytest.raises(BudgetExceededError, match=r"band \(22,11,11\) has 705432 vertices, budget 524288") as exc:
+        hm.check_budget(22, 11, 11)
+    assert exc.value.vertex_count == 705_432
+    assert hm.check_budget(22, 11, 11, 705_432) == 705_432  # an explicit limit replaces both budgets
+    monkeypatch.setattr(hm, "ORACLE_VERTEX_BUDGET", 162)
+    with pytest.raises(BudgetExceededError, match=r"band \(8,0,4\) has 163 vertices, budget 162"):
+        hm.oracle_spectrum(cached_graph(8, 0, 4))
+
+
 def test_popcount_of_every_bit_position():
     rng = np.random.default_rng(7)
     masks = np.concatenate([

@@ -491,6 +491,17 @@ def test_each_band_of_a_hull_keeps_the_bits_of_its_own_graph(monkeypatch):
             assert _bits(oracle) == own[g.n, r1, r2], (g.n, r1, r2)
 
 
+def test_sweep_hulls_fit_the_vertex_budget(monkeypatch):
+    # (12, 0, 5) and (12, 6, 6) fit 2,000 vertices, their hull (12, 0, 6) of 2,510 does not: two graphs
+    built = []
+    monkeypatch.setattr(sp, "build_graph", lambda *band: built.append(band) or hm.build_graph(*band))
+    cases = [(12, 0, 5), (12, 6, 6)]
+    assert all(r.passed for r in sp.verify_bands(cases))
+    monkeypatch.setattr(hm, "ORACLE_VERTEX_BUDGET", 2000)
+    assert all(r.passed for r in sp.verify_bands(cases))
+    assert built == [(12, 0, 6), *cases]
+
+
 def test_sweep_solves_each_distinct_block_once(monkeypatch):
     solved, built, crosschecked = [], [], []
     lambda_set, coupling_matrix, roots = sp.lambda_set, sp.coupling_matrix, sp.krawtchouk.roots

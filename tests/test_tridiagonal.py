@@ -124,6 +124,9 @@ GUESS_CASES = [
     (*jacobi(300, 200), 0),
     (*random_block(11, 40), 17),
     (*random_block(12, 9), 8),
+    # the ball (18, 0, 9) at t = 0, whose Krawtchouk seed of index 3 lands in the final bracket
+    # below the root's
+    ([0.0] * 10, [float(v) for v in coupling_matrix(18, 0, 9, 0).offdiag_sq], 3),
 ]
 
 
@@ -177,6 +180,31 @@ def test_a_guess_costs_two_counts_when_it_is_right(diag, off_sq, k, monkeypatch)
         assert td.eigenvalue_k(off_sq, d, k, guess=guess) == plain, guess
         # the proven bound spares every midpoint past it: 27-38 counts here, against 43-49
         assert len(shifts) < len(mids), guess
+
+
+@pytest.mark.parametrize("diag,off_sq,k", GUESS_CASES)
+def test_a_guess_one_bracket_off_costs_one_retry(diag, off_sq, k, monkeypatch):
+    # below the root's bracket, the walk's hi fails, and the retry from it counts its lo and the
+    # root's hi; above, the walk's lo fails, and the retry counts only the root's lo
+    d = constant(diag)
+    plain = td.eigenvalue_k(off_sq, d, k)
+    _, lo, hi = bisection_run(off_sq, d, k)
+    shifts = counted(monkeypatch)
+    for guess, counts in ((math.nextafter(lo, -math.inf), 3), (math.nextafter(hi, math.inf), 2)):
+        shifts.clear()
+        assert td.eigenvalue_k(off_sq, d, k, guess=guess) == plain, guess
+        assert len(shifts) == counts, guess
+
+
+def test_the_retry_case_is_seeded_one_bracket_below(monkeypatch):
+    _, off_sq, k = GUESS_CASES[-1]
+    _, lo, hi = bisection_run(off_sq, 0.0, k)
+    seed = 2.0 * roots(18, 10).values[3] - 18
+    assert lo - (hi - lo) < seed < lo
+    plain = td.eigenvalue_k(off_sq, 0.0, k)
+    shifts = counted(monkeypatch)
+    assert td.eigenvalue_k(off_sq, 0.0, k, guess=seed) == plain
+    assert len(shifts) == 3
 
 
 @pytest.mark.parametrize("diag,off_sq", [
@@ -381,18 +409,18 @@ def test_eigenvalues_all_is_eigenvalue_k_at_every_index(diag, off_sq):
 def test_the_mirror_guesses_settle_the_lower_half_in_a_few_counts(monkeypatch):
     # (200, 50, 100) has 50 blocks with t < r1, which have no Krawtchouk seeds: 158,521 counts when
     # every index of those is bisected from the Gershgorin bracket, 84,524 with the mirror guesses
-    solves = []  # [k, m, Sturm counts] of each index, from the _certified_count that starts it
-    certified, count_below = td._certified_count, td.count_below
+    solves = []  # [k, m, Sturm counts] of each index, from the _bisect that solves it
+    bisect, count_below = td._bisect, td.count_below
 
     def start(off_sq, d, k, *args):
         solves.append([k, len(off_sq) + 1, 0])
-        return certified(off_sq, d, k, *args)
+        return bisect(off_sq, d, k, *args)
 
     def count(*args, **kwargs):
         solves[-1][2] += 1
         return count_below(*args, **kwargs)
 
-    monkeypatch.setattr(td, "_certified_count", start)
+    monkeypatch.setattr(td, "_bisect", start)
     monkeypatch.setattr(td, "count_below", count)
     full_spectrum(200, 50, 100)
     lower = [c for k, m, c in solves if k < m - 1 - k]
