@@ -20,10 +20,6 @@ class InvalidParameterError(ValueError):
 class BudgetExceededError(RuntimeError):
     """A computation would exceed the configured resource budget."""
 
-    def __init__(self, message: str, vertex_count: int | None = None):
-        super().__init__(message)
-        self.vertex_count = vertex_count
-
 
 def check_band(n: int, r1: int, r2: int, t: int | None = None) -> None:
     """Reject a weight band [r1, r2] of {0,1}^n, or an origin weight t, out of range."""

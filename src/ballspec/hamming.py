@@ -39,7 +39,7 @@ oracle relies on that order, and names a graph that breaks it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,40 +167,29 @@ def oracle_cells(n: int, r1: int, r2: int) -> int:
     return cells
 
 
-def oracle_budget(dense_limit: int | None = None) -> list[tuple[Callable[[int, int, int], int], int, str]]:
-    """The dense oracle's measures of a band (n, r1, r2), each with its budget and unit.
-
-    Given a dense limit, the one measure is the band's vertex count, against
-    that limit.  Else the first is the cells of its blocks (``oracle_cells``),
-    the floats the oracle holds for it, against ORACLE_CELL_BUDGET, and the
-    second its vertex count, against ORACLE_VERTEX_BUDGET.
-    """
-    if dense_limit is None:
-        return [(oracle_cells, ORACLE_CELL_BUDGET, "oracle cells"),
-                (band_vertices, ORACLE_VERTEX_BUDGET, "vertices")]
-    return [(band_vertices, dense_limit, "vertices")]
-
-
 def check_budget(n: int, r1: int, r2: int, max_vertices: int | None = None) -> int:
-    """The first measure of the valid weight band [r1, r2] under ``oracle_budget(max_vertices)``.
+    """The oracle cells of the valid weight band [r1, r2], or given ``max_vertices``, its vertices.
 
     Raise InvalidParameterError on a band out of range, and
-    BudgetExceededError on one over any of its budgets: ``max_vertices``
-    vertices when given, else ORACLE_CELL_BUDGET oracle cells and
-    ORACLE_VERTEX_BUDGET vertices.
+    BudgetExceededError on one over ORACLE_CELL_BUDGET cells of its blocks
+    (``oracle_cells``) then ORACLE_VERTEX_BUDGET vertices, or given
+    ``max_vertices``, over that many vertices.  No other code measures a
+    band against a budget.
     """
     if n < 0 or n > MAX_DIMENSION:
         raise InvalidParameterError(f"dimension must be in [0, {MAX_DIMENSION}], got {n}")
     check_band(n, r1, r2)
-    counts = []
-    for size, budget, unit in oracle_budget(max_vertices):
-        counts.append(size(n, r1, r2))
-        if counts[-1] > budget:
-            raise BudgetExceededError(
-                f"band ({n},{r1},{r2}) has {counts[-1]} {unit}, budget {budget}",
-                vertex_count=band_vertices(n, r1, r2),
-            )
-    return counts[0]
+    cells = None
+    if max_vertices is None:
+        cells = oracle_cells(n, r1, r2)
+        if cells > ORACLE_CELL_BUDGET:
+            raise BudgetExceededError(f"band ({n},{r1},{r2}) has {cells} oracle cells, "
+                                      f"budget {ORACLE_CELL_BUDGET}")
+        max_vertices = ORACLE_VERTEX_BUDGET
+    vertices = band_vertices(n, r1, r2)
+    if vertices > max_vertices:
+        raise BudgetExceededError(f"band ({n},{r1},{r2}) has {vertices} vertices, budget {max_vertices}")
+    return vertices if cells is None else cells
 
 
 def _sphere_tables(n: int, r1: int, r2: int) -> tuple[list, list, list]:
@@ -319,8 +308,7 @@ def incidence_matrix(n: int, r: int) -> np.ndarray:
     if rows * cols > INCIDENCE_CELL_LIMIT:
         raise BudgetExceededError(
             f"incidence ({n},{r}) needs {rows} x {cols} = {rows * cols} cells, "
-            f"budget {INCIDENCE_CELL_LIMIT}",
-            vertex_count=rows + cols,
+            f"budget {INCIDENCE_CELL_LIMIT}"
         )
     row_index = {m: i for i, m in enumerate(weight_masks(n, r - 1))}
     mat = np.zeros((rows, cols))
@@ -605,16 +593,15 @@ def oracle_spectra(
     of the sign of the far end.  Only the characters inside some M(O) are
     visited.
 
-    Each graph is checked against the budget before anything is built
-    (``check_budget``): the cells of its blocks against ORACLE_CELL_BUDGET
-    and its vertices against ORACLE_VERTEX_BUDGET, or, given
-    ``dense_limit``, its vertices against that.  The distinct
-    graphs are one disjoint union, each vertex with its own
-    graph's pairs; orbits and characters are keyed by graph, and each
-    graph's blocks are built once.  The swaps keep weights, so a band's B_S
-    is its graph's cut to the orbits of weight r1..r2, in orbit order: a
-    cell sums the same edges in the same order as in the band's own graph,
-    so the cut block has the bytes of the block of ``build_graph(n, r1, r2)``.
+    An empty list gives an empty list.  Each graph is checked against the
+    budget before anything is built (``check_budget``: its block cells and
+    vertices, or given ``dense_limit`` its vertices), as a caller may hand
+    in any graph.  The distinct graphs are one disjoint union, each vertex
+    with its own graph's pairs; orbits and characters are keyed by graph,
+    and each graph's blocks are built once.  The swaps keep weights, so a
+    band's B_S is its graph's cut to the orbits of weight r1..r2, in orbit
+    order: a cell sums the same edges in the same order as in the band's own
+    graph, so the cut block has the bytes of the block of ``build_graph(n, r1, r2)``.
 
     The V (orbit, character) pairs are listed orbit by orbit, the characters
     of O in ``_submasks``' order, so the pair (O, S) is O's first pair plus
@@ -645,6 +632,8 @@ def oracle_spectra(
     that count (else ArithmeticError); the count is its graph's
     ``edge_count`` less the edges cut away, from the sphere sizes.
     """
+    if not bands:
+        return []
     graphs = list(dict.fromkeys(g for g, _, _ in bands))  # each graph once, in order of first use
     for g in graphs:
         check_budget(g.n, g.r1, g.r2, dense_limit)

@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import krawtchouk, tridiagonal
-from .errors import check_band, check_tol
-from .hamming import build_graph, check_budget, oracle_budget, oracle_spectra
+from . import hamming, krawtchouk, tridiagonal
+from .errors import BudgetExceededError, check_band, check_tol
+from .hamming import build_graph, check_budget, oracle_spectra
 from .krawtchouk import RootList, binom_int, first_root
 
 VERIFY_TOL = 1e-8
@@ -353,36 +353,39 @@ def verify_bands(
     """One report per band ``(n, r1, r2)`` of ``cases``, in their order.
 
     Predicted and oracle eigenvalues are paired in ascending order, and a band
-    passes when every pair is within ``tol``.  Every band is checked against
-    the oracle's budget before any solve (``check_budget``): its block cells
-    against ORACLE_CELL_BUDGET and its vertices against ORACLE_VERTEX_BUDGET,
-    or its vertices against ``dense_limit`` when one is given.  Consecutive
-    bands form a batch while their sizes in the first measure add up to at
-    most its budget; each batch takes one ``oracle_spectra`` call, and the
+    passes when every pair is within ``tol``.  Each distinct band is checked
+    once, before any solve, by ``check_budget``, which gives its size: its
+    block cells, or its vertices given ``dense_limit``.  Consecutive bands
+    form a batch while their sizes add up to at most ORACLE_CELL_BUDGET, or
+    ``dense_limit``; each batch takes one ``oracle_spectra`` call, and the
     tables of the sweep share their block solves.  Within a batch,
     consecutive bands of one n form a run while the run's hull, the band of
-    their least r1 to their greatest r2, fits every budget; each run builds
-    one graph, its hull, and the oracle cuts each band's blocks out of the
-    hull's.  A band that fits on its own is its own hull at worst.
+    their least r1 to their greatest r2, is one of the bands or passes
+    ``check_budget``, checked once; each run builds one graph, its hull, and
+    the oracle cuts each band's blocks out of the hull's.
     """
     check_tol(tol)
-    sizes = [check_budget(n, r1, r2, dense_limit) for n, r1, r2 in cases]
-    measures = oracle_budget(dense_limit)
-    budget = measures[0][1]
+    sizes: dict[tuple, int | None] = {band: check_budget(*band, dense_limit) for band in dict.fromkeys(cases)}
+    budget = hamming.ORACLE_CELL_BUDGET if dense_limit is None else dense_limit
     blocks: dict = {}
     batches: list[list[list]] = []  # each a list of runs [n, lo, hi, tables]
     total = 0  # the size of the last batch's bands
-    for (n, r1, r2), size in zip(cases, sizes):
+    for n, r1, r2 in cases:
         table = _table(n, r1, r2, blocks)
-        if not batches or total + size > budget:
+        if not batches or total + sizes[n, r1, r2] > budget:
             batches.append([])
             total = 0
-        total += size
+        total += sizes[n, r1, r2]
         runs = batches[-1]
         if runs and runs[-1][0] == n:
-            lo, hi = min(runs[-1][1], r1), max(runs[-1][2], r2)
-            if all(size(n, lo, hi) <= limit for size, limit, _ in measures):
-                runs[-1][1:3] = lo, hi
+            joined = n, min(runs[-1][1], r1), max(runs[-1][2], r2)  # the run's hull with this band
+            if joined not in sizes:
+                try:
+                    sizes[joined] = check_budget(*joined, dense_limit)
+                except BudgetExceededError:
+                    sizes[joined] = None  # over a budget: the band starts a new run
+            if sizes[joined] is not None:
+                runs[-1][1:3] = joined[1:]
                 runs[-1][3].append(table)
                 continue
         runs.append([n, r1, r2, [table]])

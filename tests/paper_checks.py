@@ -88,10 +88,7 @@ def check_zonal_uniqueness(n: int, i: int, t: int) -> ZonalUniquenessReport:
     """
     _check_sphere(n, i, t)
     if math.comb(n, i) > UNIQUENESS_SPHERE_LIMIT:
-        raise BudgetExceededError(
-            f"sphere has {math.comb(n, i)} points, budget {UNIQUENESS_SPHERE_LIMIT}",
-            vertex_count=math.comb(n, i),
-        )
+        raise BudgetExceededError(f"sphere has {math.comb(n, i)} points, budget {UNIQUENESS_SPHERE_LIMIT}")
     y = (1 << t) - 1
     sphere = list(weight_masks(n, i))
     classes = np.array(

@@ -130,9 +130,9 @@ def test_build_graph_peak_memory_stays_near_its_result(n, r1, r2):
 
 
 def test_budget_exceeded():
-    with pytest.raises(BudgetExceededError) as exc:
+    vertices = sum(math.comb(40, i) for i in range(21))
+    with pytest.raises(BudgetExceededError, match=rf"band \(40,0,20\) has {vertices} vertices, budget 1000$"):
         hm.build_graph(40, 0, 20, max_vertices=1000)
-    assert exc.value.vertex_count == sum(math.comb(40, i) for i in range(21))
 
 
 @pytest.mark.parametrize("n,r1,r2", [(4, 2, 1), (4, 0, 3), (-1, 0, 0), (65, 0, 1)])
@@ -375,6 +375,7 @@ SMALL_BANDS = list(band_cases(11))
 
 def test_batched_oracle_equals_one_graph_at_a_time_in_one_batch():
     _assert_batch_equals_one_at_a_time([cached_graph(*case) for case in SMALL_BANDS])
+    assert hm.oracle_spectra([]) == []  # an empty batch does no work
 
 
 def test_batched_oracle_equals_one_graph_at_a_time_in_batches_of_1024_vertices():
@@ -466,9 +467,8 @@ def test_the_oracle_budget_is_cells_unless_a_vertex_limit_is_given():
     assert hm.check_budget(12, 0, 6, 2510) == 2510
     with pytest.raises(BudgetExceededError, match=r"band \(12,0,6\) has 2510 vertices, budget 2509"):
         hm.check_budget(12, 0, 6, 2509)
-    with pytest.raises(BudgetExceededError, match=r"band \(17,0,8\) has 24202090 oracle cells") as exc:
+    with pytest.raises(BudgetExceededError, match=r"band \(17,0,8\) has 24202090 oracle cells"):
         hm.check_budget(17, 0, 8)
-    assert exc.value.vertex_count == sum(math.comb(17, i) for i in range(9))
     with pytest.raises(BudgetExceededError, match="oracle cells"):
         hm.oracle_spectrum(hm.build_graph(17, 0, 8))
 
@@ -476,9 +476,8 @@ def test_the_oracle_budget_is_cells_unless_a_vertex_limit_is_given():
 def test_the_default_oracle_budget_bounds_the_vertices_too(monkeypatch):
     # a band of one sphere has no cells: (21, 10, 10) fits with 352,716 vertices, (22, 11, 11) does not
     assert hm.oracle_cells(22, 11, 11) == hm.check_budget(21, 10, 10) == 0
-    with pytest.raises(BudgetExceededError, match=r"band \(22,11,11\) has 705432 vertices, budget 524288") as exc:
+    with pytest.raises(BudgetExceededError, match=r"band \(22,11,11\) has 705432 vertices, budget 524288"):
         hm.check_budget(22, 11, 11)
-    assert exc.value.vertex_count == 705_432
     assert hm.check_budget(22, 11, 11, 705_432) == 705_432  # an explicit limit replaces both budgets
     monkeypatch.setattr(hm, "ORACLE_VERTEX_BUDGET", 162)
     with pytest.raises(BudgetExceededError, match=r"band \(8,0,4\) has 163 vertices, budget 162"):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -463,6 +464,28 @@ def test_sweep_builds_one_graph_per_run_of_bands(monkeypatch, limit, builds):
                 hull = next(hulls)
             assert g is hull and hull.r1 <= r1 <= r2 <= hull.r2
     assert next(hulls, None) is None
+
+
+def test_sweep_measures_each_band_once_and_each_hull_graph_once_more(monkeypatch):
+    # verify_bands measures each distinct band once, and a hull only when it is none of the bands; then
+    # oracle_spectra checks each hull graph it is handed, and build_graph caps its vertices.  Every hull of
+    # the sweep is one of its bands: 111 + 11 cell counts and 111 + 2 * 11 vertex counts
+    calls, built = collections.Counter(), []
+    for name in ("oracle_cells", "band_vertices"):
+        measure = getattr(hm, name)
+        monkeypatch.setattr(hm, name, lambda *band, name=name, measure=measure: calls.update([name]) or measure(*band))
+    build_graph = sp.build_graph
+    monkeypatch.setattr(sp, "build_graph", lambda *a, **kw: built.append(build_graph(*a, **kw)) or built[-1])
+    sp.verify_bands(SWEEP)
+    assert (len(SWEEP), len(built)) == (111, 11)
+    assert calls["oracle_cells"] <= len(SWEEP) + len(built) == 122
+    assert calls["band_vertices"] <= len(SWEEP) + 2 * len(built) == 133
+    # a repeated band, and a hull over the vertex budget met twice, are each measured once: 2 bands and
+    # 1 hull, then 3 graphs
+    calls.clear()
+    monkeypatch.setattr(hm, "ORACLE_VERTEX_BUDGET", 2000)
+    assert all(r.passed for r in sp.verify_bands([(12, 0, 5), (12, 6, 6), (12, 0, 5)]))
+    assert calls == {"oracle_cells": 2 + 1 + 3, "band_vertices": 2 + 1 + 3 + 3}
 
 
 def _bits(oracle):
