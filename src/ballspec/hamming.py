@@ -377,13 +377,18 @@ def _submask_rank(sets: np.ndarray, subs: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _rank_in_group(groups: np.ndarray) -> np.ndarray:
-    """Position of each entry among the entries of the same group, in array order."""
+def _group_order(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, rank): the entries by group, in array order within one, and each one's place in its group."""
     order = np.argsort(groups, kind="stable")
     rank = np.empty(len(groups), dtype=np.int64)
     rank[order] = np.arange(len(groups))
     sizes = np.bincount(groups)
-    return rank - (np.cumsum(sizes) - sizes)[groups]
+    return order, rank - (np.cumsum(sizes) - sizes)[groups]
+
+
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices starts[i] .. starts[i] + lengths[i] - 1 of every segment i, in order."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
 
 def _keys(graph: np.ndarray, values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -446,8 +451,9 @@ def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     seen: dict[bytes, int] = {}
     unique, group = [], []
-    for i, block in enumerate(blocks):
-        key = block.tobytes()
+    data, size = blocks.tobytes(), blocks[0].nbytes  # one copy of the bytes, cut block by block
+    for i in range(len(blocks)):
+        key = data[i * size : (i + 1) * size]
         if key not in seen:
             seen[key] = len(unique)
             unique.append(i)
@@ -517,7 +523,7 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     pair_odd = orbit_odd[pair_orbit]
     # each pair's row (even orbit) or column (odd orbit) in its block: the pairs come in orbit
     # order, so that is its rank among the pairs of its block and side
-    pair_local = _rank_in_group(pair_block * 2 + pair_odd)
+    by_side, pair_local = _group_order(pair_block * 2 + pair_odd)
     graph_cols = np.bincount(pair_block[pair_odd], minlength=len(chars))
     graph_cells = np.bincount(pair_block[~pair_odd], minlength=len(chars)) * graph_cols
     # the blocks lie row by row in one array: where the row of each even pair starts
@@ -543,26 +549,30 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     graph_flat = np.bincount(cell, weights=weight, minlength=int(graph_cells.sum()))
     del cell, weight  # the blocks hold all they said
 
-    # each band's pairs, in orbit order: those of its graph's orbits of weight r1..r2
-    pair_ones, pair_graph = ones[member][pair_orbit], orbit_graph[pair_orbit]
-    in_band = [np.flatnonzero((pair_graph == graphs.index(g)) & (pair_ones >= r1) & (pair_ones <= r2))
-               for g, r1, r2 in bands]
-    vertices = [len(at) for at in in_band]
-    pairs = np.concatenate(in_band)
-    band = np.repeat(np.arange(len(bands)), vertices)
+    # each band's pairs, all bands in one pass with no sort: its graph's pairs by block and side, in orbit
+    # order (``by_side``), kept where their weight is in r1..r2; so a band's blocks come out whole, rows first
+    which = {g: i for i, g in enumerate(graphs)}
+    band_graph, lo, hi = (np.array(x) for x in zip(*[(which[g], r1, r2) for g, r1, r2 in bands]))
+    graph_pairs = np.bincount(orbit_graph[pair_orbit], minlength=len(graphs))
+    size = graph_pairs[band_graph]
+    pairs = by_side[_segments((np.cumsum(graph_pairs) - graph_pairs)[band_graph], size)]
+    pair_ones, band = ones[member][pair_orbit][pairs], np.repeat(np.arange(len(bands)), size)
+    keep = (pair_ones >= np.repeat(lo, size)) & (pair_ones <= np.repeat(hi, size))
+    pairs, band = pairs[keep], band[keep]
+    del pair_ones, keep
+    vertices = np.bincount(band, minlength=len(bands)).tolist()
     # the band's blocks: one per (band, character of its pairs)
-    blocks, pair_slot = np.unique(band * len(chars) + pair_block[pairs], return_inverse=True)
+    key = band * len(chars) + pair_block[pairs]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    block = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(key)]))
     odd = pair_odd[pairs]
-    rows = np.bincount(pair_slot[~odd], minlength=len(blocks))
-    cols = np.bincount(pair_slot[odd], minlength=len(blocks))
+    rows = np.bincount(block[~odd], minlength=len(first))
+    cols = np.bincount(block[odd], minlength=len(first))
     by_shape = np.lexsort((cols, rows))  # blocks of one shape are adjacent
-    slot = np.empty(len(blocks), dtype=np.int64)
-    slot[by_shape] = np.arange(len(blocks))
-    rows, cols = rows[by_shape], cols[by_shape]
-    block_band = (blocks // len(chars))[by_shape]
-    pair_slot = slot[pair_slot]
+    rows, cols, first = rows[by_shape], cols[by_shape], first[by_shape]
+    block_band = band[first]
     # a band block's rows and columns, in order, are its pairs of each side, block by block
-    by_block = pairs[np.argsort(odd * len(blocks) + pair_slot, kind="stable")]
+    by_block = pairs[_segments(np.r_[first, first + rows], np.r_[rows, cols])]
     row_cell, col_cell = row_start[by_block[: rows.sum()]], pair_local[by_block[rows.sum() :]]
     return graph_flat, rows, cols, row_cell, col_cell, block_band, vertices
 
@@ -643,14 +653,12 @@ def oracle_spectra(
                 f"band [{r1}, {r2}] outside the graph's band [{g.r1}, {g.r2}]"
             )
     graph_flat, rows, cols, row_cell, col_cell, block_band, vertices = _band_blocks(graphs, bands)
-    row_first, col_first = np.cumsum(rows) - rows, np.cumsum(cols) - cols
-
+    row_first, col_first = (np.cumsum(rows) - rows).tolist(), (np.cumsum(cols) - cols).tolist()
     shape_change = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(rows)]
     values, residual, frobenius = [], np.zeros(len(rows)), np.zeros(len(rows))  # of each block
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        count, r, c = stop - start, int(rows[start]), int(cols[start])
-        d, k = r + c, min(r, c)
+    for start, stop, r, c in zip(bounds[:-1], bounds[1:], rows[bounds[:-1]].tolist(), cols[bounds[:-1]].tolist()):
+        count, d, k = stop - start, r + c, min(r, c)
         if k == 0:
             values.append(np.zeros(count * d))
             continue

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, partial
+from math import inf, nextafter
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -220,7 +222,7 @@ def _table(n: int, r1: int, r2: int, blocks: dict) -> SpectrumTable:
     max(t, r1) - t .. r2 - t of the Jacobi matrix over n - 2t, so it, its keys and its Krawtchouk
     cross-check (first row 0) depend only on (n - 2t, max(t, r1) - t, r2 - t)."""
     check_band(n, r1, r2)
-    placed, proven = [], {}  # the lines of values without keys; the values of each key
+    placed, proven = [], {}  # (value, *_Placed) of each line of a value without a key; the values of each key
     for t in range(r2 + 1):
         block = (n - 2 * t, max(t, r1) - t, r2 - t)
         if block not in blocks:
@@ -234,20 +236,21 @@ def _table(n: int, r1: int, r2: int, blocks: dict) -> SpectrumTable:
             if key:
                 proven.setdefault(key, []).append((v, t, rad, weight))
             else:
-                placed.append(_Placed(SpectrumLine(v, weight, (t,)), math.nextafter(v - rad, -math.inf),
-                                      math.nextafter(v + rad, math.inf), None, couplings, i))
+                placed.append((v, SpectrumLine(v, weight, (t,)), nextafter(v - rad, -inf), nextafter(v + rad, inf),
+                               None, couplings, i))
     for key, group in proven.items():
         group.sort()  # the mean is summed in (value, t) order
-        line = SpectrumLine(sum(v for v, *_ in group) / len(group), sum(w for *_, w in group),
-                            tuple(sorted(t for _, t, *_ in group)))
-        lo = math.nextafter(min(v - rad for v, _, rad, _ in group), -math.inf)
-        hi = math.nextafter(max(v + rad for v, _, rad, _ in group), math.inf)
-        placed.append(_Placed(line, lo, hi, key, (), 0))
+        values, ts, radii, weights = zip(*group)
+        line = SpectrumLine(sum(values) / len(values), sum(weights), tuple(sorted(ts)))
+        lo, hi = nextafter(min(map(sub, values, radii)), -inf), nextafter(max(map(add, values, radii)), inf)
+        placed.append((line.value, line, lo, hi, key, (), 0))
     # float order, then exact order where hulls meet: timsort compares a sorted line only with neighbours
-    placed.sort(key=lambda p: p.line.value)
-    if any(a.hi >= b.lo for a, b in zip(placed, placed[1:])):
-        placed.sort(key=cmp_to_key(partial(_compare, (n, r1, r2))))
-    lines = [p.line for p in placed]
+    placed.sort(key=itemgetter(0))
+    if any(a[3] >= b[2] for a, b in zip(placed, placed[1:])):
+        placed = sorted((_Placed(*p[1:]) for p in placed), key=cmp_to_key(partial(_compare, (n, r1, r2))))
+        lines = [p.line for p in placed]
+    else:
+        lines = [p[1] for p in placed]
     total_dim = sum(binom_int(n, i) for i in range(r1, r2 + 1))
     if sum(line.multiplicity for line in lines) != total_dim:
         raise ArithmeticError(
@@ -362,7 +365,8 @@ def verify_bands(
     consecutive bands of one n form a run while the run's hull, the band of
     their least r1 to their greatest r2, is one of the bands or passes
     ``check_budget``, checked once; each run builds one graph, its hull, and
-    the oracle cuts each band's blocks out of the hull's.
+    the oracle cuts each band's blocks out of the hull's.  A batch's predicted
+    and oracle values are paired and compared in one pass.
     """
     check_tol(tol)
     sizes: dict[tuple, int | None] = {band: check_budget(*band, dense_limit) for band in dict.fromkeys(cases)}
@@ -396,11 +400,16 @@ def verify_bands(
             hull = build_graph(n, lo, hi)
             bands += [(hull, t) for t in run]
         oracles = oracle_spectra([(g, t.r1, t.r2) for g, t in bands], dense_limit=dense_limit)
+        # the batch's predicted and oracle values, paired in one pass; a band of the wrong size is off by inf
+        fit = [(t, o.eigenvalues) for (_, t), o in zip(bands, oracles) if len(o.eigenvalues) == t.total_dim]
+        lines = [line for t, _ in fit for line in t.lines]
+        gaps = np.abs(np.concatenate([[], *(w for _, w in fit)])
+                      - np.repeat([line.value for line in lines], [line.multiplicity for line in lines]))
+        starts = np.cumsum([0, *(t.total_dim for t, _ in fit)])[:-1]
+        worst = iter(np.maximum.reduceat(gaps, starts).tolist() if fit else [])
         for (_, t), oracle in zip(bands, oracles):
-            w, predicted = oracle.eigenvalues, t.expanded()
-            gaps = np.abs(w - predicted) if len(w) == len(predicted) else np.full(1, math.inf)
-            ok = bool(np.all(gaps <= tol))
-            reports.append(VerifyReport(t.n, t.r1, t.r2, len(w), float(gaps.max()), ok,
+            deviation = next(worst) if len(oracle.eigenvalues) == t.total_dim else inf
+            reports.append(VerifyReport(t.n, t.r1, t.r2, len(oracle.eigenvalues), deviation, deviation <= tol,
                                         oracle.residual_bound, oracle.tolerance))
         del bands, hull  # before the next batch's graphs are built
     return reports

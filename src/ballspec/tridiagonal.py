@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import add
 
 import numpy as np
 
@@ -109,12 +110,16 @@ def _pivot_floor(off_sq: Sequence[float] | np.ndarray) -> float:
 def _gershgorin(off_sq: Sequence[float] | np.ndarray, d: float) -> tuple[float, float]:
     """d -+ the largest row spread, padded; rounding is monotone, so the extreme rows' bits.
 
-    A float64 array of the couplings is used as it is; a list is converted first.
+    A float64 array of the couplings is used as it is; a list is summed in floats, with the same bits.
     """
-    off = np.sqrt(np.asarray(off_sq, dtype=float))
-    spread = np.append(off, 0.0)  # row i: off[i] + off[i - 1], one term at either end
-    spread[1:] += off
-    widest = float(spread.max())
+    if isinstance(off_sq, np.ndarray):
+        off = np.sqrt(off_sq)
+        spread = np.append(off, 0.0)  # row i: off[i] + off[i - 1], one term at either end
+        spread[1:] += off
+        widest = float(spread.max())
+    else:
+        off = [math.sqrt(e2) for e2 in off_sq]
+        widest = max(map(add, [0.0, *off], [*off, 0.0]))
     lo, hi = d - widest, d + widest
     pad = 1e-10 * max(1.0, abs(lo), abs(hi))
     return lo - pad, hi + pad

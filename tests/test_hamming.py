@@ -601,6 +601,40 @@ def test_oracle_rejects_a_graph_with_a_mask_dropped():
         hm.oracle_spectra([(g, g.r1, g.r2) for g in [cached_graph(4, 0, 2), dropped]])
 
 
+def without_edge(g, a, b):
+    """The graph with the edge between masks a and b taken out, both ways."""
+    masks = g.masks.tolist()
+    u, v = masks.index(a), masks.index(b)
+    lists = [[w for w in nbrs if {x, w} != {u, v}] for x, nbrs in enumerate(neighbour_lists(g))]
+    return with_neighbour_lists(g, lists, g.edge_count - 1)
+
+
+def test_oracle_rejects_a_graph_in_the_vertex_order_with_one_edge_taken_out():
+    # the swap of coordinates 0 and 1 maps {0b000001, 0b000011} onto {0b000010, 0b000011}, which stays
+    broken = without_edge(cached_graph(6, 0, 3), 0b000001, 0b000011)
+    batch = [cached_graph(5, 0, 2), broken, cached_graph(4, 0, 2)]
+    with pytest.raises(InvalidParameterError, match=r"^the graph \(6,0,3\) is not invariant under the swap of "
+                       r"coordinates 0 and 1$"):
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in batch])
+
+
+def test_oracle_names_the_graph_that_breaks_the_first_swap_when_two_graphs_are_at_fault():
+    # (6, 0, 3) without {0b000100, 0b001100} keeps the swap of coordinates 0 and 1 and breaks that of 2 and
+    # 3; the lopsided (4, 0, 2) breaks the swap of 0 and 1, so it is named though it comes later
+    first = without_edge(cached_graph(6, 0, 3), 0b000100, 0b001100)
+    swap = r"is not invariant under the swap of coordinates"
+    with pytest.raises(InvalidParameterError, match=rf"\(6,0,3\) {swap} 2 and 3$"):
+        hm.oracle_spectra([(first, 0, 3)])
+    g = cached_graph(4, 0, 2)
+    hub = g.masks.tolist().index(0b0001)
+    lopsided = with_neighbour_lists(
+        g, [nbrs if u == hub else [v for v in nbrs if v == hub] for u, nbrs in enumerate(neighbour_lists(g))], 4
+    )
+    batch = [cached_graph(5, 0, 2), first, cached_graph(7, 1, 3), lopsided]
+    with pytest.raises(InvalidParameterError, match=rf"\(4,0,2\) {swap} 0 and 1$"):
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in batch])
+
+
 def test_blocks_one_ulp_apart_are_both_factored():
     rng = np.random.default_rng(3)
     block = rng.standard_normal((2, 3))

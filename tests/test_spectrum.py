@@ -443,6 +443,15 @@ def test_sweep_oracle_keeps_its_bits(monkeypatch):
     assert digest.hexdigest() == "8acdab14ff5beece69906c1ab30082529f44643246006ae72893b0d53b6a4ce4"
 
 
+def test_the_batched_sweep_reports_each_band_as_its_own_verify_does():
+    # verify_bands pairs a whole batch's values in one pass; each band alone takes the one-band path
+    for got in sp.verify_bands(SWEEP):
+        alone = sp.verify_against_oracle(got.n, got.r1, got.r2)
+        assert got.max_deviation.hex() == alone.max_deviation.hex(), got
+        assert got.oracle_residual.hex() == alone.oracle_residual.hex(), got
+        assert (got.passed, got.vertex_count) == (alone.passed, alone.vertex_count), got
+
+
 @pytest.mark.parametrize("limit,builds", [(5000, 14), (1024, 32)])
 def test_sweep_builds_one_graph_per_run_of_bands(monkeypatch, limit, builds):
     # measured: 14 and 32 graphs for the 111 bands, one per run of consecutive bands of one n within a
