@@ -64,7 +64,11 @@ def modls_bound(n: int, log2_s: float) -> float:
         raise InvalidParameterError(f"dimension must be positive, got {n}")
     if not 0.0 <= log2_s <= n:
         raise InvalidParameterError(f"need 0 <= log2_s <= n, got {log2_s}")
-    u = entropy_inv(log2_s / n)
+    return _modls(n, entropy_inv(log2_s / n))
+
+
+def _modls(n: int, u: float) -> float:
+    """``modls_bound`` at u = entropy_inv(log2_s / n), inverted by the caller."""
     return n * (1.0 - 2.0 * math.sqrt(u * (1.0 - u)))
 
 
@@ -116,7 +120,7 @@ def ball_bound(n: int, log2_s: float) -> BoundsReport:
         t=t,
         lambda_lower=lambda_lower,
         delta_upper=delta_upper,
-        modls_lower=modls_bound(n, log2_s),
+        modls_lower=_modls(n, u),  # the same bits as modls_bound, whose u this is
         subcube_delta=n - log2_s,
         log_lower=(n - log2_s) * LN2,
     )

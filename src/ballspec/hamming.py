@@ -7,10 +7,10 @@ bipartite block layout [[0, C], [C^T, 0]] for the incidence matrix C.
 
 The graph is stored as read-only numpy arrays: the uint64 masks, and the
 adjacency in CSR form (``indptr``, ``indices``, each row ascending).
-``build_graph`` makes each sphere's masks in ascending order, and the
+``build_graphs`` makes each sphere's masks in ascending order, and the
 indices of each mask's neighbours in the adjacent spheres, by one recurrence
-on the bit count, with no search; its peak is about 1.5 times the
-result.
+on the bit count, with no search; a list of bands shares the recurrence of
+the widest, and its peak is about 1.5 times that band's graph.
 
 Every edge joins weights of opposite parity, so every band graph is
 bipartite, and every permutation of the coordinates maps it onto itself.
@@ -22,8 +22,8 @@ per block shape (stacked) over the distinct blocks of that shape, byte for
 byte, and the adjacency eigenvalues are +-sigma for each singular value of
 B_S plus abs(rows - columns) structural zeros per block (Jordan-Wielandt).
 It never holds the V x V adjacency or the whole even x odd biadjacency,
-only the blocks, whose cells ``oracle_cells`` counts in closed form; its
-default budget is in those cells.
+only the blocks, whose cells ``oracle_cells`` counts in closed form from a
+table of n (one per n for a caller that shares it); its budget is in cells.
 ``oracle_spectra`` does all of this in one pass for a list of bands, each a
 weight range r1..r2 of a built graph: it builds each graph's blocks once,
 with orbits and characters keyed per graph, and cuts each band's blocks out
@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -143,7 +144,15 @@ def band_vertices(n: int, r1: int, r2: int) -> int:
     return sum(math.comb(n, i) for i in range(r1, r2 + 1))
 
 
-def oracle_cells(n: int, r1: int, r2: int) -> int:
+def _trinomials(n: int) -> list[list[int]]:
+    """``oracle_cells``' table of n: (1 + z + z^2)^(p - s) (1 + z)^(n % 2) for s = p down to 0, p = n // 2."""
+    free = [[1, 1] if n % 2 else [1]]
+    for _ in range(n // 2):
+        free.append([a + b + c for a, b, c in zip([*free[-1], 0, 0], [0, *free[-1], 0], [0, 0, *free[-1]])])
+    return free
+
+
+def oracle_cells(n: int, r1: int, r2: int, _tables: dict | None = None) -> int:
     """The cells sum_S rows_S * cols_S of the oracle's blocks B_S of the band [r1, r2], in closed form.
 
     An orbit of the coordinate swaps (``oracle_spectra``) is a state of each
@@ -153,35 +162,34 @@ def oracle_cells(n: int, r1: int, r2: int) -> int:
     pairs mixed and the rest free, so their weights are the powers of z in
     z^s (1 + z + z^2)^(p - s) (1 + z)^(n % 2).  B_S has E_s rows, those of
     even weight in [r1, r2], and O_s columns, those of odd weight there; and
-    C(p, s) sets S have s pairs.
+    C(p, s) sets S have s pairs.  Those polynomials depend on n alone
+    (``_trinomials``): the private ``_tables`` keeps them per n for one caller.
     """
-    p = n // 2
-    free = [1, 1] if n % 2 else [1]  # (1 + z + z^2)^(p - s) (1 + z)^(n % 2), from s = p down
-    cells = 0
-    for s in range(p, -1, -1):
+    tables = {} if _tables is None else _tables
+    p, cells = n // 2, 0
+    for s, free in zip(range(p, -1, -1), tables.get(n) or tables.setdefault(n, _trinomials(n))):
         side = [0, 0]  # E_s, O_s
         for w in range(max(r1, s), min(r2, s + len(free) - 1) + 1):
             side[w % 2] += free[w - s]
         cells += math.comb(p, s) * side[0] * side[1]
-        free = [a + b + c for a, b, c in zip([*free, 0, 0], [0, *free, 0], [0, 0, *free])]
     return cells
 
 
-def check_budget(n: int, r1: int, r2: int, max_vertices: int | None = None) -> int:
+def check_budget(n: int, r1: int, r2: int, max_vertices: int | None = None, _tables: dict | None = None) -> int:
     """The oracle cells of the valid weight band [r1, r2], or given ``max_vertices``, its vertices.
 
     Raise InvalidParameterError on a band out of range, and
     BudgetExceededError on one over ORACLE_CELL_BUDGET cells of its blocks
-    (``oracle_cells``) then ORACLE_VERTEX_BUDGET vertices, or given
-    ``max_vertices``, over that many vertices.  No other code measures a
-    band against a budget.
+    (``oracle_cells``, sharing its private ``_tables``) then
+    ORACLE_VERTEX_BUDGET vertices, or given ``max_vertices``, over that many
+    vertices.  No other code measures a band against a budget.
     """
     if n < 0 or n > MAX_DIMENSION:
         raise InvalidParameterError(f"dimension must be in [0, {MAX_DIMENSION}], got {n}")
     check_band(n, r1, r2)
     cells = None
     if max_vertices is None:
-        cells = oracle_cells(n, r1, r2)
+        cells = oracle_cells(n, r1, r2, _tables)
         if cells > ORACLE_CELL_BUDGET:
             raise BudgetExceededError(f"band ({n},{r1},{r2}) has {cells} oracle cells, "
                                       f"budget {ORACLE_CELL_BUDGET}")
@@ -241,52 +249,56 @@ def _sphere_tables(n: int, r1: int, r2: int) -> tuple[list, list, list]:
     return masks, below, above
 
 
-def build_graph(
-    n: int, r1: int, r2: int, max_vertices: int = DEFAULT_GRAPH_LIMIT
-) -> InducedGraph:
-    """Build the induced subgraph on the weight band [r1, r2].
+def build_graph(n: int, r1: int, r2: int, max_vertices: int = DEFAULT_GRAPH_LIMIT) -> InducedGraph:
+    """Build the induced subgraph on the weight band [r1, r2]: ``build_graphs`` of this band alone."""
+    return build_graphs([(n, r1, r2)], max_vertices)[0]
 
-    ``indptr`` follows from the sphere sizes (``_layout``).  The masks and
-    the neighbours' indices within the adjacent spheres come from one
-    recursion over the bit count (``_sphere_tables``), with no search; a
-    row of sphere i is its D row then its U row, each shifted by the first
-    index of its sphere.  The sphere below comes first in the vertex order,
-    so every row ascends without a sort.
+
+def build_graphs(bands: list[tuple[int, int, int]], max_vertices: int = DEFAULT_GRAPH_LIMIT) -> list[InducedGraph]:
+    """The induced subgraph of each band ``(n, r1, r2)``, in order, each band checked first (``check_budget``).
+
+    ``indptr`` follows from the sphere sizes (``_graph``), and the masks and
+    the neighbours' indices within the adjacent spheres from one recursion
+    over the bit count (``_sphere_tables``), with no search; a row of sphere
+    i is its D row then its U row, each shifted by the first index of its
+    sphere, which is below, so every row ascends without a sort.  The
+    recursion runs once, for the widest band (greatest n, then most
+    weights).  A band within its weights is cut from its tables: the masks
+    of fewer bits come first in M(w), so the band takes the first C(n, w)
+    rows of M(w), D(w) and U(w), and the first n - w entries of a U row, as
+    U lists the clear bits lowest first.  Any other band recurses alone.
     """
-    check_budget(n, r1, r2, max_vertices)
-    masks, below, above = _sphere_tables(n, r1, r2)
-    sizes = [len(masks[i]) for i in range(r1, r2 + 1)]
-    sphere_start, indptr = _layout(n, r1, r2, sizes)
+    for band in bands:
+        check_budget(*band, max_vertices)
+    widest = max(bands, key=lambda band: (band[0], band[2] - band[1]), default=None)
+    shared = _sphere_tables(*widest) if bands else None
+    return [_graph(n, r1, r2, *(shared if widest[1] <= r1 and r2 <= widest[2] else _sphere_tables(n, r1, r2)))
+            for n, r1, r2 in bands]
+
+
+def _graph(n: int, r1: int, r2: int, masks: list, below: list, above: list) -> InducedGraph:
+    """The graph of the band [r1, r2] of {0,1}^n, cut from ``_sphere_tables`` of n or more bits and these weights.
+
+    Every vertex of sphere i has i neighbours below (if i > r1) and n - i
+    above (if i < r2).  The arrays are made read-only, and the edge count
+    comes from the sphere sizes.
+    """
+    sizes = [math.comb(n, i) for i in range(r1, r2 + 1)]
+    starts = np.cumsum([0] + sizes).tolist()
+    sphere_start = dict(zip(range(r1, r2 + 1), starts))
+    degrees = [(i if i > r1 else 0) + (n - i if i < r2 else 0) for i in range(r1, r2 + 1)]
+    indptr = np.zeros(starts[-1] + 1, dtype=np.int64)
+    np.cumsum(np.repeat(degrees, sizes), out=indptr[1:])
     indices = np.empty(int(indptr[-1]), dtype=np.int64)
     for i, size in zip(range(r1, r2 + 1), sizes):
         down = i if i > r1 else 0
         first = sphere_start[i]
         rows = indices[indptr[first] : indptr[first + size]].reshape(size, -1)
         if down:
-            np.add(below[i], sphere_start[i - 1], out=rows[:, :down])
+            np.add(below[i][:size], sphere_start[i - 1], out=rows[:, :down])
         if i < r2:
-            np.add(above[i], sphere_start[i + 1], out=rows[:, down:])
-    return _frozen(n, r1, r2, np.concatenate(masks[r1 : r2 + 1]), indptr, indices, sphere_start)
-
-
-def _layout(n: int, r1: int, r2: int, sizes: list[int]) -> tuple[dict[int, int], np.ndarray]:
-    """Sphere starts and CSR row pointers of the band [r1, r2] with these sphere sizes.
-
-    Every vertex of sphere i has i neighbours below (if i > r1) and n - i
-    above (if i < r2).
-    """
-    starts = np.cumsum([0] + sizes).tolist()
-    degrees = [(i if i > r1 else 0) + (n - i if i < r2 else 0) for i in range(r1, r2 + 1)]
-    indptr = np.zeros(starts[-1] + 1, dtype=np.int64)
-    np.cumsum(np.repeat(degrees, sizes), out=indptr[1:])
-    return dict(zip(range(r1, r2 + 1), starts)), indptr
-
-
-def _frozen(
-    n: int, r1: int, r2: int, masks: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
-    sphere_start: dict[int, int],
-) -> InducedGraph:
-    """The graph of these arrays, made read-only, with its edge count from the sphere sizes."""
+            np.add(above[i][:size, : n - i], sphere_start[i + 1], out=rows[:, down:])
+    masks = np.concatenate([masks[i][:size] for i, size in zip(range(r1, r2 + 1), sizes)])
     for array in (masks, indptr, indices):
         array.setflags(write=False)
     edge_count = sum(math.comb(n, i) * i for i in range(r1 + 1, r2 + 1))
@@ -464,21 +476,21 @@ def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _residual(b: np.ndarray, u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
     """Per block of the stack b = u diag(s) vt, the largest of |B v_i - s_i u_i| and |B^T u_i - s_i v_i|.
 
-    Each difference is formed, squared and summed in place, one at a time,
-    and vt is scaled by s in place, so one difference-sized array is alive
-    at a time; the bits are those of ``np.linalg.norm`` of the plain
-    expressions.
+    Each difference is formed and squared in place, one at a time, and vt
+    is scaled by s in place, so one difference-sized array is alive at a
+    time; the root is taken of each block's largest sum alone, and the bits
+    are those of ``np.linalg.norm`` of the plain expressions.
     """
     x = b @ vt.transpose(0, 2, 1)
     x -= u * s[:, None, :]
     x *= x
-    left = np.sqrt(x.sum(axis=1)).max(axis=1)
+    left = x.sum(axis=1)
     del x
     x = b.transpose(0, 2, 1) @ u
     vt *= s[:, :, None]
     x -= vt.transpose(0, 2, 1)
     x *= x
-    return np.maximum(left, np.sqrt(x.sum(axis=1)).max(axis=1))
+    return np.sqrt(np.maximum(left, x.sum(axis=1)).max(axis=1))
 
 
 def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int, int]]):
@@ -583,7 +595,7 @@ def oracle_spectrum(g: InducedGraph, dense_limit: int | None = None) -> OracleSp
 
 
 def oracle_spectra(
-    bands: list[tuple[InducedGraph, int, int]], dense_limit: int | None = None
+    bands: list[tuple[InducedGraph, int, int]], dense_limit: int | None = None, _tables: dict | None = None
 ) -> list[OracleSpectrum]:
     """The oracle spectrum of each band ``(g, r1, r2)``, the weights r1..r2 of a built graph g.
 
@@ -605,10 +617,11 @@ def oracle_spectra(
 
     An empty list gives an empty list.  Each graph is checked against the
     budget before anything is built (``check_budget``: its block cells and
-    vertices, or given ``dense_limit`` its vertices), as a caller may hand
-    in any graph.  The distinct graphs are one disjoint union, each vertex
-    with its own graph's pairs; orbits and characters are keyed by graph,
-    and each graph's blocks are built once.  The swaps keep weights, so a
+    vertices, or given ``dense_limit`` its vertices, with the private
+    ``_tables`` of ``oracle_cells``), as a caller may hand in any graph.
+    The distinct graphs are one disjoint union, each vertex with its own
+    graph's pairs; orbits and characters are keyed by graph, and each
+    graph's blocks are built once.  The swaps keep weights, so a
     band's B_S is its graph's cut to the orbits of weight r1..r2, in orbit
     order: a cell sums the same edges in the same order as in the band's own
     graph, so the cut block has the bytes of the block of ``build_graph(n, r1, r2)``.
@@ -622,15 +635,15 @@ def oracle_spectra(
 
     Each B_S = U diag(s) V^T gives the eigenvalues +-s_i and abs(rows -
     columns) zeros; the blocks of one shape, over all bands, share one
-    stacked thin SVD.  Blocks whose float64 entries are byte-for-byte equal
-    are factored once (``_distinct``), and the first of each set stands for
-    all: LAPACK factors each matrix of a stack on its own, so every block
-    keeps the bits of its own factorization.  The SVD, the residual products
-    and the Frobenius sums run on the distinct blocks only; at (12, 0, 6),
-    6 of 63.  The residual bound is the largest of |B v_i - s_i u_i| and
-    |B^T u_i - s_i v_i| over every block's singular triplets; the basis is
-    orthonormal, so it bounds the residual of each eigenpair
-    (+-s_i, [u_i; +-v_i]/sqrt(2)) of A they give.  The documented tolerance
+    stacked thin SVD.  Blocks of a stack whose float64 entries are
+    byte-for-byte equal are factored once (``_distinct``; a stack of one
+    block skips it), and the first of each set stands for all: LAPACK
+    factors each matrix of a stack on its own, so every block keeps the bits
+    of its own factorization.  The SVD and the residual products run on the
+    distinct blocks only; at (12, 0, 6), 6 of 63.  The residual bound is the
+    largest of |B v_i - s_i u_i| and |B^T u_i - s_i v_i| over every block's
+    singular triplets; the basis is orthonormal, so it bounds the residual
+    of each eigenpair (+-s_i, [u_i; +-v_i]/sqrt(2)) of A they give.  The documented tolerance
     is 1e-10 times the band's vertex count; a residual above it is an
     internal error.
 
@@ -638,15 +651,16 @@ def oracle_spectra(
     map its edge set onto itself (else InvalidParameterError, naming the
     graph; the images are found from the module's vertex order,
     ``_check_swap_invariance``), and the squared Frobenius norms of a band's
-    B_S must add up to its edge count, half of tr A^2, to within 1e-12 times
-    that count (else ArithmeticError); the count is its graph's
-    ``edge_count`` less the edges cut away, from the sphere sizes.
+    B_S, half the sum of the squares of the eigenvalues it returns, must add
+    up to its edge count, half of tr A^2, to within 1e-12 times that count
+    (else ArithmeticError); the count is its graph's ``edge_count`` less the
+    edges cut away, from the sphere sizes.
     """
     if not bands:
         return []
     graphs = list(dict.fromkeys(g for g, _, _ in bands))  # each graph once, in order of first use
     for g in graphs:
-        check_budget(g.n, g.r1, g.r2, dense_limit)
+        check_budget(g.n, g.r1, g.r2, dense_limit, _tables)
     for g, r1, r2 in bands:
         if not g.r1 <= r1 <= r2 <= g.r2:
             raise InvalidParameterError(
@@ -656,41 +670,47 @@ def oracle_spectra(
     row_first, col_first = (np.cumsum(rows) - rows).tolist(), (np.cumsum(cols) - cols).tolist()
     shape_change = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(rows)]
-    values, residual, frobenius = [], np.zeros(len(rows)), np.zeros(len(rows))  # of each block
+    sizes = rows + cols
+    value_first = (np.cumsum(sizes) - sizes).tolist()
+    w = np.zeros(int(sizes.sum()))  # the values, block by block: -s, the structural zeros, then s
+    residual = np.zeros(len(rows))  # of each block
     for start, stop, r, c in zip(bounds[:-1], bounds[1:], rows[bounds[:-1]].tolist(), cols[bounds[:-1]].tolist()):
-        count, d, k = stop - start, r + c, min(r, c)
+        count, k = stop - start, min(r, c)
         if k == 0:
-            values.append(np.zeros(count * d))
             continue
         # cut from the graph's blocks: cell (i, j) of a band's block is its graph's at row i, column j
         at_row = row_cell[row_first[start] : row_first[start] + count * r].reshape(count, r, 1)
         at_col = col_cell[col_first[start] : col_first[start] + count * c].reshape(count, 1, c)
-        b = graph_flat[at_row + at_col]
+        b = graph_flat.take(at_row + at_col)
         # byte-equal blocks share one factorization: LAPACK factors each matrix of a stack on its own
-        unique, group = _distinct(b)
-        if len(unique) < count:
-            b = b[unique]
-        frobenius[start:stop] = np.einsum("kij,kij->k", b, b)[group]
+        group = slice(None)  # a lone block stands for itself
+        if count > 1:
+            unique, group = _distinct(b)
+            if len(unique) < count:
+                b = b[unique]
         u, s, vt = np.linalg.svd(b, full_matrices=False)
         residual[start:stop] = _residual(b, u, s, vt)[group]
         s = s[group]
-        values.append(np.concatenate([-s, np.zeros((count, d - 2 * k)), s], axis=1).ravel())
-    frobenius = np.bincount(block_band, weights=frobenius, minlength=len(bands))  # in block order
+        at = w[value_first[start] : value_first[start] + count * (r + c)].reshape(count, r + c)
+        np.negative(s, out=at[:, :k])
+        at[:, r + c - k :] = s
     largest = np.zeros(len(bands))
     np.maximum.at(largest, block_band, residual)
-    checked = [(bound, 1e-10 * max(1, size)) for bound, size in zip(largest.tolist(), vertices)]
-    for (g, r1, r2), norm, (bound, limit) in zip(bands, frobenius.tolist(), checked):
-        cut = [*range(g.r1 + 1, r1 + 1), *range(r2 + 1, g.r2 + 1)]  # upper weights of the edges cut away
-        edges = g.edge_count - sum(math.comb(g.n, i) * i for i in cut)
-        if abs(norm - edges) > 1e-12 * edges:
-            raise ArithmeticError(
-                f"internal-error: block norms add up to {norm!r}, not {edges} edges"
-            )
+    # each band's values, its blocks' in block order, band after band, then sorted in place
+    by_band = np.argsort(block_band, kind="stable")
+    w = w[_segments(np.array(value_first)[by_band], sizes[by_band])]
+    ends = np.cumsum([0, *vertices]).tolist()
+    norms = np.add.reduceat(w * w, ends[:-1]) / 2  # half the sum of lambda^2: sum_S |B_S|_F^2
+    # upto[g][j]: the edges of g's weights g.r1 .. g.r1 + j, so a band's cut-away edges are two differences
+    upto = {g: [0, *accumulate(math.comb(g.n, i) * i for i in range(g.r1 + 1, g.r2 + 1))] for g in graphs}
+    spectra = []
+    for (g, r1, r2), first, end, norm, bound in zip(bands, ends, ends[1:], norms.tolist(), largest.tolist()):
+        edges = g.edge_count - upto[g][r1 - g.r1] - upto[g][-1] + upto[g][r2 - g.r1]
+        limit = 1e-10 * max(1, end - first)
         if bound > limit:
-            raise ArithmeticError(
-                f"internal-error: oracle residual {bound:.3e} above tolerance {limit:.3e}"
-            )
-    w = np.concatenate(values)
-    # the places of each band's values in w, which lists them block by block
-    own = np.split(np.argsort(np.repeat(block_band, rows + cols), kind="stable"), np.cumsum(vertices)[:-1])
-    return [OracleSpectrum(np.sort(w[at]), *check) for at, check in zip(own, checked)]
+            raise ArithmeticError(f"internal-error: oracle residual {bound:.3e} above tolerance {limit:.3e}")
+        if abs(norm - edges) > 1e-12 * edges:
+            raise ArithmeticError(f"internal-error: block norms add up to {norm!r}, not {edges} edges")
+        w[first:end].sort()
+        spectra.append(OracleSpectrum(w[first:end], bound, limit))
+    return spectra

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import hamming, krawtchouk, tridiagonal
 from .errors import BudgetExceededError, check_band, check_tol
-from .hamming import build_graph, check_budget, oracle_spectra
+from .hamming import build_graphs, check_budget, oracle_spectra
 from .krawtchouk import RootList, binom_int, first_root
 
 VERIFY_TOL = 1e-8
@@ -358,18 +358,24 @@ def verify_bands(
     Predicted and oracle eigenvalues are paired in ascending order, and a band
     passes when every pair is within ``tol``.  Each distinct band is checked
     once, before any solve, by ``check_budget``, which gives its size: its
-    block cells, or its vertices given ``dense_limit``.  Consecutive bands
-    form a batch while their sizes add up to at most ORACLE_CELL_BUDGET, or
-    ``dense_limit``; each batch takes one ``oracle_spectra`` call, and the
-    tables of the sweep share their block solves.  Within a batch,
-    consecutive bands of one n form a run while the run's hull, the band of
-    their least r1 to their greatest r2, is one of the bands or passes
-    ``check_budget``, checked once; each run builds one graph, its hull, and
-    the oracle cuts each band's blocks out of the hull's.  A batch's predicted
-    and oracle values are paired and compared in one pass.
+    block cells, or its vertices given ``dense_limit``; every cell count of
+    the call, the oracle's included, shares one table per n (``cells``).
+    Consecutive bands form a batch while their sizes add up to at most
+    ORACLE_CELL_BUDGET, or ``dense_limit``; each batch takes one
+    ``oracle_spectra`` call, and the tables of the sweep share their block
+    solves.  Within a batch, consecutive bands of one n form a run while the
+    run's hull, the band of their least r1 to their greatest r2, is one of
+    the bands or passes ``check_budget``, checked once; each run builds one
+    graph, its hull, all of a batch's hulls from one recursion
+    (``build_graphs``), and the oracle cuts each band's blocks out of the
+    hull's.  A batch's predicted and oracle values are paired and compared in
+    one pass.
     """
     check_tol(tol)
-    sizes: dict[tuple, int | None] = {band: check_budget(*band, dense_limit) for band in dict.fromkeys(cases)}
+    cells: dict = {}  # oracle_cells' table of each n, kept for this call alone
+    sizes: dict[tuple, int | None] = {
+        band: check_budget(*band, dense_limit, cells) for band in dict.fromkeys(cases)
+    }
     budget = hamming.ORACLE_CELL_BUDGET if dense_limit is None else dense_limit
     blocks: dict = {}
     batches: list[list[list]] = []  # each a list of runs [n, lo, hi, tables]
@@ -385,7 +391,7 @@ def verify_bands(
             joined = n, min(runs[-1][1], r1), max(runs[-1][2], r2)  # the run's hull with this band
             if joined not in sizes:
                 try:
-                    sizes[joined] = check_budget(*joined, dense_limit)
+                    sizes[joined] = check_budget(*joined, dense_limit, cells)
                 except BudgetExceededError:
                     sizes[joined] = None  # over a budget: the band starts a new run
             if sizes[joined] is not None:
@@ -395,11 +401,9 @@ def verify_bands(
         runs.append([n, r1, r2, [table]])
     reports = []
     for runs in batches:
-        bands = []
-        for n, lo, hi, run in runs:
-            hull = build_graph(n, lo, hi)
-            bands += [(hull, t) for t in run]
-        oracles = oracle_spectra([(g, t.r1, t.r2) for g, t in bands], dense_limit=dense_limit)
+        hulls = build_graphs([(n, lo, hi) for n, lo, hi, _ in runs])
+        bands = [(hull, t) for hull, run in zip(hulls, runs) for t in run[3]]
+        oracles = oracle_spectra([(g, t.r1, t.r2) for g, t in bands], dense_limit=dense_limit, _tables=cells)
         # the batch's predicted and oracle values, paired in one pass; a band of the wrong size is off by inf
         fit = [(t, o.eigenvalues) for (_, t), o in zip(bands, oracles) if len(o.eigenvalues) == t.total_dim]
         lines = [line for t, _ in fit for line in t.lines]
@@ -411,5 +415,5 @@ def verify_bands(
             deviation = next(worst) if len(oracle.eigenvalues) == t.total_dim else inf
             reports.append(VerifyReport(t.n, t.r1, t.r2, len(oracle.eigenvalues), deviation, deviation <= tol,
                                         oracle.residual_bound, oracle.tolerance))
-        del bands, hull  # before the next batch's graphs are built
+        del bands, hulls  # before the next batch's graphs are built
     return reports

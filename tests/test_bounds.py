@@ -145,3 +145,17 @@ def test_report_serialization():
     assert list(d) == bd.BoundsReport.CSV_HEADER.split(",")
     row = rep.csv_row()
     assert len(row.split(",")) == 9
+
+
+# the bounds_large_n workload's 19 bounds cases: log2 s at six fractions of three dimensions, and 3^400 at n = 1000
+WORKLOAD_CASES = [(n, frac * n) for n in (1000, 10**4, 10**5) for frac in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
+WORKLOAD_CASES.append((1000, bd.log2_big(3**400)))
+
+
+@pytest.mark.parametrize("n,log2_s", WORKLOAD_CASES)
+def test_ball_bound_inverts_the_entropy_once_with_the_bits_of_modls_bound(monkeypatch, n, log2_s):
+    expected = bd.modls_bound(n, log2_s)
+    inverted, entropy_inv = [], bd.entropy_inv
+    monkeypatch.setattr(bd, "entropy_inv", lambda h: inverted.append(h) or entropy_inv(h))
+    assert bd.ball_bound(n, log2_s).modls_lower == expected
+    assert inverted == [log2_s / n]

@@ -6,7 +6,7 @@ import pytest
 
 from ballspec import cli, spectrum
 from ballspec.cli import build_parser, main
-from ballspec.hamming import ORACLE_CELL_BUDGET, ORACLE_VERTEX_BUDGET, build_graph, incidence_matrix
+from ballspec.hamming import ORACLE_CELL_BUDGET, ORACLE_VERTEX_BUDGET, build_graph, build_graphs, incidence_matrix
 
 
 def run(capsys, *argv):
@@ -96,7 +96,7 @@ def test_verify_budget_exit_gives_the_cells_and_the_budget(capsys):
 def test_verify_refuses_a_sphere_over_the_vertex_budget_before_building_it(capsys, monkeypatch, n, vertices):
     # a band of one sphere has no oracle cells, so only the vertex budget bounds it
     built = []
-    monkeypatch.setattr(spectrum, "build_graph", lambda *band: built.append(band) or build_graph(*band))
+    monkeypatch.setattr(spectrum, "build_graphs", lambda bands: built.extend(bands) or build_graphs(bands))
     assert run(capsys, "verify", "--n", str(n), "--r1", "11", "--r2", "11") == (
         3, "", f"budget exceeded: band ({n},11,11) has {vertices} vertices, budget {ORACLE_VERTEX_BUDGET}\n"
     )

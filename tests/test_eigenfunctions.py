@@ -9,7 +9,7 @@ from ballspec import eigenfunctions as ef
 from ballspec import spectrum as sp
 from ballspec.errors import InvalidParameterError
 from ballspec.hamming import weight_masks
-from helpers import cached_graph
+from helpers import band_cases, cached_graph
 
 
 def test_basis_origin_zero_is_constant_one():
@@ -298,3 +298,60 @@ def test_json_schema():
     assert [s["i"] for s in d["spheres"]] == [1, 2]
     for s in d["spheres"]:
         assert [c["c"] for c in s["classes"]] == [0, 1]
+
+
+def _eigenspace_faults(n, r1, r2, multiplicity=sp.origin_multiplicity, alter=None):
+    """What fails of the paper's eigenspaces on the band (n, r1, r2), checked against a dense eigensolve.
+
+    For each line and each of its origins t, the lifts of ``synthesize``'s
+    class values, table[|x|, |x & y|] over every mask y of weight t, must
+    have numerical rank ``multiplicity(n, t)`` (singular values above 1e-9
+    of the largest), lie within 1e-10 of the line's dense eigenspace E, as
+    |(I - E E^T) Q|_2 with Q an orthonormal basis of their span, and be
+    orthogonal to the lifts of the line's other origins, to within 1e-10.
+    ``alter(t, table)`` may change an origin's class values first.
+    """
+    g = cached_graph(n, r1, r2)
+    values, vectors = np.linalg.eigh(g.dense_adjacency())
+    ones, faults = np.array([int(m).bit_count() for m in g.masks.tolist()]), []
+    for line in sp.full_spectrum(n, r1, r2).lines:
+        e = vectors[:, np.abs(values - line.value) < 1e-8]
+        spans = []
+        for t in line.contributors:
+            which = int(np.argmin(np.abs(np.array(sp.lambda_set(n, r1, r2, t).values) - line.value)))
+            table = np.zeros((r2 + 1, t + 1))
+            for (i, c), value in ef.synthesize(n, r1, r2, t, (1 << t) - 1, which).class_values.items():
+                table[i, c] = value
+            if alter:
+                alter(t, table)
+            lifts = np.stack([table[ones, [int(m & y).bit_count() for m in g.masks.tolist()]]
+                              for y in weight_masks(n, t)], axis=1)
+            u, s, _ = np.linalg.svd(lifts, full_matrices=False)
+            q = u[:, : int((s > 1e-9 * s[0]).sum())]
+            if q.shape[1] != multiplicity(n, t):
+                faults.append((line.value, t, "rank", q.shape[1]))
+            if np.linalg.norm(q - e @ (e.T @ q), 2) > 1e-10:
+                faults.append((line.value, t, "span"))
+            faults += [(line.value, t, "orthogonal", other)
+                       for other, p in spans if np.linalg.norm(p.T @ q, 2) > 1e-10]
+            spans.append((t, q))
+    return faults
+
+
+@pytest.mark.parametrize("n,r1,r2", sorted(band_cases(8)))
+def test_the_lifts_of_each_line_span_its_eigenspace(n, r1, r2):
+    assert _eigenspace_faults(n, r1, r2) == []
+
+
+def test_the_eigenspace_check_sees_one_altered_multiplicity_or_class_value():
+    # (8, 2, 4): origin 1 gives the lines -+sqrt(21) and -+sqrt(5), each with 7 dimensions
+    def plus_one_at_1(n, t):
+        return sp.origin_multiplicity(n, t) + (t == 1)
+
+    def bump_at_1(t, table):
+        if t == 1:
+            table[3, 0] += 0.25
+
+    assert {fault[1:3] for fault in _eigenspace_faults(8, 2, 4, multiplicity=plus_one_at_1)} == {(1, "rank")}
+    altered = {fault[1:3] for fault in _eigenspace_faults(8, 2, 4, alter=bump_at_1)}
+    assert (1, "span") in altered and {t for t, _ in altered} == {1}  # the rank may grow too

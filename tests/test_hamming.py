@@ -647,3 +647,26 @@ def test_blocks_one_ulp_apart_are_both_factored():
     assert unique.tolist() == [0, 2, 3, 5]
     assert group.tolist() == [0, 0, 1, 2, 0, 3, 1]
     assert np.array_equal(blocks[unique][group].view(np.uint64), blocks.view(np.uint64))
+
+
+def _graph_bytes(g):
+    arrays = [(a.dtype.str, a.flags.writeable, a.tobytes()) for a in (g.masks, g.indptr, g.indices)]
+    return (g.n, g.r1, g.r2), arrays, g.sphere_start, g.edge_count
+
+
+def test_graphs_cut_from_one_recursion_have_the_bytes_of_their_own(monkeypatch):
+    # every band with n <= 12 from the recursion of (12, 0, 6); those with r1 >= 2 from that of (12, 2, 6),
+    # whose weight 2 has no D table of its own; and a batch whose widest band, (12, 0, 5), misses (12, 6, 6),
+    # which recurses alone
+    recursions, sphere_tables = [], hm._sphere_tables
+    monkeypatch.setattr(hm, "_sphere_tables", lambda *band: recursions.append(band) or sphere_tables(*band))
+    bands = sorted(band_cases(12))
+    own = {band: _graph_bytes(hm.build_graph(*band)) for band in bands}
+    assert len(bands) == len(recursions) == 139
+    inner = [band for band in bands if band[1] >= 2]
+    for batch, widest in [(bands, [(12, 0, 6)]), (inner, [(12, 2, 6)]),
+                          ([(9, 0, 4), (12, 6, 6), (12, 0, 5), (11, 2, 5)], [(12, 0, 5), (12, 6, 6)])]:
+        recursions.clear()
+        assert [_graph_bytes(g) for g in hm.build_graphs(batch)] == [own[band] for band in batch]
+        assert recursions == widest
+    assert hm.build_graphs([]) == []

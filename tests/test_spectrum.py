@@ -457,8 +457,8 @@ def test_sweep_builds_one_graph_per_run_of_bands(monkeypatch, limit, builds):
     # measured: 14 and 32 graphs for the 111 bands, one per run of consecutive bands of one n within a
     # batch whose hull fits the dense limit
     built, batches = [], []
-    build_graph, batched = sp.build_graph, sp.oracle_spectra
-    monkeypatch.setattr(sp, "build_graph", lambda *a, **kw: built.append(build_graph(*a, **kw)) or built[-1])
+    build_graphs, batched = sp.build_graphs, sp.oracle_spectra
+    monkeypatch.setattr(sp, "build_graphs", lambda bands: built.extend(build_graphs(bands)) or built[-len(bands):])
     monkeypatch.setattr(sp, "oracle_spectra", lambda bands, **kw: batches.append(bands) or batched(bands, **kw))
     sp.verify_bands(SWEEP, dense_limit=limit)
     assert len(built) == builds
@@ -477,24 +477,33 @@ def test_sweep_builds_one_graph_per_run_of_bands(monkeypatch, limit, builds):
 
 def test_sweep_measures_each_band_once_and_each_hull_graph_once_more(monkeypatch):
     # verify_bands measures each distinct band once, and a hull only when it is none of the bands; then
-    # oracle_spectra checks each hull graph it is handed, and build_graph caps its vertices.  Every hull of
-    # the sweep is one of its bands: 111 + 11 cell counts and 111 + 2 * 11 vertex counts
+    # oracle_spectra checks each hull graph it is handed, and build_graphs caps its vertices.  Every hull of
+    # the sweep is one of its bands: 111 + 11 cell counts and 111 + 2 * 11 vertex counts.  The cell counts
+    # of one n share one trinomial table, the 11 hulls one sphere recursion, and the oracle takes 97 SVDs;
+    # a second sweep in the same process repeats every count, so no table outlives its call
     calls, built = collections.Counter(), []
-    for name in ("oracle_cells", "band_vertices"):
-        measure = getattr(hm, name)
-        monkeypatch.setattr(hm, name, lambda *band, name=name, measure=measure: calls.update([name]) or measure(*band))
-    build_graph = sp.build_graph
-    monkeypatch.setattr(sp, "build_graph", lambda *a, **kw: built.append(build_graph(*a, **kw)) or built[-1])
-    sp.verify_bands(SWEEP)
-    assert (len(SWEEP), len(built)) == (111, 11)
-    assert calls["oracle_cells"] <= len(SWEEP) + len(built) == 122
-    assert calls["band_vertices"] <= len(SWEEP) + 2 * len(built) == 133
+    for module, name in [(hm, "oracle_cells"), (hm, "band_vertices"), (hm, "_trinomials"), (hm, "_sphere_tables"),
+                         (np.linalg, "svd")]:
+        measure = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, measure=measure, **kw:
+                            calls.update([name]) or measure(*a, **kw))
+    build_graphs = sp.build_graphs
+    monkeypatch.setattr(sp, "build_graphs", lambda bands: built.extend(build_graphs(bands)) or built[-len(bands):])
+    for _ in range(2):
+        calls.clear()
+        built.clear()
+        sp.verify_bands(SWEEP)
+        assert (len(SWEEP), len(built)) == (111, 11)
+        assert calls["oracle_cells"] <= len(SWEEP) + len(built) == 122
+        assert calls["band_vertices"] <= len(SWEEP) + 2 * len(built) == 133
+        assert (calls["_trinomials"], calls["_sphere_tables"], calls["svd"]) == (11, 1, 97)
     # a repeated band, and a hull over the vertex budget met twice, are each measured once: 2 bands and
     # 1 hull, then 3 graphs
     calls.clear()
     monkeypatch.setattr(hm, "ORACLE_VERTEX_BUDGET", 2000)
     assert all(r.passed for r in sp.verify_bands([(12, 0, 5), (12, 6, 6), (12, 0, 5)]))
-    assert calls == {"oracle_cells": 2 + 1 + 3, "band_vertices": 2 + 1 + 3 + 3}
+    assert {name: calls[name] for name in ("oracle_cells", "band_vertices")} == {
+        "oracle_cells": 2 + 1 + 3, "band_vertices": 2 + 1 + 3 + 3}
 
 
 def _bits(oracle):
@@ -526,7 +535,7 @@ def test_each_band_of_a_hull_keeps_the_bits_of_its_own_graph(monkeypatch):
 def test_sweep_hulls_fit_the_vertex_budget(monkeypatch):
     # (12, 0, 5) and (12, 6, 6) fit 2,000 vertices, their hull (12, 0, 6) of 2,510 does not: two graphs
     built = []
-    monkeypatch.setattr(sp, "build_graph", lambda *band: built.append(band) or hm.build_graph(*band))
+    monkeypatch.setattr(sp, "build_graphs", lambda bands: built.extend(bands) or hm.build_graphs(bands))
     cases = [(12, 0, 5), (12, 6, 6)]
     assert all(r.passed for r in sp.verify_bands(cases))
     monkeypatch.setattr(hm, "ORACLE_VERTEX_BUDGET", 2000)
@@ -667,16 +676,20 @@ def test_the_oracle_factors_each_distinct_block_once(monkeypatch, cases, factore
     # the oracle_verify workload's three commands, each case a list of bands and a dense limit: 1,050
     # blocks B_S, of which 150 differ from an earlier block of the same shape in the same oracle_spectra
     # call when the sweep takes 4 calls at a limit of 5,000 vertices, and 121 when it takes one under the
-    # cell budget; at (12, 0, 6) each shape has one
+    # cell budget; at (12, 0, 6) each shape has one.  A stack of one block goes to the SVD without a
+    # _distinct call, so its SVD is the first call since the last SVD
     cases, dense_limit = cases
     svd, distinct = np.linalg.svd, hm._distinct
-    matrices, seen = [], []
+    calls = []  # ("svd" or "distinct", blocks handed in), in call order
 
     def counted(b, **kwargs):
-        matrices.append(len(b))
+        calls.append(("svd", len(b)))
         return svd(b, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    monkeypatch.setattr(hm, "_distinct", lambda b: seen.append(len(b)) or distinct(b))
+    monkeypatch.setattr(hm, "_distinct", lambda b: calls.append(("distinct", len(b))) or distinct(b))
     assert all(report.passed for report in sp.verify_bands(cases, dense_limit=dense_limit))
-    assert sum(matrices) == factored and sum(seen) == blocks
+    lone = [size for (name, size), (before, _) in zip(calls, [("svd", 0), *calls]) if name == before == "svd"]
+    seen = [size for name, size in calls if name == "distinct"]
+    assert sum(size for name, size in calls if name == "svd") == factored
+    assert sum(seen) + len(lone) == blocks and set(lone) <= {1} and 1 not in seen
