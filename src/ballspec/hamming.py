@@ -17,13 +17,18 @@ bipartite, and every permutation of the coordinates maps it onto itself.
 The dense oracle uses both.  The swaps of coordinates (0 1), (2 3), ...
 commute with the adjacency, so in their symmetry-adapted basis it falls
 apart into one small block per character of the group they generate; each
-block is bipartite again, [[0, B_S], [B_S^T, 0]].  The oracle takes one SVD
-per block shape (stacked) over the distinct blocks of that shape, byte for
-byte, and the adjacency eigenvalues are +-sigma for each singular value of
-B_S plus abs(rows - columns) structural zeros per block (Jordan-Wielandt).
-It never holds the V x V adjacency or the whole even x odd biadjacency,
-only the blocks, whose cells ``oracle_cells`` counts in closed form from a
-table of n (one per n for a caller that shares it); its budget is in cells.
+block is bipartite again, [[0, B_S], [B_S^T, 0]].  The exchange of the two
+lowest coordinate pairs outside S, which the graph must also keep, fixes S
+and commutes with the adjacency, so it splits a block B_S of SPLIT_CELLS
+cells or more into an even and an odd half (Clifford theory, as in Serre,
+Linear Representations of Finite Groups, section 8).  The oracle takes one
+SVD per shape (stacked) over the distinct blocks or halves of that shape,
+byte for byte, and the adjacency eigenvalues are +-sigma for each singular
+value plus abs(rows - columns) structural zeros per block or half
+(Jordan-Wielandt).  It never holds the V x V adjacency or the whole even x
+odd biadjacency, only the blocks, whose cells ``oracle_cells`` counts in
+closed form from a table of n (one per n for a caller that shares it) before
+any split, which bounds the cells it factors; its budget is in those cells.
 ``oracle_spectra`` does all of this in one pass for a list of bands, each a
 weight range r1..r2 of a built graph: it builds each graph's blocks once,
 with orbits and characters keyed per graph, and cuts each band's blocks out
@@ -33,7 +38,8 @@ pairs are indexed directly, by the orbit's first pair plus the character's rank
 among the submasks of the orbit's mixed pairs, so an edge finds its block
 entry by arithmetic, not by a search.  The swap check finds the image of a
 mask by arithmetic too, from its place in the vertex order above: the
-oracle relies on that order, and names a graph that breaks it.
+oracle relies on that order, and names a graph that breaks it.  A graph
+that a block's exchange does not keep is named too, with the two pairs.
 """
 
 from __future__ import annotations
@@ -56,6 +62,9 @@ ORACLE_CELL_BUDGET = 1 << 22
 ORACLE_VERTEX_BUDGET = 1 << 19
 INCIDENCE_CELL_LIMIT = 25_000_000  # cells of the dense incidence matrix
 MAX_DIMENSION = 64  # bitmask width cap
+# Cells of a band block from which the oracle splits it by a pair exchange; a smaller block is factored
+# whole, as its SVD costs less than the split's butterfly and second LAPACK call (BENCH_exchange_split.json).
+SPLIT_CELLS = 2048
 _LINE_ROWS = 4096  # rows per chunk of InducedGraph.edge_lines
 
 
@@ -400,7 +409,9 @@ def _group_order(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The indices starts[i] .. starts[i] + lengths[i] - 1 of every segment i, in order."""
-    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(len(out))
+    return out
 
 
 def _keys(graph: np.ndarray, values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -456,6 +467,35 @@ def _check_swap_invariance(graphs, graph, masks, mixed, flipped, src, dst) -> No
         below += masks & bit << _ONE != 0
 
 
+def _exchange(sets: np.ndarray, low_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a_pair, b_pair, shift): the exchange of the two lowest pairs a < b outside each character, else none.
+
+    A character S is a set of pairs, by the low bit of each; ``low_bits``
+    holds the low bits of all of the graph's pairs.  a_pair and b_pair are
+    the bits of pairs a and b, and shift is 2(b - a); all three are 0 where
+    fewer than two pairs lie outside S.
+    """
+    out = low_bits & ~sets
+    a_bit = out & (~out + _ONE)
+    out ^= a_bit
+    b_bit = out & (~out + _ONE)
+    a_bit[b_bit == 0] = 0
+    # 2(b - a) from the binary exponents of the powers of two, exact in float
+    shift = (np.frexp(b_bit.astype(float))[1] - np.frexp(a_bit.astype(float))[1]).astype(np.uint64)
+    return a_bit * np.uint64(3), b_bit * np.uint64(3), shift
+
+
+def _exchanged(masks: np.ndarray, a_pair: np.ndarray, b_pair: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The masks with the bits of pairs a < b exchanged, each pair's two bits kept in order (``_exchange``)."""
+    return masks & ~(a_pair | b_pair) | (masks & a_pair) << shift | (masks & b_pair) >> shift
+
+
+def _exchange_fault(g: InducedGraph, char) -> str:
+    """The error for a graph that the exchange of ``char``'s two lowest outside pairs (``_exchange``) breaks."""
+    a, b = [j for j in range(g.n // 2) if not int(char) >> 2 * j & 1][:2]
+    return f"the graph ({g.n},{g.r1},{g.r2}) is not invariant under the exchange of coordinate pairs {a} and {b}"
+
+
 def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(unique, group): the first of each set of byte-equal blocks, ascending, and each block's set.
 
@@ -493,16 +533,43 @@ def _residual(b: np.ndarray, u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np
     return np.sqrt(np.maximum(left, x.sum(axis=1)).max(axis=1))
 
 
+def _split(b: np.ndarray, fixed_rows: int, fixed_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B+, B-): the exchange halves of each block of the stack b, views of b turned in place.
+
+    Each side of a block lists the orbits that sigma fixes, F, then the
+    first orbit of each moved pair, X, then their partners in the same
+    order, Y.  The basis e_F, (e_X + e_Y)/sqrt 2, (e_X - e_Y)/sqrt 2 of
+    each side is orthonormal and its last part spans the sigma-odd vectors;
+    one butterfly on the rows and one on the columns turn b into R^T B C in
+    it.  B+ and B- are its even and odd corners; the cross terms between
+    them are zero on a sigma-invariant block, which ``_band_blocks`` checks.
+    """
+    _, r, c = b.shape
+    even_rows, even_cols = (r + fixed_rows) // 2, (c + fixed_cols) // 2  # F and X
+    half = math.sqrt(0.5)
+    for x, y in [(b[:, fixed_rows:even_rows], b[:, even_rows:]), (b[:, :, fixed_cols:even_cols], b[:, :, even_cols:])]:
+        odd = x - y
+        odd *= half
+        x += y
+        x *= half
+        y[...] = odd
+    return b[:, :even_rows, :even_cols], b[:, even_rows:, even_cols:]
+
+
 def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int, int]]):
     """The graphs' blocks B_S, flat, and where each band's blocks lie in them (``oracle_spectra``).
 
-    Returns (graph_flat, rows, cols, row_cell, col_cell, block_band,
-    vertices).  The band blocks are sorted by shape, (rows, cols); block k
-    belongs to band block_band[k].  Its row i starts at
-    graph_flat[row_cell[sum(rows[:k]) + i]], and column j is the offset
-    col_cell[sum(cols[:k]) + j] from there.  vertices[b] is band b's count
-    of (orbit, character) pairs.  Every vertex-sized array of the graphs
-    dies on return, before any block is cut.
+    Returns (graph_flat, rows, cols, row_cell, col_cell, fixed_rows,
+    fixed_cols, block_band, vertices).  The band blocks are sorted by shape
+    and split, (rows, cols, fixed_rows, fixed_cols); block k belongs to band
+    block_band[k].  Its row i starts at graph_flat[row_cell[sum(rows[:k]) +
+    i]], and column j is the offset col_cell[sum(cols[:k]) + j] from there.
+    A block to split lists each side as the fixed_rows (fixed_cols) orbits
+    its exchange fixes, the first of each moved pair, then their partners;
+    any other block has fixed_rows = rows, fixed_cols = cols and orbit order.
+    vertices[b] is band b's count of (orbit, character) pairs.  Each graph
+    block is checked against its exchange here.  Every vertex-sized array
+    of the graphs dies before any block is cut.
     """
     sizes = [g.vertex_count for g in graphs]
     first = np.cumsum([0] + sizes)
@@ -547,6 +614,26 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
         """Index of each pair (orbit, character): the orbit's first pair plus the character's rank."""
         return pair_start[orbits] + _submask_rank(orbit_mixed[orbits], characters)
 
+    # each pair's partner (sigma O, S) under its character's exchange sigma, found by the image of O's
+    # representative; the graph is at fault if that image is none of its orbits' representatives
+    pair_graph = orbit_graph[pair_orbit]
+    rep = (masks ^ flipped ^ (flipped << _ONE))[member][pair_orbit]
+    key_of = len(char_set) + 1  # a block key is its graph times key_of plus its character's place in char_set
+    image = _exchanged(rep, *(x[pair_block] for x in _exchange(char_set[chars % key_of], low_bits[chars // key_of])))
+    go = np.flatnonzero(image != rep)  # the pairs sigma moves
+    image, graph_of = image[go], pair_graph[go]
+    at = np.minimum(np.searchsorted(table, image), len(table) - 1)
+    key = graph_of * (len(table) + 1) + at
+    image_orbit = np.minimum(np.searchsorted(reps, key), len(reps) - 1)
+    lost = (table[at] != image) | (reps[image_orbit] != key)
+    if lost.any():  # pairs come in orbit order, so graph by graph: the first at fault is the lowest graph's
+        i = go[np.argmax(lost)]
+        raise InvalidParameterError(_exchange_fault(graphs[pair_graph[i]], pair_char[i]))
+    partner = np.arange(len(pair_orbit))
+    partner[go] = pair_of(image_orbit, pair_char[go])
+    pair_moved = np.sign(pair_local[partner] - pair_local) % 3  # 0 fixed, 1 first of a moved pair, 2 its partner
+    del pair_graph, rep, image, go, graph_of, at, key, image_orbit, lost
+
     # (edge, character) pairs from the representatives of the even orbits
     from_rep = flipped[src] == 0
     x, y = src[from_rep], dst[from_rep]
@@ -557,36 +644,68 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     at_x, at_y = pair_of(orbit[x], char), pair_of(orbit[y], char)
     del src, dst, x, y, edge, char, sign  # each edge array lives only until its last use
     cell = row_start[at_x] + pair_local[at_y]
+    mirror = row_start[partner[at_x]] + pair_local[partner[at_y]]  # the cell of (sigma O, sigma O')
+    block = pair_block[at_x]
     del at_x, at_y
     graph_flat = np.bincount(cell, weights=weight, minlength=int(graph_cells.sum()))
-    del cell, weight  # the blocks hold all they said
+    del weight  # the blocks hold all they said
+    # each graph block B_S against B_S[pi_r][:, pi_c], to 1e-12 of its largest entry: either is nonzero
+    # only at the cell or the mirror of some (edge, character) pair, so comparing the two cells of each
+    # pair compares every cell.  Every band block is cut from a block checked here, split or not
+    entry = graph_flat[cell]
+    gap = np.abs(graph_flat[mirror] - entry)
+    largest = np.zeros(len(chars))
+    np.maximum.at(largest, block, np.abs(entry))
+    bad = gap > 1e-12 * largest[block]
+    if bad.any():  # blocks come graph by graph: the first at fault is the lowest graph's
+        key = int(chars[block[bad].min()])
+        raise InvalidParameterError(_exchange_fault(graphs[key // key_of], char_set[key % key_of]))
+    pair_weight = ones[member][pair_orbit].astype(np.int8)  # at most 64
+    graph_pairs = np.bincount(orbit_graph[pair_orbit], minlength=len(graphs))
+    # the vertices' and orbits' arrays die here, before any block is cut
+    del cell, mirror, block, entry, gap, bad, masks, graph, low, high, mixed, flipped, ones, odd, table, reps
+    del member, orbit, orbit_mixed, orbit_odd, orbit_graph, pair_orbit, pair_char, pair_start, pair_of
 
     # each band's pairs, all bands in one pass with no sort: its graph's pairs by block and side, in orbit
     # order (``by_side``), kept where their weight is in r1..r2; so a band's blocks come out whole, rows first
     which = {g: i for i, g in enumerate(graphs)}
     band_graph, lo, hi = (np.array(x) for x in zip(*[(which[g], r1, r2) for g, r1, r2 in bands]))
-    graph_pairs = np.bincount(orbit_graph[pair_orbit], minlength=len(graphs))
     size = graph_pairs[band_graph]
     pairs = by_side[_segments((np.cumsum(graph_pairs) - graph_pairs)[band_graph], size)]
-    pair_ones, band = ones[member][pair_orbit][pairs], np.repeat(np.arange(len(bands)), size)
-    keep = (pair_ones >= np.repeat(lo, size)) & (pair_ones <= np.repeat(hi, size))
+    pair_ones, band = pair_weight[pairs], np.repeat(np.arange(len(bands), dtype=np.int32), size)
+    keep = (pair_ones >= lo.astype(np.int8)[band]) & (pair_ones <= hi.astype(np.int8)[band])
     pairs, band = pairs[keep], band[keep]
     del pair_ones, keep
     vertices = np.bincount(band, minlength=len(bands)).tolist()
     # the band's blocks: one per (band, character of its pairs)
-    key = band * len(chars) + pair_block[pairs]
+    key = band * np.int64(len(chars)) + pair_block[pairs]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     block = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(key)]))
+    del key
     odd = pair_odd[pairs]
     rows = np.bincount(block[~odd], minlength=len(first))
     cols = np.bincount(block[odd], minlength=len(first))
-    by_shape = np.lexsort((cols, rows))  # blocks of one shape are adjacent
+    # each side of a block to split lists the pairs sigma fixes, then the first of each moved pair, then
+    # their partners in the same order: its pairs sorted by run, then by the local rank of the pair's first;
+    # a block of fewer than SPLIT_CELLS cells keeps its orbit order and is not split
+    fixed_rows, fixed_cols = rows.copy(), cols.copy()  # a block left whole counts every pair as fixed
+    split = rows * cols >= SPLIT_CELLS
+    cut = np.flatnonzero(split[block])  # the pairs of the blocks to split, side by side
+    if cut.size:
+        run = (2 * block[cut] + odd[cut]) * 3 + pair_moved[pairs[cut]]  # (side, run) of each pair
+        runs = np.bincount(run, minlength=6 * len(first))
+        fixed_rows[split], fixed_cols[split] = runs[0::6][split], runs[3::6][split]
+        lead = np.minimum(pair_local[pairs[cut]], pair_local[partner[pairs[cut]]])
+        pairs[cut] = pairs[cut[np.argsort(run * (len(pair_local) + 1) + lead, kind="stable")]]
+        del cut, run, runs, lead
+    by_shape = np.lexsort((fixed_cols, fixed_rows, cols, rows))  # blocks of one shape and split are adjacent
     rows, cols, first = rows[by_shape], cols[by_shape], first[by_shape]
+    fixed_rows, fixed_cols = fixed_rows[by_shape], fixed_cols[by_shape]
     block_band = band[first]
     # a band block's rows and columns, in order, are its pairs of each side, block by block
     by_block = pairs[_segments(np.r_[first, first + rows], np.r_[rows, cols])]
     row_cell, col_cell = row_start[by_block[: rows.sum()]], pair_local[by_block[rows.sum() :]]
-    return graph_flat, rows, cols, row_cell, col_cell, block_band, vertices
+    return graph_flat, rows, cols, row_cell, col_cell, fixed_rows, fixed_cols, block_band, vertices
 
 
 def oracle_spectrum(g: InducedGraph, dense_limit: int | None = None) -> OracleSpectrum:
@@ -615,6 +734,26 @@ def oracle_spectra(
     of the sign of the far end.  Only the characters inside some M(O) are
     visited.
 
+    A block of SPLIT_CELLS cells or more is split once more.  Let a < b be
+    the two lowest pairs outside S and sigma = (2a 2b)(2a+1 2b+1) the
+    exchange of the two; with fewer than two pairs outside S there is no
+    split.  (Two pairs inside S would give nothing: every orbit of B_S is
+    mixed on both, so sigma fixes each.)  sigma keeps each pair's reading,
+    so sigma b_O = b_(sigma O) with no sign: on a graph that sigma keeps it
+    permutes the rows and the columns of B_S and commutes with it.  Each
+    side of the block is listed as the orbits sigma fixes, then the first
+    (in orbit order) of each moved pair, then their partners in the same
+    order; in the basis e_f, (e_x + e_(sigma x))/sqrt 2 and
+    (e_x - e_(sigma x))/sqrt 2 of each side B_S is orthogonally equivalent
+    to B+ (+) B-, which ``_split`` forms in place.  A block's values are
+    then +-s of both halves and abs(r+ - c+) + abs(r- - c-) structural zeros;
+    its residual is the larger of its halves'.  A block under SPLIT_CELLS
+    keeps its orbit order and is factored whole.  Whether a block is split,
+    and how, depends on its shape and S alone, so a band cut from a hull
+    keeps the bytes of its own graph's halves, and byte-equal blocks of one
+    |S|, related by an order-keeping relabelling of the pairs that carries
+    (a, b) along, have byte-equal halves.
+
     An empty list gives an empty list.  Each graph is checked against the
     budget before anything is built (``check_budget``: its block cells and
     vertices, or given ``dense_limit`` its vertices, with the private
@@ -633,28 +772,39 @@ def oracle_spectra(
     worked out once; the (edge, character) pairs then find their block
     entries with no search.
 
-    Each B_S = U diag(s) V^T gives the eigenvalues +-s_i and abs(rows -
-    columns) zeros; the blocks of one shape, over all bands, share one
-    stacked thin SVD.  Blocks of a stack whose float64 entries are
+    Each B = U diag(s) V^T, a whole block or a half, gives the eigenvalues
+    +-s_i and abs(rows - columns) zeros; the blocks of one shape and split,
+    over all bands, are cut as one stack, and each half of the stack shares
+    one stacked thin SVD.  Matrices of a stack whose float64 entries are
     byte-for-byte equal are factored once (``_distinct``; a stack of one
-    block skips it), and the first of each set stands for all: LAPACK
-    factors each matrix of a stack on its own, so every block keeps the bits
-    of its own factorization.  The SVD and the residual products run on the
-    distinct blocks only; at (12, 0, 6), 6 of 63.  The residual bound is the
-    largest of |B v_i - s_i u_i| and |B^T u_i - s_i v_i| over every block's
-    singular triplets; the basis is orthonormal, so it bounds the residual
-    of each eigenpair (+-s_i, [u_i; +-v_i]/sqrt(2)) of A they give.  The documented tolerance
-    is 1e-10 times the band's vertex count; a residual above it is an
-    internal error.
+    skips it), and the first of each set stands for all: LAPACK factors each
+    matrix of a stack on its own, so every block keeps the bits of its own
+    factorization.  The SVD and the residual products run on the distinct
+    matrices only; at (12, 0, 6), 8 of the 70 that 63 blocks give, the
+    largest 167 x 121 (253 x 182 unsplit).  The residual bound is the
+    largest of |B v_i - s_i u_i| and |B^T u_i - s_i v_i| over every
+    matrix's singular triplets; the bases are orthonormal, so it bounds the
+    residual of each eigenpair (+-s_i, [u_i; +-v_i]/sqrt(2)) of A they give,
+    up to the cross terms of a split, which the exchange check below bounds.
+    The documented tolerance is 1e-10 times the band's vertex count; a
+    residual above it is an internal error.
 
-    Two self-checks keep this a check of each graph itself: every tau_j must
-    map its edge set onto itself (else InvalidParameterError, naming the
-    graph; the images are found from the module's vertex order,
-    ``_check_swap_invariance``), and the squared Frobenius norms of a band's
-    B_S, half the sum of the squares of the eigenvalues it returns, must add
-    up to its edge count, half of tr A^2, to within 1e-12 times that count
-    (else ArithmeticError); the count is its graph's ``edge_count`` less the
-    edges cut away, from the sphere sizes.
+    Three self-checks keep this a check of each graph itself.  Every tau_j
+    must map its edge set onto itself (else InvalidParameterError, naming
+    the graph; the images are found from the module's vertex order,
+    ``_check_swap_invariance``).  Each graph block B_S must equal
+    B_S[pi_r][:, pi_c], pi the permutations of its rows and columns by its
+    exchange, to within 1e-12 of its largest entry, whether or not its band
+    blocks are split, and the image of each orbit's representative must be
+    one of the graph's (else InvalidParameterError, naming the graph and the
+    two pairs): so the oracle's inputs are the graphs that the swaps and
+    these exchanges keep, as the bands and the custom graphs of the tests,
+    which every coordinate permutation keeps, are.  And the squared
+    Frobenius norms of a band's blocks, half the sum of the squares of the
+    eigenvalues it returns, must add up to its edge count, half of tr A^2,
+    to within 1e-12 times that count (else ArithmeticError); the count is
+    its graph's ``edge_count`` less the edges cut away, from the sphere
+    sizes.
     """
     if not bands:
         return []
@@ -666,34 +816,43 @@ def oracle_spectra(
             raise InvalidParameterError(
                 f"band [{r1}, {r2}] outside the graph's band [{g.r1}, {g.r2}]"
             )
-    graph_flat, rows, cols, row_cell, col_cell, block_band, vertices = _band_blocks(graphs, bands)
+    graph_flat, rows, cols, row_cell, col_cell, fixed_rows, fixed_cols, block_band, vertices = _band_blocks(
+        graphs, bands)
     row_first, col_first = (np.cumsum(rows) - rows).tolist(), (np.cumsum(cols) - cols).tolist()
-    shape_change = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    bounds = [0, *(np.flatnonzero(shape_change) + 1).tolist(), len(rows)]
+    split = np.stack([rows, cols, fixed_rows, fixed_cols])
+    bounds = [0, *(np.flatnonzero((split[:, 1:] != split[:, :-1]).any(axis=0)) + 1).tolist(), len(rows)]
     sizes = rows + cols
     value_first = (np.cumsum(sizes) - sizes).tolist()
-    w = np.zeros(int(sizes.sum()))  # the values, block by block: -s, the structural zeros, then s
+    w = np.zeros(int(sizes.sum()))  # the values, block by block: -s of each half, the structural zeros, s of each
     residual = np.zeros(len(rows))  # of each block
-    for start, stop, r, c in zip(bounds[:-1], bounds[1:], rows[bounds[:-1]].tolist(), cols[bounds[:-1]].tolist()):
-        count, k = stop - start, min(r, c)
-        if k == 0:
+    for start, stop, (r, c, fr, fc) in zip(bounds[:-1], bounds[1:], split[:, bounds[:-1]].T.tolist()):
+        count = stop - start
+        if min(r, c) == 0:
             continue
         # cut from the graph's blocks: cell (i, j) of a band's block is its graph's at row i, column j
         at_row = row_cell[row_first[start] : row_first[start] + count * r].reshape(count, r, 1)
         at_col = col_cell[col_first[start] : col_first[start] + count * c].reshape(count, 1, c)
         b = graph_flat.take(at_row + at_col)
-        # byte-equal blocks share one factorization: LAPACK factors each matrix of a stack on its own
-        group = slice(None)  # a lone block stands for itself
-        if count > 1:
-            unique, group = _distinct(b)
-            if len(unique) < count:
-                b = b[unique]
-        u, s, vt = np.linalg.svd(b, full_matrices=False)
-        residual[start:stop] = _residual(b, u, s, vt)[group]
-        s = s[group]
+        halves = _split(b, fr, fc) if fr < r or fc < c else (b,)
+        del b
         at = w[value_first[start] : value_first[start] + count * (r + c)].reshape(count, r + c)
-        np.negative(s, out=at[:, :k])
-        at[:, r + c - k :] = s
+        low, high = 0, r + c  # where the next half's -s and s go
+        for half in halves:
+            k = min(half.shape[1:])
+            if k == 0:
+                continue
+            # byte-equal halves share one factorization: LAPACK factors each matrix of a stack on its own
+            group = slice(None)  # a lone half stands for itself
+            if count > 1:
+                unique, group = _distinct(half)
+                if len(unique) < count:
+                    half = half[unique]
+            u, s, vt = np.linalg.svd(half, full_matrices=False)
+            np.maximum(residual[start:stop], _residual(half, u, s, vt)[group], out=residual[start:stop])
+            s = s[group]
+            np.negative(s, out=at[:, low : low + k])
+            at[:, high - k : high] = s
+            low, high = low + k, high - k
     largest = np.zeros(len(bands))
     np.maximum.at(largest, block_band, residual)
     # each band's values, its blocks' in block order, band after band, then sorted in place

@@ -262,6 +262,7 @@ def test_oracle_matches_eigh_on_every_small_band(n, r1, r2):
     (63, 0, 2),  # 31 pairs and an unpaired top coordinate
     (20, 0, 2),
     (11, 0, 5),  # many characters, with blocks of many shapes
+    (12, 0, 6),  # the workload's largest band: its large blocks are split by a pair exchange
 ])
 def test_oracle_matches_eigh_with_many_pairs(n, r1, r2):
     _check_oracle_against_eigh(cached_graph(n, r1, r2))
@@ -432,6 +433,39 @@ def test_batched_oracle_checks_the_swap_invariance_of_each_graph():
     moved = dataclasses.replace(star, masks=np.array([0, 1, 16, 4, 8], dtype=np.uint64))
     with pytest.raises(InvalidParameterError, match=r"\(4,0,1\) .*coordinates 0 and 1"):
         hm.oracle_spectra([(g, g.r1, g.r2) for g in [batch[0], moved, batch[2]]])
+
+
+def test_batched_oracle_checks_the_exchange_invariance_of_each_graph():
+    # only the edges 0b0000-0b0001 and 0b0000-0b0010: the swaps keep them, but the exchange of pairs 0 and 1
+    # maps the first onto 0b0000-0b0100, which is gone
+    g = cached_graph(4, 0, 2)
+    masks = g.masks.tolist()
+    hub, ends = masks.index(0b0000), [masks.index(0b0001), masks.index(0b0010)]
+    two = with_neighbour_lists(g, [ends if u == hub else [hub] if u in ends else [] for u in range(len(masks))], 2)
+    exchange = r"\(4,0,2\) is not invariant under the exchange of coordinate pairs 0 and 1$"
+    with pytest.raises(InvalidParameterError, match=exchange):
+        hm.oracle_spectrum(two)
+    batch = [cached_graph(5, 0, 2), two, cached_graph(6, 0, 3)]
+    with pytest.raises(InvalidParameterError, match=exchange):
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in batch])
+    hm.oracle_spectra([(g, g.r1, g.r2) for g in [batch[0], batch[2]]])  # the untouched graphs pass on their own
+    # a vertex set the swaps keep and the exchange does not: the star (4, 0, 1) without 0b0100 and 0b1000
+    star = cached_graph(4, 0, 1)
+    half = with_neighbour_lists(dataclasses.replace(star, masks=star.masks[:3], indptr=star.indptr[:4]),
+                                [[1, 2], [0], [0]], 2)
+    with pytest.raises(InvalidParameterError, match=r"\(4,0,1\) is not invariant under the exchange of coordinate "
+                       r"pairs 0 and 1$"):
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in [batch[0], half, batch[2]]])
+
+
+def test_the_oracle_splits_each_large_block_by_a_pair_exchange(monkeypatch):
+    # (12, 0, 6) has 6 distinct blocks, the largest 253 x 182; the exchange of the two lowest pairs outside each
+    # character splits that one into 167 x 121 and 86 x 61, and a split at most doubles the matrices factored
+    svd, shapes = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda b, **kw: shapes.extend([b.shape[1:]] * len(b)) or svd(b, **kw))
+    hm.oracle_spectrum(hm.build_graph(12, 0, 6))
+    assert max(shapes, key=lambda shape: shape[0] * shape[1]) == (167, 121)
+    assert (86, 61) in shapes and len(shapes) <= 2 * 6
 
 
 def test_batched_oracle_checks_the_dense_limit_of_each_graph():

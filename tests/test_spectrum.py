@@ -426,7 +426,8 @@ def test_sweep_runs_one_oracle_call_per_batch_within_the_dense_limit(monkeypatch
 
 def test_sweep_oracle_keeps_its_bits(monkeypatch):
     # SHA-256 over float.hex of every oracle eigenvalue and residual bound of the --max-n 11 sweep, then of
-    # three bands on their own; pinned at the oracle that also had an eigenvector lift, run without it
+    # three bands on their own; pinned at the oracle that splits blocks of SPLIT_CELLS cells or more by a
+    # pair exchange
     seen = []
     batched = sp.oracle_spectra
     monkeypatch.setattr(sp, "oracle_spectra", lambda graphs, **kw: seen.extend(batched(graphs, **kw)) or seen[-len(graphs):])
@@ -440,7 +441,7 @@ def test_sweep_oracle_keeps_its_bits(monkeypatch):
         oracle = hm.oracle_spectrum(hm.build_graph(*band))
         digest.update(" ".join(map(float.hex, oracle.eigenvalues.tolist())).encode())
         digest.update(float.hex(oracle.residual_bound).encode())
-    assert digest.hexdigest() == "8acdab14ff5beece69906c1ab30082529f44643246006ae72893b0d53b6a4ce4"
+    assert digest.hexdigest() == "9ddb06b4d4df172904b757b120621154021a62b7db5099bf9dc0d5e366016306"
 
 
 def test_the_batched_sweep_reports_each_band_as_its_own_verify_does():
@@ -479,7 +480,8 @@ def test_sweep_measures_each_band_once_and_each_hull_graph_once_more(monkeypatch
     # verify_bands measures each distinct band once, and a hull only when it is none of the bands; then
     # oracle_spectra checks each hull graph it is handed, and build_graphs caps its vertices.  Every hull of
     # the sweep is one of its bands: 111 + 11 cell counts and 111 + 2 * 11 vertex counts.  The cell counts
-    # of one n share one trinomial table, the 11 hulls one sphere recursion, and the oracle takes 97 SVDs;
+    # of one n share one trinomial table, the 11 hulls one sphere recursion, and the oracle takes 113 SVDs,
+    # blocks of SPLIT_CELLS cells or more taking one for each half;
     # a second sweep in the same process repeats every count, so no table outlives its call
     calls, built = collections.Counter(), []
     for module, name in [(hm, "oracle_cells"), (hm, "band_vertices"), (hm, "_trinomials"), (hm, "_sphere_tables"),
@@ -496,7 +498,7 @@ def test_sweep_measures_each_band_once_and_each_hull_graph_once_more(monkeypatch
         assert (len(SWEEP), len(built)) == (111, 11)
         assert calls["oracle_cells"] <= len(SWEEP) + len(built) == 122
         assert calls["band_vertices"] <= len(SWEEP) + 2 * len(built) == 133
-        assert (calls["_trinomials"], calls["_sphere_tables"], calls["svd"]) == (11, 1, 97)
+        assert (calls["_trinomials"], calls["_sphere_tables"], calls["svd"]) == (11, 1, 113)
     # a repeated band, and a hull over the vertex budget met twice, are each measured once: 2 bands and
     # 1 hull, then 3 graphs
     calls.clear()
@@ -601,7 +603,7 @@ PEAK_BANDS = [(12, 0, 6), (40, 0, 3), (60, 0, 3), (64, 0, 3), (16, 0, 7), (18, 0
 
 
 def test_oracle_peak_is_within_four_times_the_cell_bytes_on_the_largest_band_the_budget_admits():
-    # measured: 2.8 times at (16, 0, 7) and 3.7 times at (64, 0, 3)
+    # measured: 2.3 times at (16, 0, 7) and 3.5 times at (64, 0, 3)
     band = max((b for b in PEAK_BANDS if hm.oracle_cells(*b) <= hm.ORACLE_CELL_BUDGET), key=lambda b: hm.oracle_cells(*b))
     g = hm.build_graph(*band)
     tracemalloc.start()
@@ -629,6 +631,86 @@ def test_expanded_matches_oracle_multiset():
         tab = sp.full_spectrum(n, r1, r2)
         orc = cached_oracle(n, r1, r2)
         assert np.abs(tab.expanded() - orc.eigenvalues).max() < 1e-8
+
+
+# the characteristic polynomials of the graph and of the table, evaluated mod a prime: no float anywhere.  Two
+# distinct polynomials of degree V agree at a random x with probability at most V/p (Schwartz-Zippel)
+PRIMES = (2_147_483_629, 2_147_483_587)
+
+
+def _det_mod(a, p):
+    """det(a) mod p by Gaussian elimination in int64: p < 2^31, so a product of two residues fits."""
+    a, det = a % p, 1
+    for i in range(len(a)):
+        nonzero = np.flatnonzero(a[i:, i])
+        if not nonzero.size:
+            return 0
+        k = i + int(nonzero[0])
+        if k != i:
+            a[[i, k]] = a[[k, i]]
+            det = -det
+        det = det * int(a[i, i]) % p
+        factor = a[i + 1 :, i] * pow(int(a[i, i]), p - 2, p) % p
+        a[i + 1 :, i:] = (a[i + 1 :, i:] - factor[:, None] * a[i, i:] % p) % p
+    return det % p
+
+
+def _graph_charpoly(g, x, p):
+    """det(xI - A) mod p = x^(e - o) det(x^2 I - B^T B), B the e x o biadjacency between the larger parity side and
+    the smaller."""
+    odd = np.array([m.bit_count() % 2 for m in g.masks.tolist()], dtype=bool)
+    a = np.zeros((g.vertex_count, g.vertex_count), dtype=np.int64)
+    a[np.repeat(np.arange(g.vertex_count), np.diff(g.indptr)), g.indices] = 1
+    b = a[~odd][:, odd]
+    if len(b) < len(b.T):
+        b = b.T
+    e, o = b.shape
+    return pow(x, e - o, p) * _det_mod(x * x % p * np.eye(o, dtype=np.int64) - b.T @ b, p) % p
+
+
+def _table_charpoly(n, r1, r2, x, p, multiplicity=sp.origin_multiplicity, couplings=None):
+    """prod_t det(xI - T_t)^(C(n, t) - C(n, t - 1)) mod p, each det by D_j = x D_(j-1) - c_j D_(j-2)."""
+    total = 1
+    for t in range(r2 + 1):
+        d0, d1 = 1, x
+        for c in (couplings or {}).get(t, sp.coupling_matrix(n, r1, r2, t).offdiag_sq):
+            d0, d1 = d1, (x * d1 - c * d0) % p
+        total = total * pow(d1, multiplicity(n, t), p) % p
+    return total
+
+
+def _charpoly_cases():
+    rng = np.random.default_rng(14)
+    for n, r1, r2 in band_cases(9):
+        yield (n, r1, r2), [(p, int(rng.integers(2, p))) for p in PRIMES]
+
+
+def test_the_table_and_the_graph_have_one_characteristic_polynomial_mod_two_primes():
+    checked = 0
+    for band, points in _charpoly_cases():
+        g = hm.build_graph(*band)
+        for p, x in points:
+            assert _table_charpoly(*band, x, p) == _graph_charpoly(g, x, p), (band, p)
+        checked += 1
+    assert checked == 69  # every band with n <= 9
+
+
+def test_the_polynomial_check_sees_a_moved_multiplicity_or_a_coupling_off_by_one():
+    seen = 0
+    for (n, r1, r2), points in _charpoly_cases():
+        if r1 == r2:
+            continue  # one sphere: every origin's block is the 1 x 1 zero, with no coupling
+        seen += 1
+        moved = lambda n, t: sp.origin_multiplicity(n, t) + {0: 1, 1: -1}.get(t, 0)  # one space from t = 1 to t = 0
+        block = sp.coupling_matrix(n, r1, r2, 0).offdiag_sq
+        g = hm.build_graph(n, r1, r2)
+        for p, x in points:
+            graph = _graph_charpoly(g, x, p)
+            assert _table_charpoly(n, r1, r2, x, p, multiplicity=moved) != graph, (n, r1, r2, p)
+            if block:
+                off = {0: (block[0] + 1, *block[1:])}
+                assert _table_charpoly(n, r1, r2, x, p, couplings=off) != graph, (n, r1, r2, p)
+    assert seen == 40
 
 
 def coupling_comprehension(n, r1, r2, t):
@@ -667,17 +749,18 @@ def test_coupling_matrix_matches_the_comprehension_past_int64(n, r1, r2, t):
 
 
 @pytest.mark.parametrize("cases,factored,blocks", [
-    ((SWEEP, 5000), 138, 924),
-    (([(12, 0, 6)], None), 6, 63),
-    (([(12, 4, 6)], None), 6, 63),
-    ((SWEEP, None), 109, 924),
+    ((SWEEP, 5000), 154, 940),
+    (([(12, 0, 6)], None), 8, 70),
+    (([(12, 4, 6)], None), 8, 70),
+    ((SWEEP, None), 125, 940),
 ])
 def test_the_oracle_factors_each_distinct_block_once(monkeypatch, cases, factored, blocks):
     # the oracle_verify workload's three commands, each case a list of bands and a dense limit: 1,050
-    # blocks B_S, of which 150 differ from an earlier block of the same shape in the same oracle_spectra
-    # call when the sweep takes 4 calls at a limit of 5,000 vertices, and 121 when it takes one under the
-    # cell budget; at (12, 0, 6) each shape has one.  A stack of one block goes to the SVD without a
-    # _distinct call, so its SVD is the first call since the last SVD
+    # blocks B_S, of which the 30 of SPLIT_CELLS cells or more (16 of the sweep's, 7 in each n = 12 band) are
+    # split into two halves, so 1,080 matrices reach the SVD stage; 170 of them differ from an earlier one of
+    # the same shape in the same oracle_spectra call when the sweep takes 4 calls at a limit of 5,000
+    # vertices, and 141 when it takes one under the cell budget; at (12, 0, 6) each shape has one.  A stack
+    # of one matrix goes to the SVD without a _distinct call, so its SVD is the first call since the last SVD
     cases, dense_limit = cases
     svd, distinct = np.linalg.svd, hm._distinct
     calls = []  # ("svd" or "distinct", blocks handed in), in call order
