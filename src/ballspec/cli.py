@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (a dimension
 too large for a float included), 3 resource budget exceeded.  Text and CSV
 output print floats with 15 significant digits; JSON uses Python's
 shortest-roundtrip float repr.  Identical invocations produce
-byte-identical output.
+byte-identical output at one BLAS thread count.  The oracle's floats at
+(16, 0, 7) differ between one OpenBLAS thread and two, so ``verify`` past
+n = 12 may print other trailing digits of ``max_deviation``.
 """
 
 from __future__ import annotations

@@ -17,11 +17,15 @@ bipartite, and every permutation of the coordinates maps it onto itself.
 The dense oracle uses both.  The swaps of coordinates (0 1), (2 3), ...
 commute with the adjacency, so in their symmetry-adapted basis it falls
 apart into one small block per character of the group they generate; each
-block is bipartite again, [[0, B_S], [B_S^T, 0]].  The exchange of the two
-lowest coordinate pairs outside S, which the graph must also keep, fixes S
-and commutes with the adjacency, so it splits a block B_S of SPLIT_CELLS
-cells or more into an even and an odd half (Clifford theory, as in Serre,
-Linear Representations of Finite Groups, section 8).  The oracle takes one
+block is bipartite again, [[0, B_S], [B_S^T, 0]].  An orbit holds each
+character S inside its mixed pairs once, as its one member that reads 10 on
+exactly S's pairs (Serre, Linear Representations of Finite Groups, section
+7.2), so the vertices themselves are the blocks' rows and columns, and one
+lookup from a mask to its vertex places every entry.  The exchange of the
+two lowest coordinate pairs outside S, which the graph must also keep,
+fixes S and commutes with the adjacency, so it splits a block B_S of
+SPLIT_CELLS cells or more into an even and an odd half (Clifford theory, as
+in Serre, section 8).  The oracle takes one
 SVD per shape (stacked) over the distinct blocks or halves of that shape,
 byte for byte, and the adjacency eigenvalues are +-sigma for each singular
 value plus abs(rows - columns) structural zeros per block or half
@@ -31,13 +35,10 @@ closed form from a table of n (one per n for a caller that shares it) before
 any split, which bounds the cells it factors; its budget is in those cells.
 ``oracle_spectra`` does all of this in one pass for a list of bands, each a
 weight range r1..r2 of a built graph: it builds each graph's blocks once,
-with orbits and characters keyed per graph, and cuts each band's blocks out
-of its graph's, so a sweep over many bands of one dimension builds one
-graph; ``oracle_spectrum`` is its batch of one.  The (orbit, character)
-pairs are indexed directly, by the orbit's first pair plus the character's rank
-among the submasks of the orbit's mixed pairs, so an edge finds its block
-entry by arithmetic, not by a search.  The swap check finds the image of a
-mask by arithmetic too, from its place in the vertex order above: the
+with characters keyed per graph, and cuts each band's blocks out of its
+graph's, so a sweep over many bands of one dimension builds one graph;
+``oracle_spectrum`` is its batch of one.  The swap check finds the image
+of a mask by arithmetic, from its place in the vertex order above: the
 oracle relies on that order, and names a graph that breaks it.  A graph
 that a block's exchange does not keep is named too, with the two pairs.
 """
@@ -362,51 +363,6 @@ def _popcount(a: np.ndarray) -> np.ndarray:
     return ((a * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
 
-def _submasks(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every submask of every entry of the uint64 array ``sets``.
-
-    Returns (owner, submask): owner[i] indexes ``sets`` and submask[i] runs
-    over the 2^|set| submasks of sets[owner[i]], the k-th one taking the
-    bits of k, low to high, as its choice of set bits.
-    """
-    sizes = _popcount(sets)
-    counts = np.left_shift(1, sizes)
-    owner = np.repeat(np.arange(len(sets)), counts)
-    rank = (np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)).astype(np.uint64)
-    rest = sets[owner]
-    sub = np.zeros(len(owner), dtype=np.uint64)
-    for _ in range(int(sizes.max(initial=0))):
-        low = rest & (~rest + _ONE)
-        sub |= low * (rank & _ONE)
-        rest ^= low
-        rank >>= _ONE
-    return owner, sub
-
-
-def _submask_rank(sets: np.ndarray, subs: np.ndarray) -> np.ndarray:
-    """The k under which ``_submasks`` lists subs[i] among the submasks of sets[i].
-
-    Bit j of k is the bit of subs[i] at the j-th lowest set bit of sets[i].
-    """
-    rank = np.zeros(len(sets), dtype=np.int64)
-    rest, j = sets.copy(), 0
-    while rest.any():
-        low = rest & (~rest + _ONE)
-        rank |= ((subs & low) != 0).astype(np.int64) << j
-        rest ^= low
-        j += 1
-    return rank
-
-
-def _group_order(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, rank): the entries by group, in array order within one, and each one's place in its group."""
-    order = np.argsort(groups, kind="stable")
-    rank = np.empty(len(groups), dtype=np.int64)
-    rank[order] = np.arange(len(groups))
-    sizes = np.bincount(groups)
-    return order, rank - (np.cumsum(sizes) - sizes)[groups]
-
-
 def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The indices starts[i] .. starts[i] + lengths[i] - 1 of every segment i, in order."""
     out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
@@ -567,9 +523,10 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     A block to split lists each side as the fixed_rows (fixed_cols) orbits
     its exchange fixes, the first of each moved pair, then their partners;
     any other block has fixed_rows = rows, fixed_cols = cols and orbit order.
-    vertices[b] is band b's count of (orbit, character) pairs.  Each graph
-    block is checked against its exchange here.  Every vertex-sized array
-    of the graphs dies before any block is cut.
+    vertices[b] is band b's vertex count, its count of (orbit, character)
+    pairs.  Each graph block is checked against its exchange here.  The
+    vertex-sized arrays of the graphs die before any block is cut, but for
+    the few that place each pair.
     """
     sizes = [g.vertex_count for g in graphs]
     first = np.cumsum([0] + sizes)
@@ -588,65 +545,55 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     src, dst = src[even_src], dst[even_src]
 
     _check_swap_invariance(graphs, graph, masks, mixed, flipped, src, dst)
-    table = np.sort(masks)
-    reps = _keys(graph, masks ^ flipped ^ (flipped << _ONE), table)  # swaps keep the masks
-    reps, member, orbit = np.unique(reps, return_index=True, return_inverse=True)
-    orbit_mixed, orbit_odd, orbit_graph = mixed[member], odd[member], graph[member]
-
-    # (orbit, character) pairs: their count is V; each character of a graph is one block of it
-    pair_orbit, pair_char = _submasks(orbit_mixed)
-    char_set = np.sort(pair_char)
-    chars, pair_block = np.unique(
-        _keys(orbit_graph[pair_orbit], pair_char, char_set), return_inverse=True
-    )
-    pair_odd = orbit_odd[pair_orbit]
-    # each pair's row (even orbit) or column (odd orbit) in its block: the pairs come in orbit
-    # order, so that is its rank among the pairs of its block and side
-    by_side, pair_local = _group_order(pair_block * 2 + pair_odd)
-    graph_cols = np.bincount(pair_block[pair_odd], minlength=len(chars))
-    graph_cells = np.bincount(pair_block[~pair_odd], minlength=len(chars)) * graph_cols
+    # vertex u is the pair (orbit of u, F(u)), F(u) = flipped[u]: each graph's character F(u) is one block
+    # of it, and u's row (even u) or column (odd u) there is its rank by representative on its side
+    chars, graph_block = np.unique(_keys(graph, flipped, np.sort(flipped)), return_inverse=True)
+    rep = masks ^ flipped ^ (flipped << _ONE)  # reads 01 on each mixed pair: the swaps keep the masks
+    side = graph_block * 2 + odd
+    by_side = np.lexsort((rep, side))
+    local = np.empty_like(side)  # the place among the pairs of one block and side
+    local[by_side] = np.arange(len(side)) - np.searchsorted(side[by_side], side[by_side])
+    graph_cols = np.bincount(graph_block[odd], minlength=len(chars))
+    graph_cells = np.bincount(graph_block[~odd], minlength=len(chars)) * graph_cols
     # the blocks lie row by row in one array: where the row of each even pair starts
-    row_start = (np.cumsum(graph_cells) - graph_cells)[pair_block] + pair_local * graph_cols[pair_block]
-    counts = np.left_shift(1, _popcount(orbit_mixed))
-    pair_start = np.cumsum(counts) - counts
+    row_start = (np.cumsum(graph_cells) - graph_cells)[graph_block] + local * graph_cols[graph_block]
 
-    def pair_of(orbits: np.ndarray, characters: np.ndarray) -> np.ndarray:
-        """Index of each pair (orbit, character): the orbit's first pair plus the character's rank."""
-        return pair_start[orbits] + _submask_rank(orbit_mixed[orbits], characters)
+    # the (edge, character) pairs are the edges (u, v) with F(u) inside M(v): row u, and as column the
+    # vertex of v's orbit whose F is F(u), v with the pairs of F(u) ^ F(v) turned
+    inside = flipped[src] & ~mixed[dst] == 0
+    u, v = src[inside], dst[inside]
+    del src, dst, inside  # each edge array lives only until its last use
+    turned = flipped[u] ^ flipped[v]
+    turn = np.flatnonzero(turned)  # the edges whose column is not v itself
+    turned = turned[turn]
+    # the partner (sigma O, S) of each pair under its character's exchange sigma is the vertex sigma u
+    image = _exchanged(masks, *_exchange(flipped, low_bits[graph]))
+    go = np.flatnonzero(image != masks)  # the pairs sigma moves
+    # one lookup from (graph, mask) to vertex finds the partners and those columns
+    queries = np.concatenate([image[go], masks[v[turn]] ^ turned ^ (turned << _ONE)])
+    query_graph = np.concatenate([graph[go], graph[v[turn]]])
+    table = np.sort(masks)
+    keys = _keys(graph, masks, table)
+    by_key = np.argsort(keys)
+    found = by_key[np.minimum(np.searchsorted(keys[by_key], _keys(query_graph, queries, table)), len(masks) - 1)]
+    to, w = found[: len(go)], v.copy()
+    w[turn] = found[len(go) :]  # every column is found, as the swaps keep the graph
+    lost = go[(masks[to] != image[go]) | (graph[to] != graph[go])]
+    if lost.size:  # the graph is at fault: name its first pair in (graph, representative, character) order
+        i = lost[np.lexsort((flipped[lost], rep[lost], graph[lost]))[0]]
+        raise InvalidParameterError(_exchange_fault(graphs[graph[i]], flipped[i]))
+    partner = np.arange(len(masks))
+    partner[go] = to
+    moved = np.sign(local[partner] - local) % 3  # 0 fixed, 1 first of a moved pair, 2 its partner
+    del turned, turn, image, go, queries, query_graph, table, keys, by_key, found, to, lost
 
-    # each pair's partner (sigma O, S) under its character's exchange sigma, found by the image of O's
-    # representative; the graph is at fault if that image is none of its orbits' representatives
-    pair_graph = orbit_graph[pair_orbit]
-    rep = (masks ^ flipped ^ (flipped << _ONE))[member][pair_orbit]
-    key_of = len(char_set) + 1  # a block key is its graph times key_of plus its character's place in char_set
-    image = _exchanged(rep, *(x[pair_block] for x in _exchange(char_set[chars % key_of], low_bits[chars // key_of])))
-    go = np.flatnonzero(image != rep)  # the pairs sigma moves
-    image, graph_of = image[go], pair_graph[go]
-    at = np.minimum(np.searchsorted(table, image), len(table) - 1)
-    key = graph_of * (len(table) + 1) + at
-    image_orbit = np.minimum(np.searchsorted(reps, key), len(reps) - 1)
-    lost = (table[at] != image) | (reps[image_orbit] != key)
-    if lost.any():  # pairs come in orbit order, so graph by graph: the first at fault is the lowest graph's
-        i = go[np.argmax(lost)]
-        raise InvalidParameterError(_exchange_fault(graphs[pair_graph[i]], pair_char[i]))
-    partner = np.arange(len(pair_orbit))
-    partner[go] = pair_of(image_orbit, pair_char[go])
-    pair_moved = np.sign(pair_local[partner] - pair_local) % 3  # 0 fixed, 1 first of a moved pair, 2 its partner
-    del pair_graph, rep, image, go, graph_of, at, key, image_orbit, lost
-
-    # (edge, character) pairs from the representatives of the even orbits
-    from_rep = flipped[src] == 0
-    x, y = src[from_rep], dst[from_rep]
-    edge, char = _submasks(mixed[x] & mixed[y])
-    x, y = x[edge], y[edge]
-    sign = 1.0 - 2.0 * (_popcount(char & flipped[y]) & 1)
-    weight = sign * np.exp2((_popcount(mixed[x]) - _popcount(mixed[y])) / 2.0)
-    at_x, at_y = pair_of(orbit[x], char), pair_of(orbit[y], char)
-    del src, dst, x, y, edge, char, sign  # each edge array lives only until its last use
-    cell = row_start[at_x] + pair_local[at_y]
-    mirror = row_start[partner[at_x]] + pair_local[partner[at_y]]  # the cell of (sigma O, sigma O')
-    block = pair_block[at_x]
-    del at_x, at_y
+    sign = 1.0 - 2.0 * (_popcount(flipped[u] & ~flipped[v]) & 1)
+    weight = sign * np.exp2((_popcount(mixed[u]) - _popcount(mixed[v])) / 2.0)
+    cell = row_start[u] + local[w]
+    mirror = row_start[partner[u]] + local[partner[w]]  # the cell of (sigma O, sigma O')
+    block = graph_block[u]
+    del u, v, w, sign
+    # on a band graph a cell sums at most two terms of one magnitude, so no bit depends on the edge order
     graph_flat = np.bincount(cell, weights=weight, minlength=int(graph_cells.sum()))
     del weight  # the blocks hold all they said
     # each graph block B_S against B_S[pi_r][:, pi_c], to 1e-12 of its largest entry: either is nonzero
@@ -658,31 +605,29 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     np.maximum.at(largest, block, np.abs(entry))
     bad = gap > 1e-12 * largest[block]
     if bad.any():  # blocks come graph by graph: the first at fault is the lowest graph's
-        key = int(chars[block[bad].min()])
-        raise InvalidParameterError(_exchange_fault(graphs[key // key_of], char_set[key % key_of]))
-    pair_weight = ones[member][pair_orbit].astype(np.int8)  # at most 64
-    graph_pairs = np.bincount(orbit_graph[pair_orbit], minlength=len(graphs))
-    # the vertices' and orbits' arrays die here, before any block is cut
-    del cell, mirror, block, entry, gap, bad, masks, graph, low, high, mixed, flipped, ones, odd, table, reps
-    del member, orbit, orbit_mixed, orbit_odd, orbit_graph, pair_orbit, pair_char, pair_start, pair_of
+        i = np.argmax(graph_block == block[bad].min())  # a pair of that block
+        raise InvalidParameterError(_exchange_fault(graphs[graph[i]], flipped[i]))
+    ones = ones.astype(np.int8)  # at most 64
+    # the vertices' arrays die here, before any block is cut, but for those that place each pair
+    del cell, mirror, block, entry, gap, bad, masks, graph, low, high, mixed, flipped, rep, side
 
     # each band's pairs, all bands in one pass with no sort: its graph's pairs by block and side, in orbit
     # order (``by_side``), kept where their weight is in r1..r2; so a band's blocks come out whole, rows first
     which = {g: i for i, g in enumerate(graphs)}
     band_graph, lo, hi = (np.array(x) for x in zip(*[(which[g], r1, r2) for g, r1, r2 in bands]))
-    size = graph_pairs[band_graph]
-    pairs = by_side[_segments((np.cumsum(graph_pairs) - graph_pairs)[band_graph], size)]
-    pair_ones, band = pair_weight[pairs], np.repeat(np.arange(len(bands), dtype=np.int32), size)
+    size = np.array(sizes)[band_graph]
+    pairs = by_side[_segments(first[band_graph], size)]
+    pair_ones, band = ones[pairs], np.repeat(np.arange(len(bands), dtype=np.int32), size)
     keep = (pair_ones >= lo.astype(np.int8)[band]) & (pair_ones <= hi.astype(np.int8)[band])
     pairs, band = pairs[keep], band[keep]
     del pair_ones, keep
     vertices = np.bincount(band, minlength=len(bands)).tolist()
     # the band's blocks: one per (band, character of its pairs)
-    key = band * np.int64(len(chars)) + pair_block[pairs]
+    key = band * np.int64(len(chars)) + graph_block[pairs]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     block = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(key)]))
     del key
-    odd = pair_odd[pairs]
+    odd = odd[pairs]
     rows = np.bincount(block[~odd], minlength=len(first))
     cols = np.bincount(block[odd], minlength=len(first))
     # each side of a block to split lists the pairs sigma fixes, then the first of each moved pair, then
@@ -692,11 +637,11 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     split = rows * cols >= SPLIT_CELLS
     cut = np.flatnonzero(split[block])  # the pairs of the blocks to split, side by side
     if cut.size:
-        run = (2 * block[cut] + odd[cut]) * 3 + pair_moved[pairs[cut]]  # (side, run) of each pair
+        run = (2 * block[cut] + odd[cut]) * 3 + moved[pairs[cut]]  # (side, run) of each pair
         runs = np.bincount(run, minlength=6 * len(first))
         fixed_rows[split], fixed_cols[split] = runs[0::6][split], runs[3::6][split]
-        lead = np.minimum(pair_local[pairs[cut]], pair_local[partner[pairs[cut]]])
-        pairs[cut] = pairs[cut[np.argsort(run * (len(pair_local) + 1) + lead, kind="stable")]]
+        lead = np.minimum(local[pairs[cut]], local[partner[pairs[cut]]])
+        pairs[cut] = pairs[cut[np.argsort(run * (len(local) + 1) + lead, kind="stable")]]
         del cut, run, runs, lead
     by_shape = np.lexsort((fixed_cols, fixed_rows, cols, rows))  # blocks of one shape and split are adjacent
     rows, cols, first = rows[by_shape], cols[by_shape], first[by_shape]
@@ -704,7 +649,7 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     block_band = band[first]
     # a band block's rows and columns, in order, are its pairs of each side, block by block
     by_block = pairs[_segments(np.r_[first, first + rows], np.r_[rows, cols])]
-    row_cell, col_cell = row_start[by_block[: rows.sum()]], pair_local[by_block[rows.sum() :]]
+    row_cell, col_cell = row_start[by_block[: rows.sum()]], local[by_block[rows.sum() :]]
     return graph_flat, rows, cols, row_cell, col_cell, fixed_rows, fixed_cols, block_band, vertices
 
 
@@ -759,18 +704,25 @@ def oracle_spectra(
     vertices, or given ``dense_limit`` its vertices, with the private
     ``_tables`` of ``oracle_cells``), as a caller may hand in any graph.
     The distinct graphs are one disjoint union, each vertex with its own
-    graph's pairs; orbits and characters are keyed by graph, and each
-    graph's blocks are built once.  The swaps keep weights, so a
+    graph's pairs; characters are keyed by graph, and each graph's blocks
+    are built once.  The swaps keep weights, so a
     band's B_S is its graph's cut to the orbits of weight r1..r2, in orbit
-    order: a cell sums the same edges in the same order as in the band's own
-    graph, so the cut block has the bytes of the block of ``build_graph(n, r1, r2)``.
+    order: a cell sums the same terms as in the band's own graph, so the
+    cut block has the bytes of the block of ``build_graph(n, r1, r2)``.
 
-    The V (orbit, character) pairs are listed orbit by orbit, the characters
-    of O in ``_submasks``' order, so the pair (O, S) is O's first pair plus
-    the rank of S among the submasks of M(O) (``_submask_rank``, at most
-    n // 2 bit steps).  Each pair's block, and its row or column there, is
-    worked out once; the (edge, character) pairs then find their block
-    entries with no search.
+    The vertices are the V (orbit, character) pairs: an orbit O holds each
+    character S inside M(O) exactly once (orbit-stabiliser and Frobenius
+    reciprocity; Serre, section 7.2), and its member u with F(u) = S stands
+    for (O, S).  u's block is its graph's character F(u), and its row (even
+    u) or column (odd u) there its rank on that side by representative, in
+    orbit order.  The cells' terms are the edges (u, v) from an even u with
+    F(u) inside M(v), which the swaps of F(u) carry one to one onto the
+    edges from O's representative with F(u) inside both mixed sets: row u,
+    column the member v ^ D(F(u) ^ F(v)) of v's orbit, D(P) the bits of the
+    pairs P, sign (-1)^|F(u) minus F(v)|.  One lookup from (graph, mask) to
+    vertex finds the columns other than v and the exchange partners below.  On a band
+    graph a cell sums at most two terms of one magnitude, so no bit depends
+    on the edge order.
 
     Each B = U diag(s) V^T, a whole block or a half, gives the eigenvalues
     +-s_i and abs(rows - columns) zeros; the blocks of one shape and split,
@@ -795,11 +747,13 @@ def oracle_spectra(
     ``_check_swap_invariance``).  Each graph block B_S must equal
     B_S[pi_r][:, pi_c], pi the permutations of its rows and columns by its
     exchange, to within 1e-12 of its largest entry, whether or not its band
-    blocks are split, and the image of each orbit's representative must be
-    one of the graph's (else InvalidParameterError, naming the graph and the
-    two pairs): so the oracle's inputs are the graphs that the swaps and
-    these exchanges keep, as the bands and the custom graphs of the tests,
-    which every coordinate permutation keeps, are.  And the squared
+    blocks are split, and the image of each vertex u under the exchange of
+    F(u) must be one of the graph's (else InvalidParameterError, naming the
+    graph and the two pairs, those of its first (orbit, character) pair at
+    fault by graph, representative, then character): so the oracle's inputs
+    are the graphs that the swaps and these exchanges keep, as the bands and
+    the custom graphs of the tests, which every coordinate permutation
+    keeps, are.  And the squared
     Frobenius norms of a band's blocks, half the sum of the squares of the
     eigenvalues it returns, must add up to its edge count, half of tr A^2,
     to within 1e-12 times that count (else ArithmeticError); the count is

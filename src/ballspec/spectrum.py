@@ -26,7 +26,7 @@ import numpy as np
 
 from . import hamming, krawtchouk, tridiagonal
 from .errors import BudgetExceededError, check_band, check_tol
-from .hamming import build_graphs, check_budget, oracle_spectra
+from .hamming import band_vertices, build_graphs, check_budget, oracle_spectra
 from .krawtchouk import RootList, binom_int, first_root
 
 VERIFY_TOL = 1e-8
@@ -251,7 +251,7 @@ def _table(n: int, r1: int, r2: int, blocks: dict) -> SpectrumTable:
         lines = [p.line for p in placed]
     else:
         lines = [p[1] for p in placed]
-    total_dim = sum(binom_int(n, i) for i in range(r1, r2 + 1))
+    total_dim = band_vertices(n, r1, r2)
     if sum(line.multiplicity for line in lines) != total_dim:
         raise ArithmeticError(
             f"internal-error: multiplicities sum to "

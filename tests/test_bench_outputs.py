@@ -13,6 +13,9 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,16 @@ def test_the_sweep_past_the_workload_keeps_its_stdout():
     assert len(out.getvalue().splitlines()) == 140
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
         "76ae75652f2fd5c6d5a7e5b078d268a400bbda7cae993069a5d15978102b06f5"
+
+
+def test_the_sweep_past_the_workload_prints_the_same_on_one_and_two_blas_threads():
+    # the oracle's floats may depend on the OpenBLAS thread count (those of oracle_spectrum(build_graph(16, 0, 7))
+    # do), but verify --all --max-n 12 prints the same bytes on one thread, as the benchmark runs, and on two
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "ballspec.cli", "verify", "--all", "--max-n", "12"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(proc.stdout.encode()).hexdigest())
+    assert digests == ["76ae75652f2fd5c6d5a7e5b078d268a400bbda7cae993069a5d15978102b06f5"] * 2

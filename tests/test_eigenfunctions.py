@@ -338,7 +338,7 @@ def _eigenspace_faults(n, r1, r2, multiplicity=sp.origin_multiplicity, alter=Non
     return faults
 
 
-@pytest.mark.parametrize("n,r1,r2", sorted(band_cases(8)))
+@pytest.mark.parametrize("n,r1,r2", sorted(band_cases(10)))
 def test_the_lifts_of_each_line_span_its_eigenspace(n, r1, r2):
     assert _eigenspace_faults(n, r1, r2) == []
 

@@ -458,6 +458,52 @@ def test_batched_oracle_checks_the_exchange_invariance_of_each_graph():
         hm.oracle_spectra([(g, g.r1, g.r2) for g in [batch[0], half, batch[2]]])
 
 
+def without_sphere_ends(g, ends):
+    """The graph induced on its masks but the last ends[i] of sphere r1 + i; the rest keep their order."""
+    gone = set()
+    for i, end in enumerate(ends):
+        sphere = g.sphere_slice(g.r1 + i)
+        gone |= set(g.masks[sphere.stop - end : sphere.stop].tolist())
+    keep = [u for u, m in enumerate(g.masks.tolist()) if m not in gone]
+    new = {u: k for k, u in enumerate(keep)}
+    lists = neighbour_lists(g)
+    adjacency = [[new[v] for v in lists[u] if v in new] for u in keep]
+    return dataclasses.replace(with_neighbour_lists(g, adjacency, sum(map(len, adjacency)) // 2), masks=g.masks[keep])
+
+
+def exchange_misses(g):
+    """(a, b) for each vertex, in vertex order, that the exchange of pairs a < b, the two lowest of those not
+    reading 10 there, maps off the graph."""
+    masks = g.masks.tolist()
+    present, misses = set(masks), []
+    for m in masks:
+        a, b, *_ = [j for j in range(g.n // 2) if (m >> 2 * j & 3) != 0b10] + [None, None]
+        if b is not None:
+            image = m & ~(3 << 2 * a | 3 << 2 * b) | (m >> 2 * b & 3) << 2 * a | (m >> 2 * a & 3) << 2 * b
+            if image not in present:
+                misses.append((a, b))
+    return misses
+
+
+@pytest.mark.parametrize("band,ends,named,broken", [
+    ((7, 2, 3), (4, 17), (0, 2), {(0, 1), (0, 2)}),
+    ((8, 0, 4), (0, 0, 0, 4, 9), (0, 3), {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}),
+])
+def test_the_oracle_names_the_first_exchange_a_graph_breaks_in_pair_order(band, ends, named, broken):
+    # whole swap orbits cut from the ends of spheres, so the swaps keep the graph and its vertex order, while
+    # the exchanges of several characters break it; the oracle names its first (orbit, character) pair at
+    # fault by graph, representative, then character, where the first vertex at fault would give pairs 0 and 1
+    g = without_sphere_ends(cached_graph(*band), ends)
+    misses = exchange_misses(g)
+    assert set(misses) == broken and misses[0] == (0, 1)
+    exchange = rf"^the graph \({band[0]},{band[1]},{band[2]}\) is not invariant under the exchange of coordinate " \
+               rf"pairs {named[0]} and {named[1]}$"
+    with pytest.raises(InvalidParameterError, match=exchange):
+        hm.oracle_spectrum(g)
+    with pytest.raises(InvalidParameterError, match=exchange):
+        hm.oracle_spectra([(h, h.r1, h.r2) for h in [cached_graph(5, 0, 2), g, cached_graph(6, 0, 3)]])
+
+
 def test_the_oracle_splits_each_large_block_by_a_pair_exchange(monkeypatch):
     # (12, 0, 6) has 6 distinct blocks, the largest 253 x 182; the exchange of the two lowest pairs outside each
     # character splits that one into 167 x 121 and 86 x 61, and a split at most doubles the matrices factored
@@ -482,6 +528,42 @@ def test_cell_count_is_the_cells_of_the_oracle_blocks():
         g = cached_graph(n, r1, r2)
         graph_flat, rows, cols = hm._band_blocks([g], [(g, r1, r2)])[:3]
         assert hm.oracle_cells(n, r1, r2) == len(graph_flat) == int((rows * cols).sum()), (n, r1, r2)
+
+
+def submasks(s):
+    """Every submask of s, s first."""
+    sub = s
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & s
+
+
+def test_each_vertex_is_one_orbit_character_pair_and_its_edges_are_the_block_terms():
+    # the oracle lets vertex u stand for the pair (orbit of u, F(u)), F(u) its pairs that read 10, and takes as
+    # its (edge, character) terms the even-to-odd edges (u, v) with F(u) inside M(v): checked from the masks
+    # alone against every character S inside M(O) of every orbit O, and against every edge (x, y) from an
+    # even orbit's representative x with every S inside M(x) & M(y), which the swaps of S carry to (u, v)
+    terms = 0
+    for n, r1, r2 in band_cases(12):
+        g = cached_graph(n, r1, r2)
+        masks, low = g.masks.tolist(), sum(1 << 2 * j for j in range(n // 2))
+        mixed = [(m ^ m >> 1) & low for m in masks]
+        flipped = [m >> 1 & ~m & low for m in masks]
+        rep = [m ^ f ^ f << 1 for m, f in zip(masks, flipped)]
+        orbits = dict(zip(rep, mixed))
+        assert sorted(zip(rep, flipped)) == sorted((x, s) for x, m in orbits.items() for s in submasks(m))
+        kept, expanded = [], []
+        for u, nbrs in enumerate(neighbour_lists(g)):
+            if masks[u].bit_count() % 2 == 0:
+                f = flipped[u]
+                kept += [(rep[u], masks[v] ^ f ^ f << 1, f) for v in nbrs if f & ~mixed[v] == 0]
+                if f == 0:
+                    expanded += [(masks[u], masks[v], s) for v in nbrs for s in submasks(mixed[u] & mixed[v])]
+        assert sorted(kept) == sorted(expanded), (n, r1, r2)
+        terms += len(kept)
+    assert terms == 119_377
 
 
 @pytest.mark.parametrize("n,r1,r2,cells", [

@@ -679,25 +679,25 @@ def _table_charpoly(n, r1, r2, x, p, multiplicity=sp.origin_multiplicity, coupli
     return total
 
 
-def _charpoly_cases():
+def _charpoly_cases(max_n):
     rng = np.random.default_rng(14)
-    for n, r1, r2 in band_cases(9):
+    for n, r1, r2 in band_cases(max_n):
         yield (n, r1, r2), [(p, int(rng.integers(2, p))) for p in PRIMES]
 
 
 def test_the_table_and_the_graph_have_one_characteristic_polynomial_mod_two_primes():
     checked = 0
-    for band, points in _charpoly_cases():
+    for band, points in _charpoly_cases(10):
         g = hm.build_graph(*band)
         for p, x in points:
             assert _table_charpoly(*band, x, p) == _graph_charpoly(g, x, p), (band, p)
         checked += 1
-    assert checked == 69  # every band with n <= 9
+    assert checked == 90  # every band with n <= 10
 
 
 def test_the_polynomial_check_sees_a_moved_multiplicity_or_a_coupling_off_by_one():
     seen = 0
-    for (n, r1, r2), points in _charpoly_cases():
+    for (n, r1, r2), points in _charpoly_cases(9):
         if r1 == r2:
             continue  # one sphere: every origin's block is the 1 x 1 zero, with no coupling
         seen += 1
