@@ -37,10 +37,10 @@ any split, which bounds the cells it factors; its budget is in those cells.
 weight range r1..r2 of a built graph: it builds each graph's blocks once,
 with characters keyed per graph, and cuts each band's blocks out of its
 graph's, so a sweep over many bands of one dimension builds one graph;
-``oracle_spectrum`` is its batch of one.  The swap check finds the image
-of a mask by arithmetic, from its place in the vertex order above: the
-oracle relies on that order, and names a graph that breaks it.  A graph
-that a block's exchange does not keep is named too, with the two pairs.
+``oracle_spectrum`` is its batch of one.  It proves that each graph lists
+its band's masks in the order above and that every coordinate permutation
+keeps it, each kind (|u|, |v|, |u & v|) of edge it uses whole, so a graph
+that the swaps and exchanges keep and another permutation breaks fails.
 """
 
 from __future__ import annotations
@@ -375,52 +375,52 @@ def _keys(graph: np.ndarray, values: np.ndarray, table: np.ndarray) -> np.ndarra
     return graph * (len(table) + 1) + np.searchsorted(table, values)
 
 
-def _vertex_order_fault(g: InducedGraph) -> str:
-    """'' if the graph's masks are every mask of its band in the module's order, else why not."""
-    if len(g.masks) == band_vertices(g.n, g.r1, g.r2):
-        spheres = _sphere_tables(g.n, g.r1, g.r2)[0][g.r1 : g.r2 + 1]
-        if np.array_equal(g.masks, np.concatenate(spheres)):
-            return ""
-    return f"; its masks are not those of weight {g.r1}..{g.r2} in ascending weight, then value"
+def _check_symmetry(graphs, graph, masks, ones, src, dst) -> None:
+    """Raise unless every coordinate permutation keeps each graph, naming the first graph at fault.
 
-
-def _check_swap_invariance(graphs, graph, masks, mixed, flipped, src, dst) -> None:
-    """Raise unless every swap (2j, 2j+1), j < n // 2, maps each graph's edges onto themselves.
-
-    The image of a vertex is found by arithmetic on the module's vertex
-    order.  A sphere lists its masks in ascending value, which is colex
-    order, so a mask's place in its sphere is sum_i C(c_i, i) over its set
-    bits c_1 < c_2 < ... (the combinatorial number system; Knuth, TAOCP 4A,
-    7.2.1.3).  A swap moves the set bit of a pair that reads 01 from 2j up
-    to 2j + 1, which adds C(2j, k), k the mask's set bits below 2j; on a
-    pair that reads 10 it subtracts as much.  The mask found at that index
-    must be the image, in the same graph; else the graph is at fault, and
-    the message says so when its vertices break that order.  A vertex at
-    fault maps onto itself in the edge test, so every graph flagged is at
-    fault, and the first is named.
+    Its (weight, mask) pairs must strictly ascend, within r1..r2 and below
+    2^n, as many as its band has: so they are its band's masks, in the
+    module's order.  The codes src * V + dst of the edges out of its even
+    vertices must strictly ascend: no edge twice.  The permutations' orbits
+    on ordered pairs of masks are the kinds (|u|, |v|, |u & v|), the
+    relations of the Johnson scheme (Delsarte 1973), with C(n, c)
+    C(n - c, a - c) C(n - a, b - c) pairs of kind (a, b, c): so one count of
+    the edges by (graph, kind), each kind whole and of weights of opposite
+    parity, proves the rest.
     """
-    v_count = len(masks)
-    index = np.arange(v_count)
-    codes = np.sort(src * v_count + dst)
-    below = np.zeros(v_count, dtype=np.int64)  # set bits below coordinate 2j
-    for j in range(max(g.n // 2 for g in graphs)):
-        bit = np.uint64(1 << 2 * j)
-        step = np.array([math.comb(2 * j, k) for k in range(2 * j + 1)])[below]
-        moved = index + np.where(mixed & bit, np.where(flipped & bit, -step, step), 0)
-        np.clip(moved, 0, v_count - 1, out=moved)
-        image = np.where(mixed & bit, masks ^ (bit | bit << _ONE), masks)
-        bad = (masks[moved] != image) | (graph[moved] != graph)
-        moved[bad] = index[bad]
-        wrong = np.sort(moved[src] * v_count + moved[dst]) != codes
-        bad = np.r_[graph[bad], graph[codes[wrong] // v_count]]
-        if bad.size:
-            g = graphs[bad.min()]
-            raise InvalidParameterError(
-                f"the graph ({g.n},{g.r1},{g.r2}) is not invariant under the swap of coordinates "
-                f"{2 * j} and {2 * j + 1}{_vertex_order_fault(g)}"
-            )
-        below += masks & bit != 0
-        below += masks & bit << _ONE != 0
+    r1, r2 = (np.array(x) for x in zip(*[(g.r1, g.r2) for g in graphs]))
+    top = np.array([(1 << g.n) - 1 for g in graphs], dtype=np.uint64)
+    wrong = (ones < r1[graph]) | (ones > r2[graph]) | (masks > top[graph])
+    rises = (ones[1:] > ones[:-1]) | ((ones[1:] == ones[:-1]) & (masks[1:] > masks[:-1]))
+    wrong[1:] |= (graph[1:] == graph[:-1]) & ~rises
+    misplaced = np.arange(len(graphs) + 1) == len(graphs)  # each graph whose vertices are at fault, then a sentinel
+    misplaced[graph[wrong]] = True
+    misplaced[[i for i, g in enumerate(graphs) if g.vertex_count != band_vertices(g.n, g.r1, g.r2)]] = True
+    codes = src * len(masks) + dst
+    at_fault = misplaced.copy()
+    at_fault[graph[src[1:][codes[1:] <= codes[:-1]]]] = True
+    first = int(np.argmax(at_fault))
+    kind = ((graph[src] * 65 + ones[src]) * 65 + ones[dst]) * 65 + _popcount(masks[src] & masks[dst])
+    kinds, found = np.unique(kind, return_counts=True)
+    for key, count in zip(kinds.tolist(), found.tolist()):
+        i, a, b, c = key // 65**3, key // 65**2 % 65, key // 65 % 65, key % 65
+        if i >= first:  # a graph at fault may have any masks, or an edge twice: its counts say nothing
+            break
+        g = graphs[i]
+        if (a - b) % 2 == 0:
+            raise InvalidParameterError(f"the graph ({g.n},{g.r1},{g.r2}) has edges between weights {a} and {b}, "
+                                        f"of one parity")
+        due = math.comb(g.n, c) * math.comb(g.n - c, a - c) * math.comb(g.n - a, b - c)
+        if count != due:
+            raise InvalidParameterError(f"the graph ({g.n},{g.r1},{g.r2}) is not invariant under every coordinate "
+                                        f"permutation: it has {count} of the {due} edges (u, v) of kind "
+                                        f"(|u|, |v|, |u & v|) = ({a}, {b}, {c})")
+    if first < len(graphs):
+        g = graphs[first]
+        raise InvalidParameterError(f"the graph ({g.n},{g.r1},{g.r2}) " + (
+            f"has the wrong vertices; its masks are not those of weight {g.r1}..{g.r2} in ascending weight, then "
+            f"value" if misplaced[first] else "lists an edge twice or out of order: an even vertex's neighbours do "
+            "not strictly ascend"))
 
 
 def _exchange(sets: np.ndarray, low_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -444,12 +444,6 @@ def _exchange(sets: np.ndarray, low_bits: np.ndarray) -> tuple[np.ndarray, np.nd
 def _exchanged(masks: np.ndarray, a_pair: np.ndarray, b_pair: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """The masks with the bits of pairs a < b exchanged, each pair's two bits kept in order (``_exchange``)."""
     return masks & ~(a_pair | b_pair) | (masks & a_pair) << shift | (masks & b_pair) >> shift
-
-
-def _exchange_fault(g: InducedGraph, char) -> str:
-    """The error for a graph that the exchange of ``char``'s two lowest outside pairs (``_exchange``) breaks."""
-    a, b = [j for j in range(g.n // 2) if not int(char) >> 2 * j & 1][:2]
-    return f"the graph ({g.n},{g.r1},{g.r2}) is not invariant under the exchange of coordinate pairs {a} and {b}"
 
 
 def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -524,9 +518,10 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     its exchange fixes, the first of each moved pair, then their partners;
     any other block has fixed_rows = rows, fixed_cols = cols and orbit order.
     vertices[b] is band b's vertex count, its count of (orbit, character)
-    pairs.  Each graph block is checked against its exchange here.  The
-    vertex-sized arrays of the graphs die before any block is cut, but for
-    the few that place each pair.
+    pairs.  Each graph is checked against every coordinate permutation
+    (``_check_symmetry``) and each graph block against its exchange here.
+    The vertex-sized arrays of the graphs die before any block is cut, but
+    for the few that place each pair.
     """
     sizes = [g.vertex_count for g in graphs]
     first = np.cumsum([0] + sizes)
@@ -544,7 +539,7 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     even_src = ~odd[src]
     src, dst = src[even_src], dst[even_src]
 
-    _check_swap_invariance(graphs, graph, masks, mixed, flipped, src, dst)
+    _check_symmetry(graphs, graph, masks, ones, src, dst)
     # vertex u is the pair (orbit of u, F(u)), F(u) = flipped[u]: each graph's character F(u) is one block
     # of it, and u's row (even u) or column (odd u) there is its rank by representative on its side
     chars, graph_block = np.unique(_keys(graph, flipped, np.sort(flipped)), return_inverse=True)
@@ -575,20 +570,18 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     table = np.sort(masks)
     keys = _keys(graph, masks, table)
     by_key = np.argsort(keys)
-    found = by_key[np.minimum(np.searchsorted(keys[by_key], _keys(query_graph, queries, table)), len(masks) - 1)]
-    to, w = found[: len(go)], v.copy()
-    w[turn] = found[len(go) :]  # every column is found, as the swaps keep the graph
-    lost = go[(masks[to] != image[go]) | (graph[to] != graph[go])]
-    if lost.size:  # the graph is at fault: name its first pair in (graph, representative, character) order
-        i = lost[np.lexsort((flipped[lost], rep[lost], graph[lost]))[0]]
-        raise InvalidParameterError(_exchange_fault(graphs[graph[i]], flipped[i]))
+    # every image is a vertex of the same graph, as every coordinate permutation keeps the graph
+    found = by_key[np.searchsorted(keys[by_key], _keys(query_graph, queries, table))]
+    w = v.copy()
+    w[turn] = found[len(go) :]
     partner = np.arange(len(masks))
-    partner[go] = to
+    partner[go] = found[: len(go)]
     moved = np.sign(local[partner] - local) % 3  # 0 fixed, 1 first of a moved pair, 2 its partner
-    del turned, turn, image, go, queries, query_graph, table, keys, by_key, found, to, lost
+    del turned, turn, image, go, queries, query_graph, table, keys, by_key, found
 
     sign = 1.0 - 2.0 * (_popcount(flipped[u] & ~flipped[v]) & 1)
-    weight = sign * np.exp2((_popcount(mixed[u]) - _popcount(mixed[v])) / 2.0)
+    mixed_ones = _popcount(mixed)
+    weight = sign * np.exp2((mixed_ones[u] - mixed_ones[v]) / 2.0)
     cell = row_start[u] + local[w]
     mirror = row_start[partner[u]] + local[partner[w]]  # the cell of (sigma O, sigma O')
     block = graph_block[u]
@@ -603,13 +596,11 @@ def _band_blocks(graphs: list[InducedGraph], bands: list[tuple[InducedGraph, int
     gap = np.abs(graph_flat[mirror] - entry)
     largest = np.zeros(len(chars))
     np.maximum.at(largest, block, np.abs(entry))
-    bad = gap > 1e-12 * largest[block]
-    if bad.any():  # blocks come graph by graph: the first at fault is the lowest graph's
-        i = np.argmax(graph_block == block[bad].min())  # a pair of that block
-        raise InvalidParameterError(_exchange_fault(graphs[graph[i]], flipped[i]))
+    if (gap > 1e-12 * largest[block]).any():  # a kept graph keeps its blocks: only a fault here breaks one
+        raise ArithmeticError(f"internal-error: a graph block is {gap.max():.3e} off its exchange image")
     ones = ones.astype(np.int8)  # at most 64
     # the vertices' arrays die here, before any block is cut, but for those that place each pair
-    del cell, mirror, block, entry, gap, bad, masks, graph, low, high, mixed, flipped, rep, side
+    del cell, mirror, block, entry, gap, masks, graph, low, high, mixed, mixed_ones, flipped, rep, side
 
     # each band's pairs, all bands in one pass with no sort: its graph's pairs by block and side, in orbit
     # order (``by_side``), kept where their weight is in r1..r2; so a band's blocks come out whole, rows first
@@ -674,7 +665,7 @@ def oracle_spectra(
     an A-invariant subspace, and all of them together span R^V.  A is
     bipartite by weight parity, so its block for S is [[0, B_S], [B_S^T, 0]]
     with B_S[O, O'] = b_O^T A b_O' over even-weight rows and odd-weight
-    columns; on a swap-invariant graph that is
+    columns; on a graph the swaps keep that is
     sqrt(|O|/|O'|) * sum over edges from the representative of O into O'
     of the sign of the far end.  Only the characters inside some M(O) are
     visited.
@@ -737,28 +728,26 @@ def oracle_spectra(
     largest of |B v_i - s_i u_i| and |B^T u_i - s_i v_i| over every
     matrix's singular triplets; the bases are orthonormal, so it bounds the
     residual of each eigenpair (+-s_i, [u_i; +-v_i]/sqrt(2)) of A they give,
-    up to the cross terms of a split, which the exchange check below bounds.
+    up to the cross terms of a split, which the block check below bounds.
     The documented tolerance is 1e-10 times the band's vertex count; a
     residual above it is an internal error.
 
-    Three self-checks keep this a check of each graph itself.  Every tau_j
-    must map its edge set onto itself (else InvalidParameterError, naming
-    the graph; the images are found from the module's vertex order,
-    ``_check_swap_invariance``).  Each graph block B_S must equal
-    B_S[pi_r][:, pi_c], pi the permutations of its rows and columns by its
-    exchange, to within 1e-12 of its largest entry, whether or not its band
-    blocks are split, and the image of each vertex u under the exchange of
-    F(u) must be one of the graph's (else InvalidParameterError, naming the
-    graph and the two pairs, those of its first (orbit, character) pair at
-    fault by graph, representative, then character): so the oracle's inputs
-    are the graphs that the swaps and these exchanges keep, as the bands and
-    the custom graphs of the tests, which every coordinate permutation
-    keeps, are.  And the squared
-    Frobenius norms of a band's blocks, half the sum of the squares of the
-    eigenvalues it returns, must add up to its edge count, half of tr A^2,
-    to within 1e-12 times that count (else ArithmeticError); the count is
-    its graph's ``edge_count`` less the edges cut away, from the sphere
-    sizes.
+    Three self-checks keep this a check of each graph itself.  Every
+    coordinate permutation must keep each graph (``_check_symmetry``): its
+    vertices its band's masks in the module's order, no edge listed twice,
+    and each kind (|u|, |v|, |u & v|) of edge it uses whole and between
+    weights of opposite parity, else InvalidParameterError names the first
+    graph of the batch at fault (and a short kind, found and due).  So a
+    graph that the swaps and the exchanges keep and another permutation
+    breaks is refused; the bands and the tests' custom graphs pass.  Each
+    graph block B_S must equal B_S[pi_r][:, pi_c], pi its exchange's
+    permutations of its rows and columns, to within 1e-12 of its largest
+    entry, split or not; after the first check only a fault of the oracle
+    can break that (ArithmeticError).  And the squared Frobenius norms of a
+    band's blocks, half the sum of the squares of the eigenvalues it
+    returns, must add up to its edge count, half of tr A^2, to within 1e-12
+    times that count (else ArithmeticError); the count is its graph's
+    ``edge_count`` less the edges cut away, from the sphere sizes.
     """
     if not bands:
         return []

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -11,6 +12,11 @@ from ballspec.errors import BudgetExceededError, InvalidParameterError
 from helpers import (
     band_cases, cached_eigh, cached_graph, cached_oracle, neighbour_lists, with_neighbour_lists,
 )
+
+# the oracle's refusals (``hamming._check_symmetry``)
+PERMUTED = "is not invariant under every coordinate permutation"
+KIND = r"\(u, v\) of kind \(\|u\|, \|v\|, \|u & v\|\)"
+WRONG_VERTICES = "has the wrong vertices; its masks are not those of weight"
 
 
 def test_ball_radius_one_is_a_star():
@@ -288,7 +294,8 @@ def test_oracle_signs_on_edges_that_flip_three_bits():
 
 def test_oracle_rejects_a_graph_the_pair_swaps_do_not_preserve():
     # keep only the edges at mask 0b0001: swapping coordinates 0 and 1 maps
-    # the edge {0b0000, 0b0001} onto {0b0000, 0b0010}, which is gone
+    # the edge {0b0000, 0b0001} onto {0b0000, 0b0010}, which is gone, so the
+    # graph holds 1 of the 4 edges of their kind
     g = cached_graph(4, 0, 2)
     hub = g.masks.tolist().index(0b0001)
     adjacency = [
@@ -296,7 +303,8 @@ def test_oracle_rejects_a_graph_the_pair_swaps_do_not_preserve():
         for u, nbrs in enumerate(neighbour_lists(g))
     ]
     lopsided = with_neighbour_lists(g, adjacency, len(adjacency[hub]))
-    with pytest.raises(InvalidParameterError, match="coordinates 0 and 1"):
+    with pytest.raises(InvalidParameterError, match=rf"^the graph \(4,0,2\) {PERMUTED}: it has 1 of the 4 edges "
+                       rf"{KIND} = \(0, 1, 0\)$"):
         hm.oracle_spectrum(lopsided)
 
 
@@ -425,24 +433,24 @@ def test_batched_oracle_checks_the_swap_invariance_of_each_graph():
     ]
     lopsided = with_neighbour_lists(g, adjacency, len(adjacency[hub]))
     batch = [cached_graph(5, 0, 2), lopsided, cached_graph(6, 0, 3)]
-    with pytest.raises(InvalidParameterError, match=r"\(4,0,2\) .*coordinates 0 and 1"):
+    with pytest.raises(InvalidParameterError, match=rf"\(4,0,2\) {PERMUTED}: it has 1 of the 4 edges"):
         hm.oracle_spectra([(g, g.r1, g.r2) for g in batch])
     hm.oracle_spectra([(g, g.r1, g.r2) for g in [batch[0], batch[2]]])  # the untouched graphs pass on their own
     # a vertex set the swaps do not keep: mask 0b0010 of the star (4, 0, 1) becomes 0b1_0000
     star = cached_graph(4, 0, 1)
     moved = dataclasses.replace(star, masks=np.array([0, 1, 16, 4, 8], dtype=np.uint64))
-    with pytest.raises(InvalidParameterError, match=r"\(4,0,1\) .*coordinates 0 and 1"):
+    with pytest.raises(InvalidParameterError, match=r"^the graph \(4,0,1\) has the wrong vertices"):
         hm.oracle_spectra([(g, g.r1, g.r2) for g in [batch[0], moved, batch[2]]])
 
 
 def test_batched_oracle_checks_the_exchange_invariance_of_each_graph():
     # only the edges 0b0000-0b0001 and 0b0000-0b0010: the swaps keep them, but the exchange of pairs 0 and 1
-    # maps the first onto 0b0000-0b0100, which is gone
+    # maps the first onto 0b0000-0b0100, which is gone, so the graph holds 2 of the 4 edges of their kind
     g = cached_graph(4, 0, 2)
     masks = g.masks.tolist()
     hub, ends = masks.index(0b0000), [masks.index(0b0001), masks.index(0b0010)]
     two = with_neighbour_lists(g, [ends if u == hub else [hub] if u in ends else [] for u in range(len(masks))], 2)
-    exchange = r"\(4,0,2\) is not invariant under the exchange of coordinate pairs 0 and 1$"
+    exchange = rf"^the graph \(4,0,2\) {PERMUTED}: it has 2 of the 4 edges {KIND} = \(0, 1, 0\)$"
     with pytest.raises(InvalidParameterError, match=exchange):
         hm.oracle_spectrum(two)
     batch = [cached_graph(5, 0, 2), two, cached_graph(6, 0, 3)]
@@ -453,8 +461,7 @@ def test_batched_oracle_checks_the_exchange_invariance_of_each_graph():
     star = cached_graph(4, 0, 1)
     half = with_neighbour_lists(dataclasses.replace(star, masks=star.masks[:3], indptr=star.indptr[:4]),
                                 [[1, 2], [0], [0]], 2)
-    with pytest.raises(InvalidParameterError, match=r"\(4,0,1\) is not invariant under the exchange of coordinate "
-                       r"pairs 0 and 1$"):
+    with pytest.raises(InvalidParameterError, match=rf"^the graph \(4,0,1\) {WRONG_VERTICES} 0\.\.1 "):
         hm.oracle_spectra([(g, g.r1, g.r2) for g in [batch[0], half, batch[2]]])
 
 
@@ -485,22 +492,22 @@ def exchange_misses(g):
     return misses
 
 
-@pytest.mark.parametrize("band,ends,named,broken", [
-    ((7, 2, 3), (4, 17), (0, 2), {(0, 1), (0, 2)}),
-    ((8, 0, 4), (0, 0, 0, 4, 9), (0, 3), {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}),
+@pytest.mark.parametrize("band,ends,broken", [
+    ((7, 2, 3), (4, 17), {(0, 1), (0, 2)}),
+    ((8, 0, 4), (0, 0, 0, 4, 9), {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}),
 ])
-def test_the_oracle_names_the_first_exchange_a_graph_breaks_in_pair_order(band, ends, named, broken):
+def test_the_oracle_names_the_first_exchange_a_graph_breaks_in_pair_order(band, ends, broken):
     # whole swap orbits cut from the ends of spheres, so the swaps keep the graph and its vertex order, while
-    # the exchanges of several characters break it; the oracle names its first (orbit, character) pair at
-    # fault by graph, representative, then character, where the first vertex at fault would give pairs 0 and 1
+    # the exchanges of several characters break it; every coordinate permutation keeps a band's whole
+    # spheres, so the oracle refuses the graph for its vertices, alone and as the one graph at fault of a batch
     g = without_sphere_ends(cached_graph(*band), ends)
     misses = exchange_misses(g)
     assert set(misses) == broken and misses[0] == (0, 1)
-    exchange = rf"^the graph \({band[0]},{band[1]},{band[2]}\) is not invariant under the exchange of coordinate " \
-               rf"pairs {named[0]} and {named[1]}$"
-    with pytest.raises(InvalidParameterError, match=exchange):
+    refused = rf"^the graph \({band[0]},{band[1]},{band[2]}\) {WRONG_VERTICES} {band[1]}\.\.{band[2]} in " \
+               r"ascending weight, then value$"
+    with pytest.raises(InvalidParameterError, match=refused):
         hm.oracle_spectrum(g)
-    with pytest.raises(InvalidParameterError, match=exchange):
+    with pytest.raises(InvalidParameterError, match=refused):
         hm.oracle_spectra([(h, h.r1, h.r2) for h in [cached_graph(5, 0, 2), g, cached_graph(6, 0, 3)]])
 
 
@@ -684,8 +691,8 @@ def relabelled(g, order):
 
 
 def test_oracle_rejects_a_graph_that_lists_two_masks_of_a_sphere_in_swapped_order():
-    # the same graph, still swap-invariant, with 0b000011 and 0b000101 of sphere 2 listed the other way
-    # round: the swap images are found by their place in the vertex order, which this breaks
+    # the same graph, still invariant, with 0b000011 and 0b000101 of sphere 2 listed the other way round:
+    # the oracle relies on the vertex order, which this breaks
     g = cached_graph(6, 1, 3)
     masks = g.masks.tolist()
     order = list(range(g.vertex_count))
@@ -695,14 +702,14 @@ def test_oracle_rejects_a_graph_that_lists_two_masks_of_a_sphere_in_swapped_orde
     back = relabelled(swapped, order)  # the order is its own inverse
     assert np.array_equal(back.indptr, g.indptr) and np.array_equal(back.indices, g.indices)
     batch = [cached_graph(5, 0, 2), swapped, cached_graph(6, 0, 3)]
-    with pytest.raises(InvalidParameterError, match=r"\(6,1,3\) is not invariant under the swap of "
-                       r"coordinates \d and \d; its masks are not those of weight 1\.\.3 in ascending "
-                       r"weight, then value"):
+    with pytest.raises(InvalidParameterError, match=rf"^the graph \(6,1,3\) {WRONG_VERTICES} 1\.\.3 in ascending "
+                       r"weight, then value$"):
         hm.oracle_spectra([(g, g.r1, g.r2) for g in batch])
 
 
 def test_oracle_rejects_a_graph_with_a_mask_dropped():
-    # (6, 0, 3) without 0b000101 and its edges: the swap of coordinates 0 and 1 maps 0b000110 onto it
+    # (6, 0, 3) without 0b000101 and its edges: the swap of coordinates 0 and 1 maps 0b000110 onto it, and
+    # the graph is one vertex short of its band
     g = cached_graph(6, 0, 3)
     masks = g.masks.tolist()
     gone = masks.index(0b000101)
@@ -712,8 +719,7 @@ def test_oracle_rejects_a_graph_with_a_mask_dropped():
     dropped = dataclasses.replace(
         with_neighbour_lists(g, adjacency, sum(map(len, adjacency)) // 2), masks=g.masks[keep]
     )
-    with pytest.raises(InvalidParameterError, match=r"\(6,0,3\) is not invariant under the swap of "
-                       r"coordinates 0 and 1; its masks are not those of weight 0\.\.3"):
+    with pytest.raises(InvalidParameterError, match=rf"^the graph \(6,0,3\) {WRONG_VERTICES} 0\.\.3 "):
         hm.oracle_spectra([(g, g.r1, g.r2) for g in [cached_graph(4, 0, 2), dropped]])
 
 
@@ -726,20 +732,21 @@ def without_edge(g, a, b):
 
 
 def test_oracle_rejects_a_graph_in_the_vertex_order_with_one_edge_taken_out():
-    # the swap of coordinates 0 and 1 maps {0b000001, 0b000011} onto {0b000010, 0b000011}, which stays
+    # the swap of coordinates 0 and 1 maps {0b000001, 0b000011} onto {0b000010, 0b000011}, which stays: the
+    # graph holds 29 of the 30 edges from weight 2 into weight 1
     broken = without_edge(cached_graph(6, 0, 3), 0b000001, 0b000011)
     batch = [cached_graph(5, 0, 2), broken, cached_graph(4, 0, 2)]
-    with pytest.raises(InvalidParameterError, match=r"^the graph \(6,0,3\) is not invariant under the swap of "
-                       r"coordinates 0 and 1$"):
+    with pytest.raises(InvalidParameterError, match=rf"^the graph \(6,0,3\) {PERMUTED}: it has 29 of the 30 edges "
+                       rf"{KIND} = \(2, 1, 1\)$"):
         hm.oracle_spectra([(g, g.r1, g.r2) for g in batch])
 
 
 def test_oracle_names_the_graph_that_breaks_the_first_swap_when_two_graphs_are_at_fault():
     # (6, 0, 3) without {0b000100, 0b001100} keeps the swap of coordinates 0 and 1 and breaks that of 2 and
-    # 3; the lopsided (4, 0, 2) breaks the swap of 0 and 1, so it is named though it comes later
+    # 3; the lopsided (4, 0, 2) breaks the swap of 0 and 1, but (6, 0, 3) comes first in the batch
     first = without_edge(cached_graph(6, 0, 3), 0b000100, 0b001100)
-    swap = r"is not invariant under the swap of coordinates"
-    with pytest.raises(InvalidParameterError, match=rf"\(6,0,3\) {swap} 2 and 3$"):
+    short = rf"^the graph \(6,0,3\) {PERMUTED}: it has 29 of the 30 edges {KIND} = \(2, 1, 1\)$"
+    with pytest.raises(InvalidParameterError, match=short):
         hm.oracle_spectra([(first, 0, 3)])
     g = cached_graph(4, 0, 2)
     hub = g.masks.tolist().index(0b0001)
@@ -747,9 +754,136 @@ def test_oracle_names_the_graph_that_breaks_the_first_swap_when_two_graphs_are_a
         g, [nbrs if u == hub else [v for v in nbrs if v == hub] for u, nbrs in enumerate(neighbour_lists(g))], 4
     )
     batch = [cached_graph(5, 0, 2), first, cached_graph(7, 1, 3), lopsided]
-    with pytest.raises(InvalidParameterError, match=rf"\(4,0,2\) {swap} 0 and 1$"):
+    with pytest.raises(InvalidParameterError, match=short):
         hm.oracle_spectra([(g, g.r1, g.r2) for g in batch])
+    with pytest.raises(InvalidParameterError, match=rf"^the graph \(4,0,2\) {PERMUTED}: it has 1 of the 4 edges"):
+        hm.oracle_spectra([(g, g.r1, g.r2) for g in [batch[0], lopsided, first]])
 
+
+
+def with_mask_edges(g, pairs):
+    """The graph on g's vertices whose edges are the given (mask, mask) pairs, each listed both ways."""
+    index = {m: u for u, m in enumerate(g.masks.tolist())}
+    lists = [set() for _ in range(g.vertex_count)]
+    for x, y in pairs:
+        lists[index[x]].add(index[y])
+        lists[index[y]].add(index[x])
+    return with_neighbour_lists(g, [sorted(nbrs) for nbrs in lists], len(pairs))
+
+
+def permuted(perm, m):
+    """The mask m with coordinate i moved to perm[i]."""
+    return sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1)
+
+
+def kept_by_every_permutation(n, pairs):
+    """Brute force: every one of the n! coordinate permutations maps the set of edges onto itself."""
+    edges = {frozenset(pair) for pair in pairs}
+    return all({frozenset(permuted(perm, m) for m in edge) for edge in edges} == edges
+               for perm in itertools.permutations(range(n)))
+
+
+def pair_orbit(n, pair):
+    """The images of an edge under the group of the swaps (2j 2j+1) and the exchanges of whole pairs."""
+    p = n // 2
+    return {tuple(permuted([2 * order[i // 2] + (i % 2 ^ flips[i // 2]) if i < 2 * p else i for i in range(n)], m)
+                  for m in pair)
+            for order in itertools.permutations(range(p)) for flips in itertools.product([0, 1], repeat=p)}
+
+
+def test_the_oracle_refuses_exactly_the_graphs_some_permutation_breaks():
+    # for every band with n <= 5, every set of whole kinds of edges (|u|, |v|, |u & v|) between weights of
+    # opposite parity; then that set with one edge dropped, and with one edge of a kind it lacks added, alone
+    # or with all its images under the swaps and the pair exchanges; the oracle must refuse a graph exactly
+    # when some coordinate permutation breaks it, and match eigh otherwise
+    rng = np.random.default_rng(34)
+    seen = {True: 0, False: 0}
+    for n, r1, r2 in band_cases(5):
+        g = cached_graph(n, r1, r2)
+        masks = g.masks.tolist()
+        kinds = {}
+        for x, y in itertools.product(masks, masks):
+            if x.bit_count() % 2 == 0 and y.bit_count() % 2 == 1:
+                kinds.setdefault((x.bit_count(), y.bit_count(), (x & y).bit_count()), []).append((x, y))
+        for size in range(len(kinds) + 1):
+            for chosen in itertools.combinations(sorted(kinds), size):
+                whole = [pair for kind in chosen for pair in kinds[kind]]
+                cases = [whole]
+                if whole:
+                    cases.append([pair for i, pair in enumerate(whole) if i != rng.integers(len(whole))])
+                for kind in kinds:
+                    if kind not in chosen:
+                        pair = kinds[kind][rng.integers(len(kinds[kind]))]
+                        cases += [whole + [pair], whole + sorted(pair_orbit(n, pair))]
+                for pairs in cases:
+                    h = with_mask_edges(g, pairs)
+                    kept = kept_by_every_permutation(n, pairs)
+                    seen[kept] += 1
+                    if kept:
+                        _check_oracle_against_eigh(h)
+                    else:
+                        with pytest.raises(InvalidParameterError, match=rf"\({n},{r1},{r2}\) {PERMUTED}: it has"):
+                            hm.oracle_spectrum(h)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_the_oracle_refuses_a_graph_that_only_the_swaps_and_their_exchanges_keep():
+    # every edge at 0b0000, and the edges within a pair from 0b0011 and 0b1100: the swaps (0 1), (2 3) and
+    # the exchange of pairs 0 and 1 keep it, but (1 2) breaks it; the oracle used to accept it and match
+    # eigvalsh to 1.8e-15
+    g = cached_graph(4, 0, 2)
+    pairs = [(0, 1), (0, 2), (0, 4), (0, 8), (1, 3), (2, 3), (4, 12), (8, 12)]
+    narrow = with_mask_edges(g, pairs)
+    assert not kept_by_every_permutation(4, pairs)
+    short = rf"^the graph \(4,0,2\) {PERMUTED}: it has 4 of the 12 edges {KIND} = \(2, 1, 1\)$"
+    with pytest.raises(InvalidParameterError, match=short):
+        hm.oracle_spectrum(narrow)
+    with pytest.raises(InvalidParameterError, match=short):
+        hm.oracle_spectra([(h, h.r1, h.r2) for h in [cached_graph(5, 0, 2), narrow, cached_graph(6, 0, 3)]])
+
+
+def test_the_oracle_refuses_a_row_that_lists_a_neighbour_twice():
+    g = cached_graph(4, 0, 2)
+    lists = neighbour_lists(g)
+    lists[0] = [lists[0][0], *lists[0]]  # 0b0000 lists 0b0001 twice
+    twice = with_neighbour_lists(g, lists, g.edge_count)
+    message = r"^the graph \(4,0,2\) lists an edge twice"
+    with pytest.raises(InvalidParameterError, match=message):
+        hm.oracle_spectrum(twice)
+    with pytest.raises(InvalidParameterError, match=message):
+        hm.oracle_spectra([(h, h.r1, h.r2) for h in [cached_graph(5, 0, 2), twice]])
+
+
+def test_the_oracle_refuses_a_mask_above_the_dimension():
+    # the star (4, 0, 1) with 0b0010 replaced by 0b1_0000: the masks still ascend, within weights 0..1
+    star = cached_graph(4, 0, 1)
+    wide = dataclasses.replace(star, masks=np.array([0, 1, 4, 8, 16], dtype=np.uint64))
+    with pytest.raises(InvalidParameterError, match=rf"^the graph \(4,0,1\) {WRONG_VERTICES} 0\.\.1 "):
+        hm.oracle_spectrum(wide)
+
+
+def test_the_oracle_refuses_edges_between_weights_of_one_parity():
+    # the ball (4, 0, 2) with 0b0000 joined to every mask of weight 2 too: a whole kind, but not bipartite
+    g = cached_graph(4, 0, 2)
+    cube = [(x, x | 1 << i) for x in g.masks.tolist() if x.bit_count() < 2 for i in range(4) if not x >> i & 1]
+    even = with_mask_edges(g, cube + [(0, y) for y in g.masks.tolist() if y.bit_count() == 2])
+    with pytest.raises(InvalidParameterError, match=r"^the graph \(4,0,2\) has edges between weights 0 and 2, of "
+                       r"one parity$"):
+        hm.oracle_spectrum(even)
+
+
+def test_a_block_off_its_exchange_image_is_an_internal_error(monkeypatch):
+    # the oracle has proved the graph invariant before it compares each block with its exchange's image, so
+    # only a fault of its own can break that: here an exchange of one coordinate of each pair, not of pairs
+    exchange = hm._exchange
+
+    def one_coordinate_each(sets, low_bits):
+        a_pair, b_pair, shift = exchange(sets, low_bits)
+        return a_pair & low_bits, b_pair & low_bits, shift
+
+    monkeypatch.setattr(hm, "_exchange", one_coordinate_each)
+    with pytest.raises(ArithmeticError, match=r"^internal-error: a graph block is .* off its exchange image$"):
+        hm.oracle_spectrum(cached_graph(6, 0, 3))
 
 def test_blocks_one_ulp_apart_are_both_factored():
     rng = np.random.default_rng(3)

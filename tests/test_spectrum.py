@@ -478,8 +478,9 @@ def test_sweep_builds_one_graph_per_run_of_bands(monkeypatch, limit, builds):
 
 def test_sweep_measures_each_band_once_and_each_hull_graph_once_more(monkeypatch):
     # verify_bands measures each distinct band once, and a hull only when it is none of the bands; then
-    # oracle_spectra checks each hull graph it is handed, and build_graphs caps its vertices.  Every hull of
-    # the sweep is one of its bands: 111 + 11 cell counts and 111 + 2 * 11 vertex counts.  The cell counts
+    # oracle_spectra checks each hull graph it is handed and counts its vertices once more to prove its masks
+    # are its band's, and build_graphs caps its vertices.  Every hull of the sweep is one of its bands:
+    # 111 + 11 cell counts and 111 + 3 * 11 vertex counts.  The cell counts
     # of one n share one trinomial table, the 11 hulls one sphere recursion, and the oracle takes 113 SVDs,
     # blocks of SPLIT_CELLS cells or more taking one for each half;
     # a second sweep in the same process repeats every count, so no table outlives its call
@@ -497,15 +498,15 @@ def test_sweep_measures_each_band_once_and_each_hull_graph_once_more(monkeypatch
         sp.verify_bands(SWEEP)
         assert (len(SWEEP), len(built)) == (111, 11)
         assert calls["oracle_cells"] <= len(SWEEP) + len(built) == 122
-        assert calls["band_vertices"] <= len(SWEEP) + 2 * len(built) == 133
+        assert calls["band_vertices"] <= len(SWEEP) + 3 * len(built) == 144
         assert (calls["_trinomials"], calls["_sphere_tables"], calls["svd"]) == (11, 1, 113)
     # a repeated band, and a hull over the vertex budget met twice, are each measured once: 2 bands and
-    # 1 hull, then 3 graphs
+    # 1 hull, then 3 graphs, whose vertices the oracle counts once more
     calls.clear()
     monkeypatch.setattr(hm, "ORACLE_VERTEX_BUDGET", 2000)
     assert all(r.passed for r in sp.verify_bands([(12, 0, 5), (12, 6, 6), (12, 0, 5)]))
     assert {name: calls[name] for name in ("oracle_cells", "band_vertices")} == {
-        "oracle_cells": 2 + 1 + 3, "band_vertices": 2 + 1 + 3 + 3}
+        "oracle_cells": 2 + 1 + 3, "band_vertices": 2 + 1 + 3 + 3 + 3}
 
 
 def _bits(oracle):
